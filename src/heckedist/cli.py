@@ -165,13 +165,12 @@ def cmd_kloosterman(args) -> dict:
     if args.mode == "classical":
         Q = nf.make_field("rational")
         O = Q.unit_ideal()
-        val = kloosterman.ks_classical(args.m, args.n, args.c)
         chk = kloosterman.weil_check(
             Q.element(args.m), O, Q.element(args.n), Q.element(args.c), O, eps=args.eps
         )
         return {
-            "value_re": val.real,
-            "value_im": val.imag,
+            "value_re": chk.value.real,
+            "value_im": chk.value.imag,
             "weil_rhs": chk.rhs,
             "ratio": chk.ratio,
         }
@@ -181,11 +180,10 @@ def cmd_kloosterman(args) -> dict:
         c = parse_element(f, args.c_elem)
         r = parse_element(f, args.r)
         rp = parse_element(f, args.rp)
-        val = kloosterman.ks_twisted(r, O, rp, c, O)
         chk = kloosterman.weil_check(r, O, rp, c, O, eps=args.eps)
         return {
-            "value_re": val.real,
-            "value_im": val.imag,
+            "value_re": chk.value.real,
+            "value_im": chk.value.imag,
             "modulus_norm": chk.modulus_norm,
             "weil_rhs": chk.rhs,
             "ratio": chk.ratio,

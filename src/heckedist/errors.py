@@ -37,6 +37,13 @@ class ZeroArgument(HeckedistError):
     pass
 
 
+class InvariantViolation(HeckedistError):
+    """An identity the computation relies on failed, so its result cannot be trusted.
+
+    Raised instead of `assert`, so the checks also run under `python -O`.
+    """
+
+
 # --- kloosterman ----------------------------------------------------------
 
 class ModulusZero(HeckedistError):

@@ -6,9 +6,15 @@ the unique element of a^(-1)*c_frak / a^(-1)*(c)*c_frak^2 with
 x*x^(-1) = 1 mod (c)*c_frak, and e(y) = exp(2 pi i y).  Over Q with the
 trivial twist this is the classical sum S(r, r'; c).
 
-Exponents are reduced mod 1 in exact rational arithmetic before any
-exponential is taken, and the sum is accumulated with Kahan compensation,
-so phases do not drift for large moduli.
+Residues are integer coordinates over the Z-bases of the two modules, held
+in numpy int64 arrays.  The units are the residues outside P*L for every
+prime P dividing the modulus.  Inverses come from one inverse found by an
+exact scan and square-and-multiply in O/modulus, and every pair is checked
+against x*x^(-1) = 1 before it is used.  The exponent is linear in the
+coordinates, so each term's phase is an integer numerator modulo one common
+denominator, reduced exactly before any exponential is taken; the terms are
+then accumulated in unit order with Kahan compensation.  An int64 product
+that could overflow raises EnumerationTooLarge instead of wrapping.
 """
 
 from __future__ import annotations
@@ -19,9 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     EnumerationTooLarge,
     IllDefinedExponent,
+    InvariantViolation,
     ModulusZero,
     PreconditionViolation,
 )
@@ -34,31 +43,52 @@ from .numberfield import (
     elements_of_norm,
     factor_rational_prime,
     ideal_from_elements,
+    _mul_coords,
     _rational_factorization,
 )
 
 DEFAULT_RESIDUE_CAP = 10**6
+_INT64_LIMIT = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
 # Residue unit groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueUnitGroup:
-    """Generators x of a*c_frak^(-1)/a*(c) with verified inverses x^(-1)."""
+    """Generators x of L = a*c_frak^(-1) modulo a*(c), with verified inverses.
+
+    Row k of `units` holds the coordinates (i, j) of x over the Z-basis of
+    L, canonical for `quotient`; row k of `inverses` holds those of x^(-1)
+    over the Z-basis of L^(-1) = a^(-1)*c_frak, reduced for
+    `inverse_quotient`.  Over Q the second coordinate is always 0.
+    """
 
     field: Field
     a_ideal: FractionalIdeal
     c: FieldElement
     c_ideal: FractionalIdeal
     modulus: FractionalIdeal  # (c) * c_frak
-    units: tuple[tuple[FieldElement, FieldElement], ...]
+    units: np.ndarray  # (phi, 2) int64
+    inverses: np.ndarray  # (phi, 2) int64
     quotient: QuotientModule
     inverse_quotient: QuotientModule
 
     def __len__(self):
         return len(self.units)
+
+    def elements(self) -> list[tuple[FieldElement, FieldElement]]:
+        """The pairs (x, x^(-1)) as field elements."""
+        xs = _coords_to_elements(self.quotient.L, self.units)
+        ys = _coords_to_elements(self.inverse_quotient.L, self.inverses)
+        return list(zip(xs, ys))
+
+
+def _coords_to_elements(L: FractionalIdeal, coords: np.ndarray) -> list[FieldElement]:
+    (u1, v1), (u2, v2) = L.int_rows()
+    return [L.field.element(Fraction(i * u1 + j * u2, L.den), Fraction(i * v1 + j * v2, L.den))
+            for i, j in coords.tolist()]
 
 
 def _distinct_prime_divisors(field: Field, I: FractionalIdeal) -> list[FractionalIdeal]:
@@ -68,6 +98,114 @@ def _distinct_prime_divisors(field: Field, I: FractionalIdeal) -> list[Fractiona
             if P.contains_ideal(I):
                 out.append(P)
     return out
+
+
+def _reduce(co, hnf: tuple[int, int, int]):
+    """Canonical representatives of coordinates co = (i, j) modulo Z*(a, 0) + Z*(b, c)."""
+    a, b, c = hnf
+    q = co[1] // c
+    return ((co[0] - q * b) % a, co[1] - q * c)
+
+
+def _member(co, hnf: tuple[int, int, int]):
+    """Mask of the coordinates co = (i, j) lying in Z*(a, 0) + Z*(b, c)."""
+    a, b, c = hnf
+    return (co[1] % c == 0) & ((co[0] - (co[1] // c) * b) % a == 0)
+
+
+def _combine(elems, coeffs, mod: tuple[int, int, int]):
+    """sum of coeffs[n] * elems[n] for O-elements elems[n] = (u, v), reduced modulo mod."""
+    return _reduce((coeffs[0] * elems[0][0] + coeffs[1] * elems[1][0],
+                    coeffs[0] * elems[0][1] + coeffs[1] * elems[1][1]), mod)
+
+
+def _mod_hnf(I: FractionalIdeal) -> tuple[int, int, int]:
+    """An integral ideal as the lattice Z*(a, 0) + Z*(b, c) of O-coordinates."""
+    return I.hnf if I.field.degree == 2 else (I.hnf[0], 0, 1)
+
+
+def _check_int64(bound: int):
+    if bound > _INT64_LIMIT:
+        raise EnumerationTooLarge(f"integer coordinates up to {bound} would overflow int64")
+
+
+def _pow_mod(field: Field, base, e: int, mod: tuple[int, int, int]):
+    """base**e in O/mod by square-and-multiply, reducing after every product."""
+
+    def mul(p, q):
+        if field.degree == 1:  # O/mod is Z/a, and the w-coordinate stays 0
+            return ((p[0] * q[0]) % mod[0], p[1])
+        return _reduce(_mul_coords(field, p, q), mod)
+
+    out = (np.full_like(base[0], 1 % mod[0]), np.zeros_like(base[1]))
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return out
+
+
+def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, modulus: FractionalIdeal,
+                 primes: list[FractionalIdeal]) -> tuple[np.ndarray, np.ndarray]:
+    """Units of quo = L/L*modulus and their inverses in quo_inv = L^(-1)/L^(-1)*modulus.
+
+    Returns two (phi, 2) int64 arrays of coordinates over the Z-bases of L
+    and L^(-1); `primes` are the prime ideals dividing the modulus.
+    """
+    field, L, Linv = quo.field, quo.L, quo_inv.L
+    mod = _mod_hnf(modulus)
+    # every intermediate below is at most this many times N(modulus)^2
+    _check_int64((abs(field.omega_norm) + abs(field.omega_trace) + 4) * quo.index**2)
+    one = (1 % mod[0], 0)
+
+    # x generates L/L*modulus iff (x) L^(-1) is coprime to the modulus, i.e.
+    # x avoids P*L for every prime P dividing the modulus
+    a1, c1 = quo.shape
+    i, j = np.divmod(np.arange(a1 * c1, dtype=np.int64), c1)
+    keep = np.ones(len(i), dtype=bool)
+    for P in primes:
+        keep &= ~_member((i, j), QuotientModule(L, P * L).sub_hnf)
+    x = (i[keep], j[keep])
+    phi = len(x[0])
+
+    # products e_m * f_n of the two Z-bases lie in L*L^(-1) = O
+    den = L.den * Linv.den
+    prod = []
+    for f in Linv.int_rows():
+        row = []
+        for e in L.int_rows():
+            u, v = _mul_coords(field, e, f)
+            if u % den or v % den:
+                raise InvariantViolation("L * L^(-1) is not the ring of integers")
+            row.append(_reduce((u // den, v // den), mod))
+        prod.append(row)
+    # x * f_n for every unit x; then x * y = sum over n of y_n * (x * f_n)
+    xf = [_combine(p, x, mod) for p in prod]
+
+    # one inverse y0 of x0 by an exact scan of L^(-1)/L^(-1)*modulus
+    b1, d1 = quo_inv.shape
+    k, l = np.divmod(np.arange(b1 * d1, dtype=np.int64), d1)
+    scan = _combine([(u[:1], v[:1]) for u, v in xf], (k, l), mod)
+    hit = np.flatnonzero((scan[0] == one[0]) & (scan[1] == one[1]))
+    if len(hit) == 0:
+        raise InvariantViolation("no inverse of the first unit residue")
+    y0 = (int(k[hit[0]]), int(l[hit[0]]))
+
+    # x^(-1) = y0 * u^(phi-1) with u = x*y0 a unit of O/modulus, u^phi = 1
+    s, t = _pow_mod(field, _combine(xf, y0, mod), phi - 1, mod)
+    if field.degree == 1:
+        yw = (0, 0)  # t is always 0 over Q
+    else:
+        (y0_elem,) = _coords_to_elements(Linv, np.array([y0]))
+        yw = _reduce(Linv.element_coords(y0_elem * field.omega()), quo_inv.sub_hnf)
+    y = _reduce((s * y0[0] + t * yw[0], s * y0[1] + t * yw[1]), quo_inv.sub_hnf)
+
+    check = _combine(xf, y, mod)
+    if not (np.all(check[0] == one[0]) and np.all(check[1] == one[1])):
+        raise InvariantViolation("inverse congruence x * x^(-1) = 1 failed")
+    return np.stack(x, axis=1), np.stack(y, axis=1)
 
 
 def residue_unit_group(
@@ -84,76 +222,20 @@ def residue_unit_group(
     level = level if level is not None else field.unit_ideal()
     if not (c_ideal.inverse() * level).contains(c):
         raise PreconditionViolation("c not in c_frak^(-1) * level")
-    modulus = ideal_from_elements(field, [c]) * c_ideal
-    assert modulus.is_integral()
+    c_principal = ideal_from_elements(field, [c])
+    modulus = c_principal * c_ideal
+    if not modulus.is_integral():
+        raise PreconditionViolation("modulus (c)*c_frak is not integral")
     L = a_ideal * c_ideal.inverse()
-    Lsub = a_ideal * ideal_from_elements(field, [c])
-    Q = QuotientModule(L, Lsub)
+    Q = QuotientModule(L, a_ideal * c_principal)
     if Q.index > cap:
         raise EnumerationTooLarge(f"{Q.index} residues exceeds cap {cap}")
     Linv = a_ideal.inverse() * c_ideal
-    Linv_sub = a_ideal.inverse() * ideal_from_elements(field, [c]) * c_ideal * c_ideal
-    Qinv = QuotientModule(Linv, Linv_sub)
-
-    # x generates L/Lsub iff (x) L^(-1) is coprime to the modulus, i.e.
-    # x avoids P*L for every prime P dividing the modulus
-    blockers = [P * L for P in _distinct_prime_divisors(field, modulus)]
-    norm_L = L.norm()
-    a0 = modulus.hnf[0]  # least positive rational integer in the modulus
-    units = []
-    if Q.index == 1:
-        # unit modulus: the trivial coset generates the zero module
-        units.append((field.zero(), field.zero()))
-    else:
-        for x in Q.representatives():
-            if x.is_zero() or any(B.contains(x) for B in blockers):
-                continue
-            y = _residue_inverse(x, L, Lsub, Qinv, modulus, norm_L, a0)
-            units.append((x, y))
-    return ResidueUnitGroup(field, a_ideal, c, c_ideal, modulus, tuple(units), Q, Qinv)
-
-
-def _residue_inverse(
-    x: FieldElement,
-    L: FractionalIdeal,
-    Lsub: FractionalIdeal,
-    Qinv: QuotientModule,
-    modulus: FractionalIdeal,
-    norm_L: Fraction,
-    a0: int,
-) -> FieldElement:
-    """The inverse residue: y in L^(-1) modulo L^(-1)*modulus with x*y in 1 + modulus.
-
-    Built from the conjugate: for x' = x + delta in the same coset with
-    relative norm prime to a0, y = t * conj(x')/N(L) with t inverting that
-    relative norm mod a0; both congruence and module membership then hold
-    exactly (and are asserted).
-    """
-    field = x.field
-    if field.degree == 1:
-        # x = rel * g for the generator g of L; invert rel mod the modulus integer
-        gen = L.basis_elements()[0]
-        rel = int(x.x / gen.x)
-        c_int = modulus.hnf[0]
-        t = pow(rel, -1, c_int)
-        y = Qinv.reduce(field.one() / gen * t)
-        assert modulus.contains(x * y - 1)
-        return y
-    g1, g2 = Lsub.basis_elements()
-    for i in range(0, 30):
-        for j in range(0, 30):
-            for si in ((1, -1) if i else (1,)):
-                for sj in ((1, -1) if j else (1,)):
-                    xp = x + g1 * (si * i) + g2 * (sj * j)
-                    rel = xp.norm() / norm_L
-                    assert rel.denominator == 1
-                    rel_int = int(rel)
-                    if rel_int != 0 and math.gcd(rel_int % a0, a0) == 1:
-                        t = pow(rel_int, -1, a0)
-                        y = Qinv.reduce(xp.conjugate() * Fraction(t) / norm_L)
-                        assert modulus.contains(x * y - 1), "inverse congruence failed"
-                        return y
-    raise AssertionError("no norm-coprime shift found; modulus too adversarial")
+    Qinv = QuotientModule(Linv, Linv * modulus)
+    units, inverses = _unit_coords(Q, Qinv, modulus, _distinct_prime_divisors(field, modulus))
+    units.setflags(write=False)
+    inverses.setflags(write=False)
+    return ResidueUnitGroup(field, a_ideal, c, c_ideal, modulus, units, inverses, Q, Qinv)
 
 
 # ---------------------------------------------------------------------------
@@ -193,41 +275,42 @@ class TwistCharacter:
             table[(x,)] = complex(1.0 if pow(x, (p - 1) // 2, p) == 1 else -1.0)
         return TwistCharacter("table", table, label=f"legendre({p})")
 
-    def value(self, group: ResidueUnitGroup, x: FieldElement) -> complex:
+    def values(self, group: ResidueUnitGroup) -> list[complex]:
+        """chi(x) for the units x of the group, in their order."""
         if self.kind == "trivial":
-            return 1.0 + 0.0j
+            return [1.0 + 0.0j] * len(group)
+        return self._lookup(group, (group.units[:, 0], group.units[:, 1]))
+
+    def _lookup(self, group: ResidueUnitGroup, co) -> list[complex]:
         # tables are defined on the O/(c)*c_frak coordinates; this requires
         # the residue module to be the ring of integers itself
-        O = group.field.unit_ideal()
-        if group.a_ideal * group.c_ideal.inverse() != O:
+        if group.a_ideal * group.c_ideal.inverse() != group.field.unit_ideal():
             raise PreconditionViolation(
                 "explicit twist tables need a*c_frak^(-1) = O (module = O/(c)c_frak)"
             )
-        key = group.quotient.key(x)
-        if key not in self.table:
-            raise PreconditionViolation(f"character table missing residue {key}")
-        return complex(self.table[key])
+        i, j = _reduce(co, group.quotient.sub_hnf)
+        keys = zip(i.tolist()) if group.field.degree == 1 else zip(i.tolist(), j.tolist())
+        out = []
+        for key in keys:
+            if key not in self.table:
+                raise PreconditionViolation(f"character table missing residue {key}")
+            out.append(complex(self.table[key]))
+        return out
 
     def verify_multiplicative(self, group: ResidueUnitGroup, tol: float = 1e-12) -> bool:
         """chi(xy) = chi(x) chi(y) over all unit pairs of the group."""
         if self.kind == "trivial":
             return True
-        xs = [x for x, _ in group.units]
-        for a in xs:
-            for b in xs:
-                lhs = self.value(group, group.quotient.reduce(a * b))
-                if abs(lhs - self.value(group, a) * self.value(group, b)) > tol:
-                    return False
-        return True
+        chi = np.array(self.values(group))
+        # the residue module is O here, so unit coordinates are O-coordinates
+        x = _reduce((group.units[:, 0], group.units[:, 1]), group.quotient.sub_hnf)
+        xy = _mul_coords(group.field, (x[0][:, None], x[1][:, None]), (x[0][None, :], x[1][None, :]))
+        lhs = np.array(self._lookup(group, (xy[0].ravel(), xy[1].ravel())))
+        return bool(np.all(np.abs(lhs - np.outer(chi, chi).ravel()) <= tol))
 
 
 # ---------------------------------------------------------------------------
 # The twisted sum
-
-
-def _exp_term(total: Fraction) -> complex:
-    frac = total - math.floor(total)
-    return cmath.exp(2j * math.pi * float(frac))
 
 
 def _kahan_add(acc, comp, term):
@@ -235,6 +318,29 @@ def _kahan_add(acc, comp, term):
     t = acc + y
     comp = (t - acc) - y
     return t, comp
+
+
+def _phase_numerators(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement,
+                      c: FieldElement) -> tuple[np.ndarray, int]:
+    """(p, den) with Tr((r*x + r'*x^(-1))/c) = p[k]/den mod 1 for the k-th unit.
+
+    The trace is linear in the coordinates of x and x^(-1), so four
+    rational coefficients, brought to one denominator, give every phase.
+    """
+    field = group.field
+    c_inv = field.one() / c
+    coeffs = []
+    for scale, I in ((r * c_inv, group.quotient.L), (rp * c_inv, group.inverse_quotient.L)):
+        for u, v in I.int_rows():
+            coeffs.append((scale * field.element(Fraction(u, I.den), Fraction(v, I.den))).trace())
+    den = 1
+    for cf in coeffs:
+        den = den * cf.denominator // math.gcd(den, cf.denominator)
+    nums = [int(cf * den) % den for cf in coeffs]
+    co = (group.units[:, 0], group.units[:, 1], group.inverses[:, 0], group.inverses[:, 1])
+    _check_int64(den * sum(int(np.abs(a).max(initial=0)) for a in co))
+    p = sum(n * a for n, a in zip(nums, co)) % den
+    return p, den
 
 
 def ks_twisted(
@@ -273,10 +379,11 @@ def ks_twisted(
     for shift in (shift1, shift2):
         if shift is not None and not dinv.contains_ideal(shift):
             raise IllDefinedExponent("exponent is not constant on residue cosets")
+    phases, den = _phase_numerators(group, r, rp, c)
     acc, comp = 0.0 + 0.0j, 0.0 + 0.0j
-    for x, y in group.units:
-        expo = ((r * x + rp * y) * c_inv).trace()
-        term = _exp_term(expo) * chi.value(group, x).conjugate()
+    for p, v in zip(phases.tolist(), chi.values(group)):
+        # p/den is the exact phase in [0, 1), rounded once to a float
+        term = cmath.exp(2j * math.pi * (p / den)) * v.conjugate()
         acc, comp = _kahan_add(acc, comp, term)
     return acc
 
@@ -294,17 +401,6 @@ def _rational_field() -> Field:
     return make_field("rational")
 
 
-def classical_sum_direct(m: int, n: int, c: int) -> complex:
-    """Direct-loop classical Kloosterman sum (independent oracle path)."""
-    acc = 0.0 + 0.0j
-    for x in range(1, c + 1):
-        if math.gcd(x, c) != 1:
-            continue
-        xinv = pow(x, -1, c)
-        acc += cmath.exp(2j * math.pi * ((m * x + n * xinv) % c) / c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Weil bound
 
@@ -316,6 +412,7 @@ class WeilCheck:
     ratio: float
     gcd_norm: float
     modulus_norm: float
+    value: complex  # the sum itself
 
 
 def weil_check(
@@ -348,7 +445,7 @@ def weil_check(
     mod_norm = float(modulus.norm())
     rhs = math.sqrt(gcd_norm) * mod_norm ** (0.5 + eps)
     ks_abs = abs(ks)
-    return WeilCheck(ks_abs, rhs, ks_abs / rhs, gcd_norm, mod_norm)
+    return WeilCheck(ks_abs, rhs, ks_abs / rhs, gcd_norm, mod_norm, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +465,28 @@ class SweepRow:
 def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
     """S(m, n; c) for all m <= m_max, n <= n_max, c <= c_max, vectorized.
 
-    High-volume path for sweeps: one unit/inverse enumeration per modulus,
-    then a cosine-table lookup per (m, n).  The sums are real, so only the
-    real part is accumulated; the general ks_twisted path cross-checks a
-    subsample of these values in the test suite.
+    High-volume path for sweeps: one unit/inverse enumeration per modulus
+    (the degree-1 case of the residue engine), then one cosine-table
+    lookup for all (m, n) together.  The sums are real, so only the real part is accumulated;
+    the general ks_twisted path cross-checks a subsample of these values
+    in the test suite.
 
     Yields (c, m, n, value) with value = S(m, n; c) as a float.
     """
-    import numpy as np
-
+    Q = _rational_field()
+    O = Q.unit_ideal()
+    mn = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
+    ms, ns = (np.array(col, dtype=np.int64) for col in zip(*mn))
     for c in range(1, c_max + 1):
-        xs = np.array([x for x in range(1, c + 1) if math.gcd(x, c) == 1], dtype=np.int64)
-        if c == 1:
-            xs = np.array([0], dtype=np.int64)
-        inv = np.array([pow(int(x), -1, c) if c > 1 else 0 for x in xs], dtype=np.int64)
-        cos_table = np.cos(2.0 * np.pi * np.arange(c if c > 1 else 1) / max(c, 1))
-        for m in range(1, m_max + 1):
-            mx = (m * xs) % max(c, 1)
-            for n in range(1, n_max + 1):
-                idx = (mx + n * inv) % max(c, 1)
-                yield (c, m, n, float(np.sum(cos_table[idx])))
+        modulus = FractionalIdeal(Q, 1, (c,))
+        quo = QuotientModule(O, modulus)
+        primes = [FractionalIdeal(Q, 1, (p,)) for p in sorted(_rational_factorization(c))]
+        units, inverses = _unit_coords(quo, quo, modulus, primes)
+        cos_table = np.cos(2.0 * np.pi * np.arange(c) / c)
+        # row (m, n) holds the phase indices (m*x + n*x^(-1)) mod c
+        idx = (ms[:, None] * units[:, 0] + ns[:, None] * inverses[:, 0]) % c
+        for (m, n), value in zip(mn, cos_table[idx].sum(axis=1).tolist()):
+            yield (c, m, n, value)
 
 
 def classical_weil_sweep(c_max: int, m: int = 1, n: int = 1,
@@ -398,8 +497,8 @@ def classical_weil_sweep(c_max: int, m: int = 1, n: int = 1,
     rows = []
     for c in range(1, c_max + 1):
         chk = weil_check(Q.element(m), O, Q.element(n), Q.element(c), O, eps=eps)
-        ks = ks_classical(m, n, c)
-        rows.append(SweepRow(str(c), float(c), chk.ks_abs, abs(ks.imag), chk.rhs, chk.ratio))
+        rows.append(SweepRow(str(c), float(c), chk.ks_abs, abs(chk.value.imag), chk.rhs,
+                             chk.ratio))
     return rows
 
 
@@ -420,8 +519,7 @@ def quadratic_weil_sweep(field: Field, norm_max: int, r_val: int = 1,
         for c in elements_of_norm(field, n):
             group = residue_unit_group(O, c, O)
             chk = weil_check(r, O, rp, c, O, eps=eps, group=group)
-            ks = ks_twisted(r, O, rp, c, O, group=group)
             label = f"{c.x}+{c.y}w"
             rows.append(SweepRow(label, float(abs(c.norm())), chk.ks_abs,
-                                 abs(ks.imag), chk.rhs, chk.ratio))
+                                 abs(chk.value.imag), chk.rhs, chk.ratio))
     return rows

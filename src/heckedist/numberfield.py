@@ -4,9 +4,10 @@ Elements carry exact rational coordinates over the integral basis (1, w),
 where w = (1+sqrt(D))/2 for D = 1 mod 4 and w = sqrt(D) otherwise.
 Fractional ideals are Hermite-reduced 2-row module bases over Z together
 with a positive integer denominator, so ideal equality is a structural
-comparison.  Everything is immutable; nothing here uses floating point
-except where explicitly noted (lattice reduction pivots, which are then
-re-verified exactly).
+comparison; products, sums and conjugates work on those integer rows.
+Everything is immutable; nothing here uses floating point except where
+explicitly noted (lattice reduction pivots, which are then re-verified
+exactly).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import (
     DegreeUnsupported,
+    InvariantViolation,
     NotPrime,
     NotSquarefree,
     ZeroArgument,
@@ -393,6 +395,13 @@ def elem_maps(e: FieldElement) -> tuple[Fraction, Fraction, tuple[float, ...], b
 # Fractional ideals
 
 
+def _mul_coords(field: Field, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """(x1 + y1 w)(x2 + y2 w) on integer coordinates, with w^2 = t*w - n."""
+    (x1, y1), (x2, y2) = p, q
+    t, n = field.omega_trace, field.omega_norm
+    return (x1 * x2 - n * y1 * y2, x1 * y2 + y1 * x2 + t * y1 * y2)
+
+
 def _hnf_rows_deg2(rows: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
     """Hermite form of the Z-module spanned by rows (u, v) ~ u + v*w.
 
@@ -460,6 +469,16 @@ class FractionalIdeal:
     def is_integral(self) -> bool:
         return self.den == 1
 
+    def int_rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Integer rows (u, v) of the Z-basis, each standing for (u + v*w)/den.
+
+        Over Q the second row is (0, 0), so both degrees share one shape.
+        """
+        if self.field.degree == 1:
+            return ((self.hnf[0], 0), (0, 0))
+        a, b, c = self.hnf
+        return ((a, 0), (b, c))
+
     def basis_elements(self) -> tuple[FieldElement, ...]:
         """Module generators of the ideal over Z (exact field elements)."""
         f = self.field
@@ -505,11 +524,9 @@ class FractionalIdeal:
             raise ValueError("ideals of different fields")
         if self.is_zero() or other.is_zero():
             return _zero_ideal(self.field)
-        gens = []
-        for e1 in self.basis_elements():
-            for e2 in other.basis_elements():
-                gens.append(e1 * e2)
-        return ideal_from_elements(self.field, gens)
+        # the pairwise products of two Z-bases span the product ideal over Z
+        rows = [_mul_coords(self.field, p, q) for p in self.int_rows() for q in other.int_rows()]
+        return _ideal_from_rows(self.field, self.den * other.den, rows)
 
     __rmul__ = __mul__
 
@@ -533,13 +550,18 @@ class FractionalIdeal:
             return other
         if other.is_zero():
             return self
-        gens = list(self.basis_elements()) + list(other.basis_elements())
-        return ideal_from_elements(self.field, gens)
+        den = self.den * other.den // math.gcd(self.den, other.den)
+        rows = [(u * (den // I.den), v * (den // I.den))
+                for I in (self, other) for (u, v) in I.int_rows()]
+        return _ideal_from_rows(self.field, den, rows)
 
     def conjugate(self) -> "FractionalIdeal":
         if self.field.degree == 1:
             return self
-        return ideal_from_elements(self.field, [e.conjugate() for e in self.basis_elements()])
+        t = self.field.omega_trace
+        # conj(u + v*w) = (u + t*v) - v*w
+        rows = [(u + t * v, -v) for (u, v) in self.int_rows()]
+        return _ideal_from_rows(self.field, self.den, rows)
 
     def inverse(self) -> "FractionalIdeal":
         if self.is_zero():
@@ -551,45 +573,44 @@ class FractionalIdeal:
         # (M/den)^-1 = den * conj(M) / (a*c)
         a, _, c = self.hnf
         conj_m = FractionalIdeal(f, 1, self.hnf, _canonical=True).conjugate()
-        assert conj_m.den == 1
+        if conj_m.den != 1:
+            raise InvariantViolation("conjugate of an integral ideal is not integral")
         scaled = tuple(v * self.den for v in conj_m.hnf)
         return FractionalIdeal(f, a * c, scaled)
 
     def contains(self, e: FieldElement) -> bool:
         if e.field != self.field:
             raise ValueError("element of a different field")
-        if e.is_zero():
-            return True
-        if self.is_zero():
-            return False
-        x = e.x * self.den
-        y = e.y * self.den
-        if x.denominator != 1 or y.denominator != 1:
-            return False
-        if self.field.degree == 1:
-            return int(x) % self.hnf[0] == 0
-        a, b, c = self.hnf
-        xi, yi = int(x), int(y)
-        if yi % c:
-            return False
-        j = yi // c
-        return (xi - j * b) % a == 0
+        return self._row_coords(*_element_row(e)) is not None
 
     def contains_ideal(self, other: "FractionalIdeal") -> bool:
-        return all(self.contains(e) for e in other.basis_elements())
+        return all(self._row_coords(u, v, other.den) is not None for (u, v) in other.int_rows())
 
     def element_coords(self, e: FieldElement) -> tuple[int, ...]:
         """Coordinates of e in the ideal's Z-basis; raises if e not a member."""
-        if not self.contains(e):
+        co = self._row_coords(*_element_row(e))
+        if co is None:
             raise ValueError("element not in ideal")
-        x = int(e.x * self.den)
+        return co
+
+    def _row_coords(self, u: int, v: int, d: int) -> Optional[tuple[int, ...]]:
+        """Coordinates of (u + v*w)/d in the ideal's Z-basis, or None if not a member."""
+        if u == 0 and v == 0:
+            return (0,) if self.field.degree == 1 else (0, 0)
+        if self.is_zero():
+            return None
+        x, y = u * self.den, v * self.den
+        if x % d or y % d:
+            return None
+        x, y = x // d, y // d
         if self.field.degree == 1:
-            return (x // self.hnf[0],)
-        y = int(e.y * self.den)
+            return None if x % self.hnf[0] else (x // self.hnf[0],)
         a, b, c = self.hnf
+        if y % c:
+            return None
         j = y // c
-        i = (x - j * b) // a
-        return (i, j)
+        i, rest = divmod(x - j * b, a)
+        return None if rest else (i, j)
 
 
 def _canonicalize(field: Field, den: int, hnf: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -603,6 +624,28 @@ def _canonicalize(field: Field, den: int, hnf: tuple[int, ...]) -> tuple[int, tu
     content = math.gcd(a, math.gcd(b, c))
     g = math.gcd(den, content)
     return den // g, (a // g, b // g, c // g)
+
+
+def _element_row(e: FieldElement) -> tuple[int, int, int]:
+    """(u, v, d) with e = (u + v*w)/d and d > 0."""
+    d = e.x.denominator * e.y.denominator // math.gcd(e.x.denominator, e.y.denominator)
+    return (int(e.x * d), int(e.y * d), d)
+
+
+def _ideal_from_rows(field: Field, den: int, rows: Iterable[tuple[int, int]]) -> FractionalIdeal:
+    """The ideal spanned over Z by the nonzero rows (u + v*w)/den."""
+    if field.degree == 1:
+        a = 0
+        for u, _ in rows:
+            a = math.gcd(a, u)
+        return FractionalIdeal(field, den, (a,))
+    a, b, c = _hnf_rows_deg2(rows)
+    if a == 0 or c == 0:
+        raise ZeroIdeal("degenerate module is not a fractional ideal")
+    # O_F-stability forces c | a and c | b
+    if a % c or b % c:
+        raise InvariantViolation("module basis is not an ideal")
+    return FractionalIdeal(field, den, (a, b, c))
 
 
 def _zero_ideal(field: Field) -> FractionalIdeal:
@@ -622,30 +665,18 @@ def ideal_from_elements(field: Field, elems: Iterable[FieldElement]) -> Fraction
     elems = [e for e in elems if not e.is_zero()]
     if not elems:
         return _zero_ideal(field)
-    if field.degree == 1:
-        den = 1
-        for e in elems:
-            den = den * e.x.denominator // math.gcd(den, e.x.denominator)
-        a = 0
-        for e in elems:
-            a = math.gcd(a, int(e.x * den))
-        return FractionalIdeal(field, den, (a,))
-    w = field.omega()
-    gens: list[FieldElement] = []
-    for e in elems:
-        gens.append(e)
-        gens.append(e * w)
     den = 1
-    for e in gens:
+    for e in elems:
         for fr in (e.x, e.y):
             den = den * fr.denominator // math.gcd(den, fr.denominator)
-    rows = [(int(e.x * den), int(e.y * den)) for e in gens]
-    a, b, c = _hnf_rows_deg2(rows)
-    if a == 0 or c == 0:
-        raise ZeroIdeal("degenerate module is not a fractional ideal")
-    # O_F-stability forces c | a and c | b
-    assert a % c == 0 and b % c == 0, "module basis is not an ideal"
-    return FractionalIdeal(field, den, (a, b, c))
+    rows = []
+    for e in elems:
+        # e and e*w span e*O over Z
+        p = (int(e.x * den), int(e.y * den))
+        rows.append(p)
+        if field.degree == 2:
+            rows.append(_mul_coords(field, p, (0, 1)))
+    return _ideal_from_rows(field, den, rows)
 
 
 def ideal_from_json(field: Field, obj: dict) -> FractionalIdeal:
@@ -688,14 +719,15 @@ class QuotientModule:
         self.L = L
         self.Lsub = Lsub
         self.field = L.field
-        coords = [L.element_coords(e) for e in Lsub.basis_elements()]
+        coords = [L._row_coords(u, v, Lsub.den) for (u, v) in Lsub.int_rows()]
         if self.field.degree == 1:
             self._a1 = abs(coords[0][0])
             self._b1, self._c1 = 0, 1
             self.index = self._a1
         else:
             a1, b1, c1 = _hnf_rows_deg2(coords)
-            assert a1 > 0 and c1 > 0, "quotient is not finite"
+            if a1 <= 0 or c1 <= 0:
+                raise InvariantViolation("quotient is not finite")
             self._a1, self._b1, self._c1 = a1, b1, c1
             self.index = a1 * c1
 
@@ -703,6 +735,11 @@ class QuotientModule:
     def shape(self) -> tuple[int, int]:
         """Cyclic ranges (a1, c1) of the canonical coordinates."""
         return (self._a1, self._c1)
+
+    @property
+    def sub_hnf(self) -> tuple[int, int, int]:
+        """Lsub in L's coordinates: the lattice Z*(a1, 0) + Z*(b1, c1)."""
+        return (self._a1, self._b1, self._c1)
 
     def representatives(self) -> list[FieldElement]:
         b = self.L.basis_elements()
@@ -732,9 +769,6 @@ class QuotientModule:
         if self.field.degree == 1:
             return b[0] * k[0]
         return b[0] * k[0] + b[1] * k[1]
-
-    def same_coset(self, e1: FieldElement, e2: FieldElement) -> bool:
-        return self.Lsub.contains(e1 - e2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here is deliberately primitive: exact integer power series for
 the classical level-one eigenforms, affine point counting for the level-11
-elliptic curve, a direct-loop Kloosterman sum, and a smallest-unit search.
+elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), and a
+smallest-unit search.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 
 # --- integer power series (lists indexed by q-exponent) --------------------
@@ -102,6 +104,90 @@ def kloosterman_direct(m: int, n: int, c: int) -> complex:
         xinv = pow(x, -1, c)
         total += cmath.exp(2j * cmath.pi * ((m * x + n * xinv) % c) / c)
     return total
+
+
+def _ring(D: int) -> tuple[int, int]:
+    """(t, n) with w^2 = t*w - n for the integral basis (1, w) of Q(sqrt D)."""
+    return (1, (1 - D) // 4) if D % 4 == 1 else (0, -D)
+
+
+def _qmul(D: int, p: tuple, q: tuple) -> tuple:
+    t, n = _ring(D)
+    return (p[0] * q[0] - n * p[1] * q[1], p[0] * q[1] + p[1] * q[0] + t * p[1] * q[1])
+
+
+def _lattice(I, d: int) -> tuple[int, int, int]:
+    """HNF rows (a, b, c) of d*I in (1, w)-coordinates; d must be a multiple of I.den."""
+    a, b, c = (x * (d // I.den) for x in I.hnf)
+    return a, b, c
+
+
+def _lattice_reduce(hnf: tuple, X: int, Y: int) -> tuple[int, int]:
+    a, b, c = hnf
+    q = Y // c
+    return ((X - q * b) % a, Y - q * c)
+
+
+def _trace_over(D: int, p: tuple, q: tuple) -> Fraction:
+    """Tr(p/q) for p, q in (1, w)-coordinates with rational entries."""
+    t, _ = _ring(D)
+    conj = (q[0] + t * q[1], -q[1])
+    num = _qmul(D, p, conj)
+    norm = _qmul(D, q, conj)[0]
+    return Fraction(2 * num[0] + t * num[1]) / norm
+
+
+def kloosterman_brute(D: int, r, a_ideal, rp, c, c_ideal) -> tuple[complex, int]:
+    """KS(r, a; r', a; c, c_frak) over Q(sqrt D) by raw enumeration, and its unit count.
+
+    Only the Hermite bases of L = a*c_frak^(-1), a*(c), L^(-1), L^(-1)*(c)*c_frak
+    and the modulus (c)*c_frak are taken from the package.  Cosets are raw
+    integer coordinates reduced modulo those bases, a residue counts as a
+    unit when a search over L^(-1) finds an inverse, and the exponent is
+    summed in exact fractions.
+    """
+    from heckedist.numberfield import ideal_from_elements
+
+    F = a_ideal.field
+    cP = ideal_from_elements(F, [c])
+    modulus = cP * c_ideal
+    L = a_ideal * c_ideal.inverse()
+    Lsub = a_ideal * cP
+    Linv = a_ideal.inverse() * c_ideal
+    Linv_sub = Linv * modulus
+    N = int(modulus.norm())
+
+    def cosets(M, Msub):
+        d = M.den * Msub.den
+        base, sub = _lattice(M, d), _lattice(Msub, d)
+        reps = set()
+        for i in range(N):
+            for j in range(N):
+                reps.add(_lattice_reduce(sub, i * base[0] + j * base[1], j * base[2]))
+        assert len(reps) == N
+        return sorted(reps), d
+
+    xs, dx = cosets(L, Lsub)
+    ys, dy = cosets(Linv, Linv_sub)
+    m = _lattice(modulus, 1)
+    total, units = 0j, 0
+    for x in xs:
+        y = None
+        for cand in ys:
+            u, v = _qmul(D, x, cand)
+            u, v = u - dx * dy, v  # x*y - 1, scaled by dx*dy
+            if u % (dx * dy) == 0 and v % (dx * dy) == 0 and \
+                    _lattice_reduce(m, u // (dx * dy), v // (dx * dy)) == (0, 0):
+                y = cand
+                break
+        if y is None:
+            continue
+        units += 1
+        num = _qmul(D, (Fraction(r.x), Fraction(r.y)), (Fraction(x[0], dx), Fraction(x[1], dx)))
+        num2 = _qmul(D, (Fraction(rp.x), Fraction(rp.y)), (Fraction(y[0], dy), Fraction(y[1], dy)))
+        expo = _trace_over(D, (num[0] + num2[0], num[1] + num2[1]), (c.x, c.y))
+        total += cmath.exp(2j * cmath.pi * float(expo - math.floor(expo)))
+    return total, units
 
 
 def divisor_count(n: int) -> int:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from heckedist import datasource
 from heckedist.cli import emit_report, run_command
 from heckedist.errors import UnsupportedFormat
 
@@ -110,6 +112,40 @@ def test_fetch_fixture_mode():
     assert rep["count"] == 1
     assert abs(rep["rows"][0]["lambda"] - (-24 / 2**5.5)) < 1e-9
     assert rep["requests"] == 0
+
+
+# sha256 of the stdout of kloosterman commands, recorded from the exact
+# Fraction implementation of the sums; the integer engine reproduces every
+# float bit for bit, so the bytes must not move
+KLOOSTERMAN_STDOUT_SHA256 = [
+    (["kloosterman", "classical", "--m", "1", "--n", "1", "--c", "3"],
+     "3d6491c97798ba2d77c9af660d0295e4b0150eedb869778d4a7c3d0dac61236d"),
+    (["kloosterman", "classical", "--m", "3", "--n", "7", "--c", "360"],
+     "1e153b5513cf9671e8266411e3d4b99d7a1147e4339e832a8f7ff8aabbb95df4"),
+    (["kloosterman", "twisted", "--D", "5", "--c-elem=7,3", "--r", "2", "--rp", "3"],
+     "aef25e39a338621ee96ff6a98ccdb6878d3571ab6adbaae3ce149954d9529a3a"),
+    (["kloosterman", "twisted", "--D", "2", "--c-elem=5,2", "--r", "1", "--rp", "4"],
+     "1071ecf64b91e4d13aecf7219ae188d01f52dbcc98fcaf03a7d66cb934695183"),
+    (["kloosterman", "twisted", "--D", "10", "--c-elem=6,1", "--r", "3", "--rp", "1",
+      "--eps", "0.1"],
+     "5987aa14709f9fd1f935f2d2f5bcf095fc0e347a13c2ace8db1c1ef8e91f3053"),
+    (["kloosterman", "sweep", "--D", "5", "--norm-max", "500"],
+     "c3badde2d1fbc0c1cc949c52f98a720ca36439d1bba710a6088a399e7a1e6418"),
+    (["--format", "csv", "kloosterman", "sweep", "--D", "rational", "--c-max", "300"],
+     "d09d7294cbc6a0dd3da06d913de46872d73320881e3eacb66155f4a67a3b6a5c"),
+    (["kloosterman", "sweep", "--D", "2", "--norm-max", "60", "--m", "2", "--n", "3"],
+     "b93692432acbe9d15171bbbacb338abce0fc08450157c8a704607a756f5e50b3"),
+]
+
+
+def test_kloosterman_stdout_is_byte_identical(monkeypatch):
+    # meta.config_hash reads these variables; the digests are for an unset environment
+    monkeypatch.delenv(datasource.OFFLINE_ENV_VAR, raising=False)
+    monkeypatch.delenv(datasource.CACHE_ENV_VAR, raising=False)
+    for argv, digest in KLOOSTERMAN_STDOUT_SHA256:
+        code, out = run_command(argv)
+        assert code == 0, out.decode()
+        assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
 def test_csv_format_sweep():

@@ -1,10 +1,17 @@
 import cmath
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from heckedist.errors import (
     EnumerationTooLarge,
+    InvariantViolation,
     ModulusZero,
     PreconditionViolation,
 )
@@ -19,12 +26,13 @@ from heckedist.kloosterman import (
 )
 from heckedist.numberfield import (
     different_ideal,
+    elements_of_norm,
     factor_rational_prime,
     ideal_from_elements,
     make_field,
     prime_ideals_of_norm_upto,
 )
-from oracles import kloosterman_direct
+from oracles import kloosterman_brute, kloosterman_direct
 
 Q = make_field("rational")
 OQ = Q.unit_ideal()
@@ -37,7 +45,7 @@ O5 = F5.unit_ideal()
 
 def test_unit_group_mod_5_over_Q():
     g = residue_unit_group(OQ, Q.element(5), OQ)
-    pairs = sorted((int(x.x), int(y.x)) for x, y in g.units)
+    pairs = sorted((int(x.x), int(y.x)) for x, y in g.elements())
     assert pairs == [(1, 1), (2, 3), (3, 2), (4, 4)]
 
 
@@ -67,7 +75,7 @@ def test_unit_count_matches_ideal_totient():
 def test_inverse_pairing_verified_exactly():
     g = residue_unit_group(O5, F5.element(3, 1), O5)
     modulus = ideal_from_elements(F5, [F5.element(3, 1)])
-    for x, y in g.units:
+    for x, y in g.elements():
         assert modulus.contains(x * y - F5.one())
 
 
@@ -76,6 +84,9 @@ def test_modulus_zero_and_cap():
         residue_unit_group(OQ, Q.element(0), OQ)
     with pytest.raises(EnumerationTooLarge):
         residue_unit_group(OQ, Q.element(10**7), OQ, cap=10**6)
+    # a cap that admits the modulus still refuses products beyond int64
+    with pytest.raises(EnumerationTooLarge):
+        residue_unit_group(OQ, Q.element(2**32 + 15), OQ, cap=10**12)
 
 
 # --- classical values -----------------------------------------------------------
@@ -93,7 +104,7 @@ def test_classical_specialization_against_direct_loop():
     for c in range(1, 301):
         g = residue_unit_group(OQ, Q.element(c), OQ)
         direct_units = [(int(x.x) % c if c > 1 else 0,
-                         int(y.x) % c if c > 1 else 0) for x, y in g.units]
+                         int(y.x) % c if c > 1 else 0) for x, y in g.elements()]
         for m in range(1, 6):
             for n in range(1, 6):
                 via_group = ks_twisted(Q.element(m), OQ, Q.element(n),
@@ -113,19 +124,30 @@ def test_weil_table_matches_direct():
         assert abs(v - kloosterman_direct(m, n, c).real) < 1e-9
 
 
+def _shift_by_submodule(coords, sub_hnf, k0):
+    # add k*(a1, 0) + (k + k0)*(b1, c1), a multiple of the submodule, to row k
+    a1, b1, c1 = sub_hnf
+    k = np.arange(len(coords))
+    return coords + np.stack([k * a1 + (k + k0) * b1, (k + k0) * c1], axis=1)
+
+
 def test_coset_shift_independence():
-    # shifting representatives by multiples of the submodule leaves the sum fixed
-    c = Q.element(7)
-    g = residue_unit_group(OQ, c, OQ)
-    shifted_units = tuple(
-        (x + Q.element(7 * k), y + Q.element(7 * (k + 1))) for k, (x, y) in enumerate(g.units)
-    )
+    # shifting the coordinates the sum reads by multiples of the submodule
+    # leaves the sum fixed
     import dataclasses
 
-    g_shift = dataclasses.replace(g, units=shifted_units)
-    v1 = ks_twisted(Q.element(1), OQ, Q.element(2), c, OQ, group=g)
-    v2 = ks_twisted(Q.element(1), OQ, Q.element(2), c, OQ, group=g_shift)
-    assert abs(v1 - v2) < 1e-9
+    for field, c in [(Q, Q.element(7)), (F5, F5.element(3, 1))]:
+        O = field.unit_ideal()
+        g = residue_unit_group(O, c, O)
+        g_shift = dataclasses.replace(
+            g,
+            units=_shift_by_submodule(g.units, g.quotient.sub_hnf, 0),
+            inverses=_shift_by_submodule(g.inverses, g.inverse_quotient.sub_hnf, 1),
+        )
+        assert not np.array_equal(g_shift.units, g.units)
+        v1 = ks_twisted(field.one(), O, field.element(2), c, O, group=g)
+        v2 = ks_twisted(field.one(), O, field.element(2), c, O, group=g_shift)
+        assert abs(v1 - v2) < 1e-9
 
 
 # --- preconditions ----------------------------------------------------------------
@@ -272,3 +294,90 @@ def test_quadratic_sweep_real_and_bounded():
     for row in rows:
         assert row.imag_abs < 1e-9
         assert row.ks_abs <= row.weil_rhs * 4.0  # generous constant, recorded not asserted
+
+
+# --- the integer engine against a brute-force enumeration ----------------------------
+
+
+def _admissible_moduli(field, c_ideal, bound=40):
+    """Canonical c in c_frak^(-1) with 0 < |N(c)| <= bound."""
+    d = c_ideal.inverse().den
+    out = []
+    for n in range(1, d * d * bound + 1):
+        for beta in elements_of_norm(field, n):
+            c = beta / d
+            if c_ideal.inverse().contains(c):
+                out.append(c)
+    return out
+
+
+def test_engine_matches_brute_force_enumeration():
+    # Q(sqrt10) has h = 2, and the prime over 3 is not principal
+    cases = [(5, 11), (2, 7), (10, 3)]
+    for D, p in cases:
+        F = make_field(D)
+        O = F.unit_ideal()
+        dinv = different_ideal(F).inverse()
+        P2 = factor_rational_prime(F, 2).primes[0]
+        Pa = factor_rational_prime(F, p).primes[0]
+        for a in (O, Pa):
+            for cf in (O, P2):
+                r = (a.inverse() * dinv).basis_elements()[1]
+                rp = (a * dinv * cf.inverse() ** 2).basis_elements()[1]
+                moduli = _admissible_moduli(F, cf)
+                assert moduli
+                for c in moduli:
+                    g = residue_unit_group(a, c, cf)
+                    got = ks_twisted(r, a, rp, c, cf, group=g)
+                    want, units = kloosterman_brute(D, r, a, rp, c, cf)
+                    assert len(g) == units, (D, a, cf, c)
+                    assert abs(got - want) < 1e-9, (D, a, cf, c, got, want)
+
+
+# --- invariants hold under python -O -------------------------------------------------
+
+
+_CORRUPT_ONE_INVERSE = """
+import heckedist.kloosterman as K
+from heckedist.errors import InvariantViolation
+from heckedist.numberfield import make_field
+
+real = K._pow_mod
+
+
+def corrupt(field, base, e, mod):
+    s, t = real(field, base, e, mod)
+    s = s.copy()
+    s[0] = (s[0] + 1) % mod[0]  # moves the first inverse off its coset
+    return s, t
+
+
+K._pow_mod = corrupt
+F = make_field(5)
+try:
+    K.residue_unit_group(F.unit_ideal(), F.element(3, 1), F.unit_ideal())
+except InvariantViolation as exc:
+    print("raised", exc)
+"""
+
+
+def test_corrupted_inverse_raises(monkeypatch):
+    import heckedist.kloosterman as K
+
+    monkeypatch.setattr(K, "_pow_mod", K._pow_mod)  # restored after the script patches it
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_CORRUPT_ONE_INVERSE, {})
+    assert out.getvalue().startswith("raised inverse congruence")
+
+
+def test_corrupted_inverse_raises_under_optimize():
+    import heckedist
+
+    src = os.path.dirname(os.path.dirname(heckedist.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # the leading "assert False" only passes when -O strips asserts
+    proc = subprocess.run([sys.executable, "-O", "-c", "assert False\n" + _CORRUPT_ONE_INVERSE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised inverse congruence")

@@ -2,11 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckedist import quadforms
-from heckedist.errors import DegreeUnsupported, NotPrime, NotSquarefree, ZeroIdeal
+from heckedist.errors import (
+    DegreeUnsupported,
+    InvariantViolation,
+    NotPrime,
+    NotSquarefree,
+    ZeroIdeal,
+)
 from heckedist.numberfield import (
     QuotientModule,
+    _ideal_from_rows,
     canonical_associate,
     class_group,
     different_ideal,
@@ -392,3 +400,41 @@ def test_elements_of_norm_canonical():
     for e in els:
         assert canonical_associate(e * eps**3) == e
         assert canonical_associate(-e * eps ** (-2)) == e
+
+
+# --- integer ideal products against element-wise generators ---------------------
+
+_coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+@st.composite
+def _ideal_pairs(draw):
+    F = draw(st.sampled_from([Q, F2, F3, F5, F10, make_field(13)]))
+
+    def ideal():
+        gens = draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=2))
+        elems = [F.element(x, y if F.degree == 2 else 0) for x, y in gens]
+        elems = [e for e in elems if not e.is_zero()] or [F.element(draw(st.integers(1, 9)))]
+        return ideal_from_elements(F, elems)
+
+    return F, ideal(), ideal()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ideal_pairs())
+def test_integer_ideal_ops_match_elementwise_generators(pair):
+    F, I, J = pair
+    prods = [e1 * e2 for e1 in I.basis_elements() for e2 in J.basis_elements()]
+    assert I * J == ideal_from_elements(F, prods)
+    assert I + J == ideal_from_elements(F, list(I.basis_elements()) + list(J.basis_elements()))
+    assert I.conjugate() == ideal_from_elements(F, [e.conjugate() for e in I.basis_elements()])
+    assert I * I.inverse() == F.unit_ideal()
+    K = I * J + J
+    for A, B in ((I, K), (K, I), (J, K)):
+        assert A.contains_ideal(B) == all(A.contains(e) for e in B.basis_elements())
+
+
+def test_non_ideal_module_raises():
+    # Z*3 + Z*2w is not closed under multiplication by w
+    with pytest.raises(InvariantViolation):
+        _ideal_from_rows(F5, 1, [(3, 0), (0, 2)])
