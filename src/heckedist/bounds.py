@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DivergentExponent, ModulusZero
-from .numberfield import Field, prime_splitting_type, rational_primes_upto
+from .errors import DivergentExponent, InvalidParameter, ModulusZero
+from .numberfield import Field, _splitting_type, rational_primes_upto
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class PlaceParams:
 
     def __post_init__(self):
         if self.place_class not in ("E", "Q+", "Q-"):
-            raise ValueError(f"bad place class {self.place_class!r}")
+            raise InvalidParameter(f"bad place class {self.place_class!r}")
         if self.q <= 0 or self.phi_norm <= 0:
-            raise ValueError("q and phi_norm must be positive")
+            raise InvalidParameter("q and phi_norm must be positive")
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,15 @@ class BoundParams:
 
     def __post_init__(self):
         if not (0.25 < self.tau < 0.5):
-            raise ValueError("tau must lie in (1/4, 1/2)")
+            raise InvalidParameter("tau must lie in (1/4, 1/2)")
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise InvalidParameter("eps must be positive")
         if not (self.tau < self.gamma < 0.5):
-            raise ValueError("gamma must lie in (tau, 1/2)")
+            raise InvalidParameter("gamma must lie in (tau, 1/2)")
         if self.U < 1:
-            raise ValueError("U must be >= 1")
+            raise InvalidParameter("U must be >= 1")
         if self.A1 <= 0:
-            raise ValueError("A1 must be positive")
+            raise InvalidParameter("A1 must be positive")
         rho1 = 1.5 - self.gamma - self.tau
         assert 0.5 < rho1 < 1.0
         # the asymptotic setting requires a nonempty Q part, but the closed
@@ -111,7 +111,7 @@ def bessel_envelope(
     if gamma_scalar == 0:
         raise ModulusZero("gamma must be nonzero")
     if len(r_embs) != len(params.places) or len(c_embs) != len(params.places):
-        raise ValueError("embedding vectors must match the place count")
+        raise InvalidParameter("embedding vectors must match the place count")
     out = 1.0
     for pl, rj, rpj, cj in zip(params.places, r_embs, rp_embs, c_embs):
         if cj == 0:
@@ -177,7 +177,7 @@ def euler_product_tail(params: BoundParams, field: Field, X: int,
         if field.degree == 1:
             prod = rational
             continue
-        tag = prime_splitting_type(field, p)
+        tag = _splitting_type(field, p)  # p comes from the sieve
         if tag == "split":
             prod *= (1.0 / (1.0 - float(p) ** e)) ** 2
         elif tag == "ramified":
@@ -233,7 +233,7 @@ def empirical_kloosterman_tail(
     with the kloosterman module for a whole parameter grid).
     """
     if len(params.places) != 1:
-        raise ValueError("the empirical tail driver is single-place (over Q)")
+        raise InvalidParameter("the empirical tail driver is single-place (over Q)")
     total = 0.0
     for c, ks_abs in sorted(ks_abs_by_c.items()):
         env = bessel_envelope(params, [r], [rp], [float(c)], gamma_scalar)

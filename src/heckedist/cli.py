@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import HeckedistError, UnsupportedFormat
+from .errors import HeckedistError, InvalidParameter, UnsupportedFormat
 from . import bounds as bounds_mod
 from . import datasource, equidist, heckealg, kloosterman, measures
 from . import numberfield as nf
@@ -39,18 +39,31 @@ CONFIG_ENV_DEFAULTS = {
 def parse_element(field: nf.Field, text: str) -> nf.FieldElement:
     """Element syntax: "x" or "x,y" with rational coordinates over (1, w)."""
     parts = text.split(",")
-    x = Fraction(parts[0])
-    y = Fraction(parts[1]) if len(parts) > 1 else Fraction(0)
+    try:
+        x = Fraction(parts[0])
+        y = Fraction(parts[1]) if len(parts) > 1 else Fraction(0)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"bad element {text!r}: {exc}") from None
     return field.element(x, y)
 
 
 def parse_interval(text: str) -> tuple[float, float]:
-    lo, hi = text.split(",")
-    return float(lo), float(hi)
+    try:
+        lo, hi = text.split(",")
+        return float(lo), float(hi)
+    except ValueError:
+        raise InvalidParameter(f"interval must be \"lo,hi\", got {text!r}") from None
 
 
 def parse_field(dspec: str) -> nf.Field:
-    return nf.make_field("rational" if dspec in ("rational", "q", "Q", "1") else int(dspec))
+    if dspec in ("rational", "q", "Q", "1"):
+        return nf.make_field("rational")
+    try:
+        D = int(dspec)
+    except ValueError:
+        raise InvalidParameter(f"field must be an integer radicand or \"rational\", "
+                               f"got {dspec!r}") from None
+    return nf.make_field(D)
 
 
 def load_config(path: str | None) -> dict:

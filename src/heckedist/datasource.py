@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import (
     CacheMiss,
+    InvalidParameter,
     MissingEigenvalue,
     NetworkError,
     RamanujanViolation,
@@ -28,9 +29,8 @@ from .errors import (
     TotalWeightZero,
 )
 from .equidist import DataPoint, Dataset
-from .measures import MeasureSpec
+from .measures import RAMANUJAN_SLACK, MeasureSpec
 
-RAMANUJAN_SLACK = 1e-6
 CACHE_ENV_VAR = "HECKEDIST_CACHE_DIR"
 OFFLINE_ENV_VAR = "HECKEDIST_OFFLINE"
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -333,7 +333,7 @@ class DataClient:
     def fetch_records(self, query: Query, mode: str = "fixture") -> list[EigenvalueRecord]:
         """Fetch, cache and parse; idempotent, sorted by label."""
         if mode not in ("network", "cache_only", "fixture"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise InvalidParameter(f"unknown mode {mode!r}")
         if mode == "fixture":
             rows = self._fixture_rows(query)
         else:

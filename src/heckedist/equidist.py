@@ -17,11 +17,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import EmptyDataset, TotalWeightZero, ZeroMassRegion
+from .errors import EmptyDataset, InvalidParameter, TotalWeightZero, ZeroMassRegion
 from . import measures
-from .measures import MeasureSpec, SpectralBox, chebyshev_eval
-
-LAMBDA_SLACK = 1e-6
+from .measures import RAMANUJAN_SLACK, MeasureSpec, SpectralBox, chebyshev_eval
 
 
 @dataclass(frozen=True)
@@ -41,10 +39,10 @@ class Dataset:
     def __post_init__(self):
         w = 0.0
         for pt in self.points:
-            if abs(pt.lam) > 2.0 + LAMBDA_SLACK:
-                raise ValueError(f"lambda {pt.lam} outside [-2, 2] at {pt.label}")
+            if abs(pt.lam) > 2.0 + RAMANUJAN_SLACK:
+                raise InvalidParameter(f"lambda {pt.lam} outside [-2, 2] at {pt.label}")
             if pt.weight < 0:
-                raise ValueError(f"negative weight at {pt.label}")
+                raise InvalidParameter(f"negative weight at {pt.label}")
             w += pt.weight
         if self.points and w <= 0.0:
             raise TotalWeightZero("dataset has zero total weight")
@@ -135,7 +133,7 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
     """
     _require_nonempty(ds)
     if ell_max > 40:
-        raise ValueError("ell_max capped at 40")
+        raise InvalidParameter("ell_max capped at 40")
     lams = ds.lambdas()
     ws = ds.weights()
     W = float(np.sum(ws))
@@ -176,7 +174,7 @@ def synthesize_dataset(
     the spectral density restricted to the box (atoms included).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParameter("n must be >= 1")
     spec = MeasureSpec.phi(ord)
     lams = measures.sample(spec, n, seed)
     casimirs = None
@@ -226,8 +224,8 @@ def equidist_report(
     """
     _require_nonempty(ds)
     lo, hi = float(interval[0]), float(interval[1])
-    if lo < -2.0 - LAMBDA_SLACK or hi > 2.0 + LAMBDA_SLACK:
-        raise ValueError("interval must lie inside [-2, 2]")
+    if lo < -2.0 - RAMANUJAN_SLACK or hi > 2.0 + RAMANUJAN_SLACK:
+        raise InvalidParameter("interval must lie inside [-2, 2]")
     spec = MeasureSpec.phi(ord)
     lams = ds.lambdas()
     ws = ds.weights()

@@ -15,6 +15,13 @@ class HeckedistError(Exception):
         return type(self).__name__
 
 
+class InvalidParameter(HeckedistError, ValueError):
+    """A parameter lies outside its documented domain.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
+
+
 # --- number field ---------------------------------------------------------
 
 class NotSquarefree(HeckedistError):

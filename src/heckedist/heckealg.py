@@ -18,17 +18,19 @@ from typing import Optional, Union
 from .errors import (
     DivisibilityViolation,
     EnumerationTooLarge,
+    InvalidParameter,
     NotNarrowSquare,
     NotPrime,
     RamanujanViolation,
     ZeroArgument,
 )
-from .measures import chebyshev_eval
+from .measures import RAMANUJAN_SLACK, chebyshev_eval
 from .numberfield import (
     Field,
     FieldElement,
     FractionalIdeal,
     QuotientModule,
+    _rational_factorization,
     find_generator,
     ideal_valuation,
     is_prime_ideal,
@@ -36,7 +38,6 @@ from .numberfield import (
     narrow_square_witness,
 )
 
-RAMANUJAN_SLACK = 1e-6
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
@@ -73,7 +74,7 @@ def coset_reps(P: FractionalIdeal, ell: int,
     if not is_prime_ideal(P):
         raise NotPrime("coset decomposition requires a prime ideal")
     if ell < 0:
-        raise ValueError("ell must be >= 0")
+        raise InvalidParameter("ell must be >= 0")
     np_ = int(P.norm())
     total = (np_ ** (ell + 1) - 1) // (np_ - 1)
     if total > cap:
@@ -153,7 +154,7 @@ def descent_data(P: FractionalIdeal, ell: int,
     if not is_prime_ideal(P):
         raise NotPrime("descent data requires a prime ideal")
     if ell < 0:
-        raise ValueError("ell must be >= 0")
+        raise InvalidParameter("ell must be >= 0")
     f = field or P.field
     witness = narrow_square_witness(P)
     if witness is None:
@@ -196,19 +197,6 @@ def delta_tilde(r: FieldElement, rp: FieldElement, field: Optional[Field] = None
 # Exact coefficient relation over Q
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def verify_coefficient_relation(lam_p: Union[int, Fraction], p: int, ell: int,
                                 r: int, lam_other=None) -> bool:
     """Exact check of X_ell(lam_p) * c(r) = sum_s c(r * p^(ell-2s)) over Q.
@@ -222,7 +210,7 @@ def verify_coefficient_relation(lam_p: Union[int, Fraction], p: int, ell: int,
     if r == 0:
         raise ZeroArgument("r must be nonzero")
     if ell < 0:
-        raise ValueError("ell must be >= 0")
+        raise InvalidParameter("ell must be >= 0")
     r = abs(r)
     if r % p**ell:
         raise DivisibilityViolation(f"p^ell = {p**ell} does not divide r = {r}")
@@ -231,7 +219,7 @@ def verify_coefficient_relation(lam_p: Union[int, Fraction], p: int, ell: int,
 
     def coeff(m: int) -> Fraction:
         out = Fraction(1)
-        for q, e in _factorize(m).items():
+        for q, e in _rational_factorization(m).items():
             out *= chebyshev_eval(e, lam_p if q == p else lam_other)
         return out
 

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     EnumerationTooLarge,
     IllDefinedExponent,
+    InvalidParameter,
     InvariantViolation,
     ModulusZero,
     PreconditionViolation,
@@ -252,14 +253,14 @@ class TwistCharacter:
 
     def __init__(self, kind: str, table: Optional[dict] = None, label: str = ""):
         if kind not in ("trivial", "table"):
-            raise ValueError(f"unknown character kind {kind!r}")
+            raise InvalidParameter(f"unknown character kind {kind!r}")
         self.kind = kind
         self.table = table or {}
         self.label = label or kind
         if kind == "table":
             for k, v in self.table.items():
                 if abs(abs(complex(v)) - 1.0) > 1e-12:
-                    raise ValueError(f"character value at {k} is not unimodular")
+                    raise InvalidParameter(f"character value at {k} is not unimodular")
 
     @staticmethod
     def trivial() -> "TwistCharacter":
@@ -269,7 +270,7 @@ class TwistCharacter:
     def legendre(p: int) -> "TwistCharacter":
         """Quadratic residue character mod an odd prime p (over Q)."""
         if p < 3 or p % 2 == 0:
-            raise ValueError("legendre twist needs an odd prime")
+            raise InvalidParameter("legendre twist needs an odd prime")
         table = {}
         for x in range(1, p):
             table[(x,)] = complex(1.0 if pow(x, (p - 1) // 2, p) == 1 else -1.0)

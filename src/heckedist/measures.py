@@ -24,9 +24,12 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import NoDensity, ParityMismatch, UnboundedRegion, ZeroMassRegion
+from .errors import InvalidParameter, NoDensity, ParityMismatch, UnboundedRegion, ZeroMassRegion
 
 Interval = tuple[float, float]
+
+# tolerance on the Ramanujan bound |lambda| <= 2 for normalized eigenvalues
+RAMANUJAN_SLACK = 1e-6
 
 # ---------------------------------------------------------------------------
 # Chebyshev polynomials X_l, orthonormal for the semicircle measure
@@ -38,7 +41,7 @@ def chebyshev_eval(ell: int, x):
     Works on floats, numpy arrays and exact Fractions alike.
     """
     if ell < 0:
-        raise ValueError("ell must be >= 0")
+        raise InvalidParameter("ell must be >= 0")
     one = x * 0 + 1
     if ell == 0:
         return one
@@ -106,15 +109,15 @@ class MeasureSpec:
 
     def __post_init__(self):
         if self.tag == "padic_sato_tate" and (self.p is None or self.p < 2):
-            raise ValueError("padic_sato_tate needs a prime p >= 2")
+            raise InvalidParameter("padic_sato_tate needs a prime p >= 2")
         if self.tag == "phi" and (self.ord is None or self.ord < 0):
-            raise ValueError("phi needs ord >= 0")
+            raise InvalidParameter("phi needs ord >= 0")
         if self.tag in _SPECTRAL_TAGS + _TILDE_TAGS and self.xi not in (0, 1):
-            raise ValueError(f"{self.tag} needs xi in {{0, 1}}")
+            raise InvalidParameter(f"{self.tag} needs xi in {{0, 1}}")
         if self.tag == "tilde_v1" and self.A <= 2:
-            raise ValueError("tilde_v1 exponent A must exceed 2")
+            raise InvalidParameter("tilde_v1 exponent A must exceed 2")
         if self.tag not in _X_TAGS + _SPECTRAL_TAGS + _TILDE_TAGS:
-            raise ValueError(f"unknown measure tag {self.tag!r}")
+            raise InvalidParameter(f"unknown measure tag {self.tag!r}")
 
     # constructors ----------------------------------------------------------
 
@@ -164,7 +167,7 @@ class SpectralBox:
     def __post_init__(self):
         for pl in self.places:
             if pl.place_class not in ("E", "Q+", "Q-"):
-                raise ValueError(f"bad place class {pl.place_class!r}")
+                raise InvalidParameter(f"bad place class {pl.place_class!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +339,21 @@ def tilde_singleton(xi: Sequence[int], b: Sequence[int], measure: str = "pl",
     from fractions import Fraction
 
     if len(xi) != len(b):
-        raise ValueError("parity vector and weight vector differ in length")
+        raise InvalidParameter("parity vector and weight vector differ in length")
     out: Union[Fraction, float] = Fraction(1)
     for xij, bj in zip(xi, b):
         if bj < 2:
-            raise ValueError(f"discrete-series parameter must be >= 2, got {bj}")
+            raise InvalidParameter(f"discrete-series parameter must be >= 2, got {bj}")
         if bj % 2 != xij % 2:
             raise ParityMismatch(f"b = {bj} does not match parity xi = {xij}")
         if measure == "pl":
             out *= Fraction(bj - 1, 2)
         elif measure == "v1":
             if A <= 2:
-                raise ValueError("A must exceed 2")
+                raise InvalidParameter("A must exceed 2")
             out = float(out) * ((bj - 1) / 2.0) ** (-A)
         else:
-            raise ValueError(f"unknown singleton measure {measure!r}")
+            raise InvalidParameter(f"unknown singleton measure {measure!r}")
     return out
 
 
@@ -367,12 +370,13 @@ def phi_moment(ord: int, ell: int) -> float:
 def orthonormality_matrix(max_degree: int, nodes: int = 512) -> np.ndarray:
     """Gram matrix of (X_m, X_n) under the semicircle measure, m, n <= max_degree.
 
-    Fixed-order Gauss-Legendre after x = 2 cos t; the integrand is a
-    trigonometric polynomial, so convergence is spectral.
+    After x = 2 cos t the integrand is (cos((m-n)t) - cos((m+n+2)t))/pi on
+    [0, pi], which the midpoint rule integrates exactly while
+    m + n + 2 < 2*nodes.  Nothing here calls LAPACK or BLAS, whose first
+    call in a process can stall for about a second on an idle machine.
     """
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    theta = 0.5 * math.pi * (t + 1.0)
-    weight = 0.5 * math.pi * w
+    theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
+    weight = math.pi / nodes
     x = 2.0 * np.cos(theta)
     dens = (2.0 / math.pi) * np.sin(theta) ** 2
     vals = np.empty((max_degree + 1, nodes))
@@ -381,7 +385,7 @@ def orthonormality_matrix(max_degree: int, nodes: int = 512) -> np.ndarray:
         vals[1] = x
     for m in range(2, max_degree + 1):
         vals[m] = x * vals[m - 1] - vals[m - 2]
-    return (vals * (dens * weight)) @ vals.T
+    return np.einsum("mi,ni->mn", vals * (dens * weight), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +434,7 @@ def cdf(spec: MeasureSpec, x) -> Union[float, np.ndarray]:
 def sample(spec: MeasureSpec, n: int, seed: int) -> np.ndarray:
     """n inverse-CDF samples from an x-measure, deterministic per seed."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParameter("n must be >= 1")
     _, _, _, inv = _x_measure_table(spec)
     u = np.random.default_rng(seed).random(n)
     return np.clip(inv(u), -2.0, 2.0)

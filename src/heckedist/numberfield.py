@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import (
     DegreeUnsupported,
+    InvalidParameter,
     InvariantViolation,
     NotPrime,
     NotSquarefree,
@@ -386,11 +387,6 @@ def element_from_json(field: Field, obj: dict) -> FieldElement:
     return field.element(Fraction(obj["x"]), Fraction(obj.get("y", "0")))
 
 
-def elem_maps(e: FieldElement) -> tuple[Fraction, Fraction, tuple[float, ...], bool]:
-    """(trace, norm, embeddings, totally_positive) of an element."""
-    return (e.trace(), e.norm(), e.embeddings(), e.is_totally_positive())
-
-
 # ---------------------------------------------------------------------------
 # Fractional ideals
 
@@ -688,22 +684,6 @@ def ideal_from_json(field: Field, obj: dict) -> FractionalIdeal:
     return ideal_from_elements(field, elems)
 
 
-def ideal_arith(op: str, *args):
-    """Dispatch helper: product, inverse, norm, sum, membership."""
-    if op == "product":
-        return args[0] * args[1]
-    if op == "inverse":
-        return args[0].inverse()
-    if op == "norm":
-        return args[0].norm()
-    if op == "sum":
-        return args[0] + args[1]
-    if op == "membership":
-        ideal, elem = args
-        return ideal.contains(elem)
-    raise ValueError(f"unknown ideal op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Quotients O-module style (shared by the residue and coset machinery)
 
@@ -787,6 +767,11 @@ def prime_splitting_type(field: Field, p: int) -> str:
     """Splitting tag of p without constructing ideals (fast path)."""
     if not is_rational_prime(p):
         raise NotPrime(f"{p} is not prime")
+    return _splitting_type(field, p)
+
+
+def _splitting_type(field: Field, p: int) -> str:
+    """prime_splitting_type for a p already known to be prime (from a sieve)."""
     if field.degree == 1:
         return "inert"
     if field.disc % p == 0:
@@ -799,7 +784,14 @@ def prime_splitting_type(field: Field, p: int) -> str:
 
 def factor_rational_prime(field: Field, p: int) -> PrimeFactorization:
     """Factor (p) into prime ideals via roots of x^2 - t x + n mod p."""
-    tag = prime_splitting_type(field, p)
+    if not is_rational_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return _factor_prime(field, p)
+
+
+def _factor_prime(field: Field, p: int) -> PrimeFactorization:
+    """factor_rational_prime for a p already known to be prime."""
+    tag = _splitting_type(field, p)
     if field.degree == 1:
         return PrimeFactorization(p, "inert", (field.ideal(p),), (1,))
     t, n = field.omega_trace, field.omega_norm
@@ -811,15 +803,14 @@ def factor_rational_prime(field: Field, p: int) -> PrimeFactorization:
     else:
         inv2 = pow(2, p - 2, p)
         s = _sqrt_mod_prime((t * t - 4 * n) % p, p)
-        assert s is not None
+        if s is None:
+            raise InvariantViolation(f"no square root of the discriminant mod {p}")
         roots = sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
     w = field.omega()
     ideals = tuple(field.ideal(field.element(p), w - r) for r in roots)
-    if tag == "ramified":
-        assert len(ideals) == 1
-        return PrimeFactorization(p, tag, ideals, (1,))
-    assert len(ideals) == 2
-    return PrimeFactorization(p, tag, ideals, (1, 1))
+    if len(ideals) != (1 if tag == "ramified" else 2):
+        raise InvariantViolation(f"{len(ideals)} roots mod {p} for a {tag} prime")
+    return PrimeFactorization(p, tag, ideals, (1,) if tag == "ramified" else (1, 1))
 
 
 def is_prime_ideal(I: FractionalIdeal) -> bool:
@@ -831,14 +822,14 @@ def is_prime_ideal(I: FractionalIdeal) -> bool:
     r = math.isqrt(nrm)
     if r * r != nrm or not is_rational_prime(r):
         return False
-    return prime_splitting_type(I.field, r) == "inert" and I == I.field.ideal(r)
+    return _splitting_type(I.field, r) == "inert" and I == I.field.ideal(r)
 
 
 def prime_ideals_of_norm_upto(field: Field, bound: int) -> list[FractionalIdeal]:
     """All prime ideals with norm <= bound, ascending by norm."""
     out = []
     for p in rational_primes_upto(bound):
-        fac = factor_rational_prime(field, p)
+        fac = _factor_prime(field, p)
         for P in fac.primes:
             if P.norm() <= bound:
                 out.append(P)
@@ -876,7 +867,7 @@ def ideal_valuation(arg, P: FractionalIdeal) -> int:
     if arg.is_zero():
         raise ZeroArgument("valuation of zero ideal")
     p = min(_rational_factorization(int(P.norm())))
-    ram = 2 if prime_splitting_type(field, p) == "ramified" else 1
+    ram = 2 if _splitting_type(field, p) == "ramified" else 1
     den_val = ram * _rational_factorization(arg.den).get(p, 0)
     # integral part: largest j with M contained in P^j
     M = FractionalIdeal(field, 1, arg.hnf)
@@ -929,7 +920,8 @@ def _fundamental_unit_by_continued_fraction(field: Field) -> FieldElement:
     while (P, Q) not in seen:
         seen[(P, Q)] = len(states)
         states.append((P, Q))
-        assert Q > 0
+        if Q <= 0:
+            raise InvariantViolation("continued fraction reached a nonpositive denominator")
         a = (P + sq) // Q
         quots.append(a)
         P1 = a * Q - P
@@ -947,13 +939,15 @@ def _fundamental_unit_by_continued_fraction(field: Field) -> FieldElement:
     sqrt_delta = field.element(Fraction(-t), Fraction(2))  # 2w - t = sqrt(disc)
     beta = (field.element(P0) + sqrt_delta) / field.element(Q0)
     eps = beta * q_prev + field.element(q_prev2)
-    assert eps.is_integral() and abs(eps.norm()) == 1, "continued fraction did not yield a unit"
+    if not (eps.is_integral() and abs(eps.norm()) == 1):
+        raise InvariantViolation("continued fraction did not yield a unit")
     if eps.sign_at(0) < 0:
         eps = -eps
     if eps.embeddings()[0] < 1:
         inv = eps.conjugate() * Fraction(int(eps.norm()))  # 1/eps up to sign
         eps = inv if inv.sign_at(0) > 0 else -inv
-    assert eps.embeddings()[0] > 1
+    if not eps.embeddings()[0] > 1:
+        raise InvariantViolation("fundamental unit is not > 1 at the first place")
     return eps
 
 
@@ -962,7 +956,7 @@ def _fundamental_unit_by_continued_fraction(field: Field) -> FieldElement:
 
 
 def _norm_form_candidates(field: Field, N: int, y_bound: int):
-    """Elements x + y*w with |norm| == N and 0 <= y <= y_bound (up to sign)."""
+    """Integer rows (x, y) of the x + y*w with |norm| == N and 0 <= y <= y_bound."""
     Delta, t = field.disc, field.omega_trace
     for y in range(0, y_bound + 1):
         base = Delta * y * y
@@ -976,7 +970,7 @@ def _norm_form_candidates(field: Field, N: int, y_bound: int):
             for uu in ((u, -u) if u else (0,)):
                 if (uu - t * y) % 2:
                     continue
-                yield field.element((uu - t * y) // 2, y)
+                yield ((uu - t * y) // 2, y)
 
 
 def find_generator(M: FractionalIdeal, slack: int = 3) -> Optional[FieldElement]:
@@ -994,31 +988,32 @@ def find_generator(M: FractionalIdeal, slack: int = 3) -> Optional[FieldElement]
     N = int(M.norm())
     eps0 = field.fundamental_unit.embeddings()[0]
     yb = int(2.0 * math.sqrt(N * eps0) / math.sqrt(field.disc)) + slack
-    for cand in _norm_form_candidates(field, N, yb):
-        if M.contains(cand):
-            return cand
+    for x, y in _norm_form_candidates(field, N, yb):
+        if M._row_coords(x, y, 1) is not None:
+            return field.element(x, y)
     return None
 
 
 def totally_positive_adjust(g: FieldElement, window: int = 8) -> Optional[FieldElement]:
-    """Search sigma * g * eps0^k, |k| <= window, sigma = +-1, for total positivity.
+    """The first totally positive sigma * g * eps0^k, sigma = +-1, in the order
+    k = 0, 1, -1, ..., +-window; None if there is none.
 
-    k is scanned by increasing |k| so the smallest adjustment wins.
+    The embeddings of sigma * g * eps0^k have signs sigma*s0 and
+    sigma*s1*N(eps0)^k (s0, s1 those of g; eps0 > 1 at the first place), so
+    k = 0 works iff N(g) > 0, k = 1 iff N(g) < 0 and N(eps0) = -1, and no
+    other k can succeed first.  window only tells 0 from >= 1.
     """
     field = g.field
     if field.degree == 1:
         return g if g.x > 0 else -g
-    eps = field.fundamental_unit
-    ks = [0]
-    for k in range(1, window + 1):
-        ks.extend((k, -k))
-    for k in ks:
-        cand = g * eps**k
-        if cand.is_totally_positive():
-            return cand
-        if (-cand).is_totally_positive():
-            return -cand
-    return None
+    nrm = g.norm()
+    if nrm > 0:
+        cand = g
+    elif nrm < 0 and field.unit_norm == -1 and window >= 1:
+        cand = g * field.fundamental_unit
+    else:
+        return None
+    return cand if g.sign_at(0) > 0 else -cand
 
 
 def principal_totally_positive_generator(
@@ -1047,9 +1042,22 @@ def is_principal(M: FractionalIdeal, narrow: bool = False) -> bool:
 
 
 def _short_vector(M: FractionalIdeal) -> FieldElement:
-    """A short nonzero element of an integral ideal (Lagrange-Gauss, float pivots)."""
-    g1, g2 = M.basis_elements()
-    v = [list(g1.embeddings()), list(g2.embeddings())]
+    """A short nonzero element of an integral ideal (Lagrange-Gauss, float pivots).
+
+    The pivots are the embeddings of the basis, float(u) + float(v)*w_j as in
+    FieldElement.embeddings; candidates are compared by the exact integer
+    norm of their rows.
+    """
+    field, den = M.field, M.den
+    r1, r2 = M.int_rows()
+    ws = field.omega_embeddings()
+
+    def emb(u: int, v: int) -> list[float]:
+        # int / int rounds correctly, as float(Fraction(u, den)) does
+        fu, fv = u / den, v / den
+        return [fu + fv * w for w in ws]
+
+    v = [emb(*r1), emb(*r2)]
     co = [[1, 0], [0, 1]]
 
     def dot(p, q):
@@ -1066,16 +1074,18 @@ def _short_vector(M: FractionalIdeal) -> FieldElement:
         co[1] = [co[1][k] - m * co[0][k] for k in range(2)]
     cands = [co[0], co[1], [co[0][0] + co[1][0], co[0][1] + co[1][1]],
              [co[0][0] - co[1][0], co[0][1] - co[1][1]]]
+    t, n = field.omega_trace, field.omega_norm
     best = None
     for i, j in cands:
-        e = g1 * i + g2 * j
-        if e.is_zero():
+        x, y = r1[0] * i + r2[0] * j, r1[1] * i + r2[1] * j
+        if x == 0 and y == 0:
             continue
-        key = abs(e.norm())
+        key = abs(x * x + t * x * y + n * y * y)
         if best is None or key < best[0]:
-            best = (key, e)
-    assert best is not None
-    return best[1]
+            best = (key, x, y)
+    if best is None:
+        raise InvariantViolation("lattice reduction found no nonzero vector")
+    return field.element(Fraction(best[1], den), Fraction(best[2], den))
 
 
 def _inverse_reduce(M: FractionalIdeal, narrow: bool = False) -> FractionalIdeal:
@@ -1091,10 +1101,13 @@ def _inverse_reduce(M: FractionalIdeal, narrow: bool = False) -> FractionalIdeal
         adjusted = totally_positive_adjust(alpha)
         if adjusted is None:
             adjusted = totally_positive_adjust(alpha * field.sqrt_D())
-            assert adjusted is not None
+            if adjusted is None:
+                raise InvariantViolation("neither alpha nor alpha*sqrt(D) has a totally "
+                                         "positive associate")
         alpha = adjusted
     R = ideal_from_elements(field, [alpha]) * M.inverse()
-    assert R.is_integral()
+    if not R.is_integral():
+        raise InvariantViolation("reduced ideal is not integral")
     return R
 
 
@@ -1125,7 +1138,7 @@ def _class_structure(field: Field, narrow: bool):
     gens = [P for P in prime_ideals_of_norm_upto(field, gen_bound)]
     if narrow:
         for p in sorted(_rational_factorization(field.disc)):
-            fac = factor_rational_prime(field, p)
+            fac = _factor_prime(field, p)
             gens.extend(fac.primes)
     reps: list[FractionalIdeal] = [O]
 
@@ -1227,45 +1240,62 @@ def class_group(field: Field, narrow: bool = False) -> ClassGroupDescription:
     return field._cache[key]
 
 
-def _abs_embedding_cmp(e: FieldElement) -> int:
-    """Exact sign of |e_1| - |e_2| for the two real embeddings."""
-    a, b = e._sqrtD_coords()
-    # e_1^2 - e_2^2 = 4ab*sqrt(D), so the comparison is the sign of a*b
-    prod = a * b
+def _abs_embedding_cmp(field: Field, p: tuple[int, int]) -> int:
+    """Exact sign of |e_1| - |e_2| for e = x + y*w on integer coordinates."""
+    # e = (A + B*sqrt(D))/2 or A + B*sqrt(D), and e_1^2 - e_2^2 has the sign of A*B
+    x, y = p
+    prod = ((2 * x + y) if field.omega_trace else x) * y
     return (prod > 0) - (prod < 0)
 
 
 def canonical_associate(e: FieldElement) -> FieldElement:
     """Canonical representative of {+-e * eps0^k}: first embedding positive,
-    |e_1| >= |e_2|, and strictly unbalanced after one division by eps0."""
+    |e_1| >= |e_2|, and strictly unbalanced after one division by eps0.
+
+    The walk runs on the integer row of d*e, d the least common denominator
+    (scaling by d > 0 changes no sign or comparison); dividing by eps0 is
+    multiplying by N(eps0) * conj(eps0).
+    """
     field = e.field
     if e.is_zero():
         return e
     if field.degree == 1:
         return e if e.x > 0 else -e
-    eps = field.fundamental_unit
-    while _abs_embedding_cmp(e) < 0:
-        e = e * eps
-    while _abs_embedding_cmp(e / eps) >= 0:
-        e = e / eps
-    if e.sign_at(0) < 0:
-        e = -e
-    return e
+    u, v, d = _element_row(e)
+    x, y = _canonical_row(field, (u, v))
+    return field.element(Fraction(x, d), Fraction(y, d))
+
+
+def _canonical_row(field: Field, p: tuple[int, int]) -> tuple[int, int]:
+    """canonical_associate on the integer row of a nonzero element."""
+    x0, y0 = int(field.fundamental_unit.x), int(field.fundamental_unit.y)
+    N, t = field.unit_norm, field.omega_trace
+    eps, eps_inv = (x0, y0), (N * (x0 + t * y0), -N * y0)
+    while _abs_embedding_cmp(field, p) < 0:
+        p = _mul_coords(field, p, eps)
+    while True:
+        q = _mul_coords(field, p, eps_inv)
+        if _abs_embedding_cmp(field, q) < 0:
+            break
+        p = q
+    # now A*B >= 0, so the first embedding has the sign of A, or of B when A = 0
+    x, y = p
+    A = (2 * x + y) if field.omega_trace else x
+    if A < 0 or (A == 0 and y < 0):
+        p = (-x, -y)
+    return p
 
 
 def elements_of_norm(field: Field, n: int) -> list[FieldElement]:
     """Canonical associates of all integral elements with |norm| = n."""
     if n <= 0:
-        raise ValueError("norm bound must be positive")
+        raise InvalidParameter("norm bound must be positive")
     if field.degree == 1:
         return [field.element(n)]
     eps1 = field.fundamental_unit.embeddings()[0]
     yb = int(2.0 * math.sqrt(n * eps1) / math.sqrt(field.disc)) + 3
-    out = {}
-    for cand in _norm_form_candidates(field, n, yb):
-        canon = canonical_associate(cand)
-        out[(canon.x, canon.y)] = canon
-    return sorted(out.values(), key=lambda e: (e.x, e.y))
+    rows = {_canonical_row(field, p) for p in _norm_form_candidates(field, n, yb)}
+    return [field.element(x, y) for x, y in sorted(rows)]
 
 
 def narrow_square_witness(
@@ -1282,6 +1312,8 @@ def narrow_square_witness(
     for b in candidates:
         eta = principal_totally_positive_generator(P * b * b, window)
         if eta is not None:
-            assert eta.is_integral() and eta.is_totally_positive()
+            if not (eta.is_integral() and eta.is_totally_positive()):
+                raise InvariantViolation("narrow witness generator is not a totally "
+                                         "positive integer")
             return (b, eta)
     return None

@@ -2,8 +2,9 @@
 
 Everything here is deliberately primitive: exact integer power series for
 the classical level-one eigenforms, affine point counting for the level-11
-elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), and a
-smallest-unit search.
+elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a smallest-unit
+search, unit-power scans and lattice reduction in Fraction arithmetic, and a
+sieved Euler product.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
@@ -214,6 +215,116 @@ def smallest_unit_gt_one(field):
         if found:
             return min(found, key=lambda e: e.embeddings()[0])
         y += 1
+
+
+# --- unit-power scans in exact field arithmetic ------------------------------
+
+
+def unit_power_scan(g, window: int = 8):
+    """First totally positive sigma * g * eps0^k, sigma = +-1, scanning
+    k = 0, 1, -1, ..., +-window with eps0^k in Fraction arithmetic."""
+    field = g.field
+    if field.degree == 1:
+        return g if g.x > 0 else -g
+    eps = field.fundamental_unit
+    ks = [0]
+    for k in range(1, window + 1):
+        ks.extend((k, -k))
+    for k in ks:
+        cand = g * eps**k
+        if cand.is_totally_positive():
+            return cand
+        if (-cand).is_totally_positive():
+            return -cand
+    return None
+
+
+def _abs_embedding_cmp(e) -> int:
+    """Sign of |e_1| - |e_2|: e_1^2 - e_2^2 = 4ab*sqrt(D) for e = a + b*sqrt(D)."""
+    a, b = e._sqrtD_coords()
+    return (a * b > 0) - (a * b < 0)
+
+
+def canonical_associate_walk(e):
+    """The associate of e with first embedding positive, |e_1| >= |e_2|, and
+    strictly unbalanced after one division by eps0, by multiplying and dividing
+    by eps0 in Fraction arithmetic."""
+    field = e.field
+    if e.is_zero():
+        return e
+    if field.degree == 1:
+        return e if e.x > 0 else -e
+    eps = field.fundamental_unit
+    while _abs_embedding_cmp(e) < 0:
+        e = e * eps
+    while _abs_embedding_cmp(e / eps) >= 0:
+        e = e / eps
+    return e if e.sign_at(0) > 0 else -e
+
+
+def short_vector_by_elements(M):
+    """Lagrange-Gauss reduction of an integral ideal's basis with float pivots
+    from FieldElement.embeddings, candidates compared by the Fraction norm."""
+    g1, g2 = M.basis_elements()
+    v = [list(g1.embeddings()), list(g2.embeddings())]
+    co = [[1, 0], [0, 1]]
+
+    def dot(p, q):
+        return p[0] * q[0] + p[1] * q[1]
+
+    for _ in range(64):
+        if dot(v[1], v[1]) < dot(v[0], v[0]):
+            v[0], v[1] = v[1], v[0]
+            co[0], co[1] = co[1], co[0]
+        m = round(dot(v[0], v[1]) / dot(v[0], v[0]))
+        if m == 0:
+            break
+        v[1] = [v[1][k] - m * v[0][k] for k in range(2)]
+        co[1] = [co[1][k] - m * co[0][k] for k in range(2)]
+    best = None
+    for i, j in (co[0], co[1], [co[0][0] + co[1][0], co[0][1] + co[1][1]],
+                 [co[0][0] - co[1][0], co[0][1] - co[1][1]]):
+        e = g1 * i + g2 * j
+        if not e.is_zero() and (best is None or abs(e.norm()) < abs(best.norm())):
+            best = e
+    return best
+
+
+# --- Euler product over prime ideals from a sieve and the Kronecker symbol ------
+
+
+def kronecker(disc: int, p: int) -> int:
+    """(disc / p) for a prime p: 0 ramified, 1 split, -1 inert."""
+    if disc % p == 0:
+        return 0
+    if p == 2:
+        return 1 if disc % 8 in (1, 7) else -1
+    return 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
+
+
+def euler_product_sieved(D, e: float, X: int, skip=()) -> float:
+    """prod over prime ideals of norm <= X of 1/(1 - N^e), over Q (D = None)
+    or Q(sqrt D), from a plain sieve."""
+    sieve = [True] * (X + 1)
+    prod = 1.0
+    for p in range(2, X + 1):
+        if not sieve[p]:
+            continue
+        for m in range(p * p, X + 1, p):
+            sieve[m] = False
+        if p in skip:
+            continue
+        if D is None:
+            prod *= 1.0 / (1.0 - p**e)
+            continue
+        chi = kronecker(D if D % 4 == 1 else 4 * D, p)
+        if chi == 1:
+            prod *= (1.0 / (1.0 - p**e)) ** 2
+        elif chi == 0:
+            prod *= 1.0 / (1.0 - p**e)
+        elif p * p <= X:
+            prod *= 1.0 / (1.0 - (p * p) ** e)
+    return prod
 
 
 # --- Gauss-Legendre reference integrator (independent of the package) ------

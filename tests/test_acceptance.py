@@ -4,8 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Everything here runs
 offline (conftest sets the offline flag).  Criterion 11a is expected to
 fail: at the stated parameters (tau = 0.3, eps = 0.01) the Euler-product
 exponent is -1.084 and the tail beyond X = 1e5 is of order 0.5, so no
-correct tail bound can be below 1e-3 there; see the failure message for
-the full analysis and docs/decisions for the disposition.
+correct tail bound can be below 1e-3 there; see the failure message and
+the test's docstring for the analysis, and aim 3 of ROADMAP.md for the
+decision to keep it red rather than loosen the tolerance.
 """
 
 import math

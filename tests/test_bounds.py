@@ -13,6 +13,7 @@ from heckedist.bounds import (
 )
 from heckedist.errors import DivergentExponent, ModulusZero
 from heckedist.numberfield import make_field
+from oracles import euler_product_sieved
 
 Q = make_field("rational")
 F5 = make_field(5)
@@ -133,6 +134,19 @@ def test_euler_product_skips_level():
     full = euler_product_tail(p, Q, 100)
     skipped = euler_product_tail(p, Q, 100, level_norms=(2,))
     assert abs(full.truncated / skipped.truncated - 1.0 / (1.0 - 2.0**p.euler_exponent)) < 1e-12
+
+
+def test_euler_product_matches_sieved_oracle():
+    p = _params()
+    e = p.euler_exponent
+    for D in (None, 2, 3, 5, 13, 17, 21, 23, 30):
+        F = Q if D is None else make_field(D)
+        for X, skip in ((2000, ()), (3000, (2, 7, 11))):
+            r = euler_product_tail(p, F, X, level_norms=skip)
+            want = euler_product_sieved(D, e, X, skip)
+            assert r.truncated == pytest.approx(want, rel=1e-13, abs=0), (D, X)
+            assert r.rational_truncated == pytest.approx(
+                euler_product_sieved(None, e, X, skip), rel=1e-13, abs=0)
 
 
 # --- assembled bound ------------------------------------------------------------

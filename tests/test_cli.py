@@ -148,6 +148,57 @@ def test_kloosterman_stdout_is_byte_identical(monkeypatch):
         assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
+# sha256 of the stdout of field, ideal, descent and Euler commands, recorded
+# from the unit-power scan in Fraction arithmetic and the trial-dividing
+# splitting test; the closed-form adjustment and the sieve-trusted splitting
+# must reproduce the bytes
+NUMBERFIELD_STDOUT_SHA256 = [
+    (["field", "--D", "10"], "6cce982cf43b49098f32d79a2687c55753114d12ebdab9a7a9dfcc51b4e374e4"),
+    (["field", "--D", "15"], "35826517c19d073a1b3205ac128758cbba2328d270c1c4ce3d591e30771244ef"),
+    (["field", "--D", "21"], "cbbaf62d6a6dcf2db76da80778372d6ed4400458043486af881a4ecbd619b9df"),
+    (["field", "--D", "26"], "ad3e6ecff1180768fa1c25587cfb3edaf86241dd3f9cae2979cd57d946ecea66"),
+    (["ideal", "--D", "29", "--op", "factor"],
+     "46565596413e8751ead3b660c8da652ca7189ff591f039d5fd4bac7164f195e8"),
+    (["ideal", "--D", "29", "--op", "factor", "--p", "5"],
+     "3dbb5f951e2cd5644d9641cd2792f06cb93759f96ae7018234b0d27e7e7a68d4"),
+    (["hecke", "descent", "--field", "5", "--p", "2", "--ell", "2"],
+     "50a4df7e45a62c17a9c0760efed2dc8b0f3a7a2aee72c6ef6a7250964c969e02"),
+    (["hecke", "descent", "--field", "2", "--p", "7", "--ell", "2"],
+     "b519086b5f4c4dc4f8abe80e87543dafb732aee257e53dbe1f29233c6bbaad41"),
+    (["hecke", "descent", "--field", "13", "--p", "3", "--ell", "2"],
+     "dee9128a09131273830f028a17c0ef9b2761f6aa18167891b9f9b7baba8c04ff"),
+    (["bound", "euler", "--tau", "0.3", "--eps", "0.01", "--gamma", "0.35", "--D", "23",
+      "--X", "10000"],
+     "5302a99c55e4c57f12c3e3dfb895fd3d53b1cf14d4eb480ae21cfe3a2366f140"),
+]
+
+
+def test_numberfield_stdout_is_byte_identical(monkeypatch):
+    monkeypatch.delenv(datasource.OFFLINE_ENV_VAR, raising=False)
+    monkeypatch.delenv(datasource.CACHE_ENV_VAR, raising=False)
+    for argv, digest in NUMBERFIELD_STDOUT_SHA256:
+        code, out = run_command(argv)
+        assert code == 0, out.decode()
+        assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "phi", "--ord", "-1"],
+    ["sample", "sato-tate", "-n", "0"],
+    ["bound", "euler", "--tau", "0.6", "--eps", "0.01", "--gamma", "0.35", "--D", "5"],
+    ["test-dist", "--synthetic", "-n", "100", "--interval", "1"],
+    ["test-dist", "--synthetic", "-n", "100", "--interval", "-3,1"],
+    ["hecke", "power", "--lambda", "1", "--ell", "-1"],
+    ["bound", "kloosterman", "--places", "X:1:1"],
+    ["field", "--D", "abc"],
+    ["ideal", "--D", "5", "--op", "norm", "--gens", "1/0"],
+])
+def test_out_of_domain_input_exits_1_with_error_code(argv):
+    code, out = run_command(argv)
+    assert code == 1
+    assert json.loads(out.decode())["error"]["code"] == "InvalidParameter"
+
+
 def test_csv_format_sweep():
     code, out = run_command(["--format", "csv", "kloosterman", "sweep",
                              "--D", "rational", "--c-max", "10"])

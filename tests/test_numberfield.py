@@ -1,10 +1,15 @@
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckedist import quadforms
+from heckedist import numberfield as nf, quadforms
 from heckedist.errors import (
     DegreeUnsupported,
     InvariantViolation,
@@ -20,10 +25,8 @@ from heckedist.numberfield import (
     different_ideal,
     element_from_json,
     elements_of_norm,
-    elem_maps,
     factor_rational_prime,
     find_generator,
-    ideal_arith,
     ideal_from_elements,
     ideal_from_json,
     ideal_valuation,
@@ -32,10 +35,17 @@ from heckedist.numberfield import (
     make_field,
     narrow_square_witness,
     prime_ideals_of_norm_upto,
+    prime_splitting_type,
     principal_totally_positive_generator,
+    totally_positive_adjust,
     trace_dual_module,
 )
-from oracles import smallest_unit_gt_one
+from oracles import (
+    canonical_associate_walk,
+    short_vector_by_elements,
+    smallest_unit_gt_one,
+    unit_power_scan,
+)
 
 Q = make_field("rational")
 F2 = make_field(2)
@@ -88,16 +98,15 @@ def test_fundamental_unit_minimality_all_D_up_to_100():
 
 
 def test_elem_maps_examples():
-    s, n, _, pos = elem_maps(F5.one())
-    assert (s, n, pos) == (2, 1, True)
+    def maps(e):
+        return (e.trace(), e.norm(), e.is_totally_positive())
 
+    assert maps(F5.one()) == (2, 1, True)
     golden = F5.omega()  # (1 + sqrt5)/2
-    s, n, _, pos = elem_maps(golden)
-    assert (s, n, pos) == (1, -1, False)
-
+    assert maps(golden) == (1, -1, False)
+    assert golden.embeddings() == pytest.approx(((1 + 5**0.5) / 2, (1 - 5**0.5) / 2))
     e = F3.element(2, 1)  # 2 + sqrt(3)
-    s, n, _, pos = elem_maps(e)
-    assert (s, n, pos) == (4, 1, True)
+    assert maps(e) == (4, 1, True)
 
 
 def test_element_arithmetic_exact():
@@ -137,12 +146,12 @@ def test_split_prime_above_3_in_Q_sqrt10():
 
 
 def test_ideal_arith_dispatch():
-    assert ideal_arith("norm", Q.ideal(6)) == 6
-    assert ideal_arith("product", Q.ideal(2), Q.ideal(3)) == Q.ideal(6)
-    assert ideal_arith("sum", Q.ideal(4), Q.ideal(6)) == Q.ideal(2)
-    assert ideal_arith("inverse", Q.ideal(2)) == ideal_from_elements(Q, [Q.element(Fraction(1, 2))])
-    assert ideal_arith("membership", Q.ideal(2), Q.element(4)) is True
-    assert ideal_arith("membership", Q.ideal(2), Q.element(3)) is False
+    assert Q.ideal(6).norm() == 6
+    assert Q.ideal(2) * Q.ideal(3) == Q.ideal(6)
+    assert Q.ideal(4) + Q.ideal(6) == Q.ideal(2)
+    assert Q.ideal(2).inverse() == ideal_from_elements(Q, [Q.element(Fraction(1, 2))])
+    assert Q.ideal(2).contains(Q.element(4)) is True
+    assert Q.ideal(2).contains(Q.element(3)) is False
 
 
 def test_zero_ideal_errors():
@@ -438,3 +447,122 @@ def test_non_ideal_module_raises():
     # Z*3 + Z*2w is not closed under multiplication by w
     with pytest.raises(InvariantViolation):
         _ideal_from_rows(F5, 1, [(3, 0), (0, 2)])
+
+
+# --- closed-form unit adjustment and integer associates against Fraction scans ------
+
+# N(eps0) = -1 for D = 2, 5, 13 and +1 for D = 3, 6, 7
+_UNIT_FIELDS = [make_field(D) for D in (2, 5, 13, 3, 6, 7)]
+
+
+@st.composite
+def _unit_multiples(draw):
+    """g * eps0^k with g = 0, integral or not, of either sign, and |k| <= 3."""
+    F = draw(st.sampled_from(_UNIT_FIELDS))
+    g = F.element(draw(_coord), draw(_coord))
+    return g * F.fundamental_unit ** draw(st.integers(-3, 3))
+
+
+def test_unit_fields_cover_both_unit_norms():
+    assert [F.unit_norm for F in _UNIT_FIELDS] == [-1, -1, -1, 1, 1, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_multiples(), st.sampled_from([0, 1, 8]))
+def test_totally_positive_adjust_matches_unit_power_scan(g, window):
+    assert totally_positive_adjust(g, window) == unit_power_scan(g, window)
+
+
+def test_totally_positive_adjust_edge_cases():
+    for F in _UNIT_FIELDS:
+        for window in (0, 1, 8):
+            assert totally_positive_adjust(F.zero(), window) is None
+            assert unit_power_scan(F.zero(), window) is None
+        eps = F.fundamental_unit
+        for g in (F.one(), F.omega(), F.sqrt_D(), F.element(Fraction(1, 3), Fraction(-2, 5))):
+            for k in range(-3, 4):
+                for window in (0, 1, 8):
+                    h = g * eps**k
+                    assert totally_positive_adjust(h, window) == unit_power_scan(h, window)
+                    assert totally_positive_adjust(-h, window) == unit_power_scan(-h, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_multiples())
+def test_canonical_associate_matches_fraction_walk(g):
+    assert canonical_associate(g) == canonical_associate_walk(g)
+
+
+def test_elements_of_norm_match_fraction_walk():
+    for D in (2, 3, 5, 6, 7, 13, 10, 21):
+        F = make_field(D)
+        for n in range(1, 40):
+            got = elements_of_norm(F, n)
+            cands = {canonical_associate_walk(F.element(x, y))
+                     for x, y in nf._norm_form_candidates(F, n, 40)}
+            assert set(got) == cands, (D, n)
+            assert got == sorted(got, key=lambda e: (e.x, e.y))
+
+
+def test_short_vector_matches_element_reduction():
+    for D in (2, 3, 5, 6, 7, 10, 13, 15, 79, 82):
+        F = make_field(D)
+        primes = prime_ideals_of_norm_upto(F, 40)
+        for P in primes:
+            for I in (P, P * P, P * primes[0], P * P.conjugate() * primes[-1]):
+                assert nf._short_vector(I) == short_vector_by_elements(I), (D, I)
+
+
+def test_prime_splitting_type_still_checks_primality():
+    with pytest.raises(NotPrime):
+        prime_splitting_type(F5, 9)
+    with pytest.raises(NotPrime):
+        factor_rational_prime(F5, 1)
+    assert prime_splitting_type(F5, 11) == "split"
+
+
+# each patch breaks one identity the class-group and splitting code relies on
+_BREAK_NUMBERFIELD_INVARIANTS = """
+import heckedist.numberfield as nf
+from heckedist.errors import InvariantViolation
+
+F = nf.make_field(10)
+P = nf.factor_rational_prime(F, 3).primes[0]  # not principal
+cases = [
+    ("_short_vector", lambda M: M.field.one(), lambda: nf.reduce_in_class(P)),
+    ("_sqrt_mod_prime", lambda n, p: None, lambda: nf.factor_rational_prime(F, 13)),
+    ("principal_totally_positive_generator", lambda I, window=8: -I.field.one(),
+     lambda: nf.narrow_square_witness(nf.factor_rational_prime(F, 2).primes[0])),
+]
+for name, fake, call in cases:
+    real = getattr(nf, name)
+    setattr(nf, name, fake)
+    try:
+        call()
+    except InvariantViolation as exc:
+        print("raised", name)
+    finally:
+        setattr(nf, name, real)
+"""
+
+
+def test_broken_invariants_raise():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_BREAK_NUMBERFIELD_INVARIANTS, {})
+    assert out.getvalue().split("\n")[:3] == [
+        "raised _short_vector", "raised _sqrt_mod_prime",
+        "raised principal_totally_positive_generator"]
+
+
+def test_broken_invariants_raise_under_optimize():
+    src = os.path.dirname(os.path.dirname(nf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # the leading "assert False" only passes when -O strips asserts
+    script = "assert False\n" + _BREAK_NUMBERFIELD_INVARIANTS
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == [
+        "raised _short_vector", "raised _sqrt_mod_prime",
+        "raised principal_totally_positive_generator"]
