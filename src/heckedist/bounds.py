@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DivergentExponent, InvalidParameter, ModulusZero
+from .errors import DivergentExponent, InvalidParameter, InvariantViolation, ModulusZero
 from .numberfield import Field, _splitting_type, rational_primes_upto
 
 
@@ -61,8 +61,8 @@ class BoundParams:
             raise InvalidParameter("U must be >= 1")
         if self.A1 <= 0:
             raise InvalidParameter("A1 must be positive")
-        rho1 = 1.5 - self.gamma - self.tau
-        assert 0.5 < rho1 < 1.0
+        if not (0.5 < self.rho1 < 1.0):
+            raise InvariantViolation(f"rho1 = {self.rho1} outside (1/2, 1)")
         # the asymptotic setting requires a nonempty Q part, but the closed
         # forms evaluate for any partition, so it is not enforced here
 
@@ -147,7 +147,8 @@ def _tail_log_bound(exponent: float, X: int, per_norm_multiplicity: int) -> floa
     Compares against the integer sum: at most `per_norm_multiplicity` prime
     ideals share any given norm, and -log(1-y) <= y/(1-y) for y in (0,1).
     """
-    assert exponent < -1.0
+    if not exponent < -1.0:
+        raise InvariantViolation(f"tail bound needs exponent < -1, got {exponent}")
     top = X**exponent  # largest possible factor argument
     s_int = X ** (exponent + 1.0) / (-exponent - 1.0) + top
     return per_norm_multiplicity * s_int / (1.0 - top)

@@ -60,9 +60,6 @@ class Dataset:
     def weights(self) -> np.ndarray:
         return np.array([pt.weight for pt in self.points])
 
-    def meta_dict(self) -> dict:
-        return dict(self.meta)
-
 
 def _require_nonempty(ds: Dataset):
     if len(ds) == 0:

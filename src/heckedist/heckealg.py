@@ -19,6 +19,7 @@ from .errors import (
     DivisibilityViolation,
     EnumerationTooLarge,
     InvalidParameter,
+    InvariantViolation,
     NotNarrowSquare,
     NotPrime,
     RamanujanViolation,
@@ -93,7 +94,8 @@ def coset_reps(P: FractionalIdeal, ell: int,
             key = Q.key(beta)
             idx = key[0] if field.degree == 1 else key[0] * width + key[1]
             out.append(CosetRep(s, ell - s, s, beta, idx))
-    assert len(out) == total
+    if len(out) != total:
+        raise InvariantViolation(f"{len(out)} coset representatives, expected {total}")
     return out
 
 
@@ -145,7 +147,7 @@ def _element_with_exact_valuation(J: FractionalIdeal, P: FractionalIdeal,
     for g in J.basis_elements():
         if ideal_valuation(g, P) == target:
             return g
-    raise AssertionError("no basis element attains the minimal valuation")
+    raise InvariantViolation("no basis element attains the minimal valuation")
 
 
 def descent_data(P: FractionalIdeal, ell: int,
@@ -228,6 +230,7 @@ def verify_coefficient_relation(lam_p: Union[int, Fraction], p: int, ell: int,
     for s in range(ell + 1):
         num = r * p**ell
         den = p ** (2 * s)
-        assert num % den == 0
+        if num % den:
+            raise InvariantViolation(f"p^(2s) = {den} does not divide r * p^ell = {num}")
         rhs += coeff(num // den)
     return lhs == rhs

@@ -24,7 +24,14 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import InvalidParameter, NoDensity, ParityMismatch, UnboundedRegion, ZeroMassRegion
+from .errors import (
+    InvalidParameter,
+    InvariantViolation,
+    NoDensity,
+    ParityMismatch,
+    UnboundedRegion,
+    ZeroMassRegion,
+)
 
 Interval = tuple[float, float]
 
@@ -413,7 +420,8 @@ def _x_measure_table(spec: MeasureSpec):
     seg = np.abs(half) * np.sum(gl_w[None, :] * density(spec, xv) * 2.0 * np.sin(tt), axis=1)
     cdf_vals = np.concatenate([[0.0], np.cumsum(seg)])
     total = cdf_vals[-1]
-    assert abs(total - 1.0) < 1e-8, f"total mass {total} far from 1"
+    if not abs(total - 1.0) < 1e-8:
+        raise InvariantViolation(f"total mass {total} far from 1")
     cdf_vals /= total
     cdf_vals[-1] = 1.0
     fwd = PchipInterpolator(xs, cdf_vals)

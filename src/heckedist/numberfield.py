@@ -5,9 +5,10 @@ where w = (1+sqrt(D))/2 for D = 1 mod 4 and w = sqrt(D) otherwise.
 Fractional ideals are Hermite-reduced 2-row module bases over Z together
 with a positive integer denominator, so ideal equality is a structural
 comparison; products, sums and conjugates work on those integer rows.
-Everything is immutable; nothing here uses floating point except where
-explicitly noted (lattice reduction pivots, which are then re-verified
-exactly).
+Ideal classes are keyed by cycles of reduced binary quadratic forms.
+Everything is immutable and exact; floating point appears only in
+`embeddings` and in the padded search bound of the norm equation, whose
+hits are verified exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     ZeroArgument,
     ZeroIdeal,
 )
+from .quadforms import Form, is_reduced, reduce_form, rho
 
 Rat = Union[int, Fraction]
 
@@ -134,7 +136,8 @@ class Field:
             self.fundamental_unit = None
             self.unit_norm = None
             return
-        assert D is not None
+        if D is None:
+            raise InvariantViolation("a quadratic field needs its radicand D")
         if D % 4 == 1:
             self.disc = D
             self.omega_trace = 1
@@ -649,13 +652,6 @@ def _zero_ideal(field: Field) -> FractionalIdeal:
     return FractionalIdeal(field, 1, hnf, _canonical=True)
 
 
-def _divide(I: FractionalIdeal, q: Fraction) -> FractionalIdeal:
-    """I / q for a positive rational q."""
-    num, den = q.numerator, q.denominator
-    scaled = tuple(v * den for v in I.hnf)
-    return FractionalIdeal(I.field, I.den * num, scaled)
-
-
 def ideal_from_elements(field: Field, elems: Iterable[FieldElement]) -> FractionalIdeal:
     """The fractional O_F-ideal generated by the given elements."""
     elems = [e for e in elems if not e.is_zero()]
@@ -891,21 +887,6 @@ def different_ideal(field: Field) -> FractionalIdeal:
     return field.ideal(field.element(-t, 2))  # f'(w) = 2w - t
 
 
-def trace_dual_module(field: Field) -> FractionalIdeal:
-    """{x : S(x*O) in Z} computed from the trace pairing (oracle path)."""
-    if field.degree == 1:
-        return field.unit_ideal()
-    one, w = field.one(), field.omega()
-    # Gram matrix of the trace pairing on (1, w)
-    g11, g12 = one.trace(), w.trace()
-    g22 = (w * w).trace()
-    det = g11 * g22 - g12 * g12
-    # dual basis rows = inverse Gram applied to (1, w)
-    d1 = one * (g22 / det) + w * (-g12 / det)
-    d2 = one * (-g12 / det) + w * (g11 / det)
-    return ideal_from_elements(field, [d1, d2])
-
-
 # ---------------------------------------------------------------------------
 # Fundamental unit (continued fraction of (disc mod 2 + sqrt(disc))/2)
 
@@ -973,12 +954,19 @@ def _norm_form_candidates(field: Field, N: int, y_bound: int):
                 yield ((uu - t * y) // 2, y)
 
 
-def find_generator(M: FractionalIdeal, slack: int = 3) -> Optional[FieldElement]:
+def _norm_y_bound(field: Field, N: int) -> int:
+    """|y| bound for x + y*w of norm +-N balanced across the two embeddings:
+    2*sqrt(N*eps0)/sqrt(disc), padded by 3 against float rounding."""
+    eps0 = field.fundamental_unit.embeddings()[0]
+    return int(2.0 * math.sqrt(N * eps0) / math.sqrt(field.disc)) + 3
+
+
+def find_generator(M: FractionalIdeal) -> Optional[FieldElement]:
     """A generator of the integral ideal M, or None if M is not principal.
 
-    Search window: a generator balanced across the two embeddings has
-    |y| <= 2*sqrt(N*eps0)/sqrt(disc); candidates come from the Pell-type
-    equation u^2 - disc*y^2 = +-4N and are verified by exact membership.
+    Candidates come from the Pell-type equation u^2 - disc*y^2 = +-4N within
+    the balanced-generator window of _norm_y_bound and are verified by exact
+    membership.
     """
     field = M.field
     if M.is_zero():
@@ -986,22 +974,20 @@ def find_generator(M: FractionalIdeal, slack: int = 3) -> Optional[FieldElement]
     if field.degree == 1:
         return field.element(M.hnf[0])
     N = int(M.norm())
-    eps0 = field.fundamental_unit.embeddings()[0]
-    yb = int(2.0 * math.sqrt(N * eps0) / math.sqrt(field.disc)) + slack
-    for x, y in _norm_form_candidates(field, N, yb):
+    for x, y in _norm_form_candidates(field, N, _norm_y_bound(field, N)):
         if M._row_coords(x, y, 1) is not None:
             return field.element(x, y)
     return None
 
 
-def totally_positive_adjust(g: FieldElement, window: int = 8) -> Optional[FieldElement]:
+def totally_positive_adjust(g: FieldElement) -> Optional[FieldElement]:
     """The first totally positive sigma * g * eps0^k, sigma = +-1, in the order
-    k = 0, 1, -1, ..., +-window; None if there is none.
+    k = 0, 1, -1, 2, -2, ...; None if there is none.
 
     The embeddings of sigma * g * eps0^k have signs sigma*s0 and
     sigma*s1*N(eps0)^k (s0, s1 those of g; eps0 > 1 at the first place), so
     k = 0 works iff N(g) > 0, k = 1 iff N(g) < 0 and N(eps0) = -1, and no
-    other k can succeed first.  window only tells 0 from >= 1.
+    other k can succeed first.
     """
     field = g.field
     if field.degree == 1:
@@ -1009,16 +995,14 @@ def totally_positive_adjust(g: FieldElement, window: int = 8) -> Optional[FieldE
     nrm = g.norm()
     if nrm > 0:
         cand = g
-    elif nrm < 0 and field.unit_norm == -1 and window >= 1:
+    elif nrm < 0 and field.unit_norm == -1:
         cand = g * field.fundamental_unit
     else:
         return None
     return cand if g.sign_at(0) > 0 else -cand
 
 
-def principal_totally_positive_generator(
-    I: FractionalIdeal, window: int = 8
-) -> Optional[FieldElement]:
+def principal_totally_positive_generator(I: FractionalIdeal) -> Optional[FieldElement]:
     """eta with (eta) = I and eta totally positive, or None."""
     if I.is_zero():
         raise ZeroIdeal("zero ideal has no generator")
@@ -1026,94 +1010,59 @@ def principal_totally_positive_generator(
     g = find_generator(M)
     if g is None:
         return None
-    g = totally_positive_adjust(g, window)
+    g = totally_positive_adjust(g)
     if g is None:
         return None
     return g / I.den
 
 
+def _narrow_key(M: FractionalIdeal) -> Form:
+    """Canonical key of the narrow class of a nonzero ideal of a quadratic field.
+
+    The integral part c*(Z*A + Z*(B' + w)) maps to the form
+    (A, 2B' + t, N(B' + w)/A) of discriminant disc; the key is the least
+    form with a > 0 on the rho-cycle of its reduction (Buchmann-Vollmer,
+    Binary Quadratic Forms, ch. 6; Cohen, GTM 138, 5.6-5.7).
+    """
+    field, Delta = M.field, M.field.disc
+    a, b, c = M.hnf
+    A, B = a // c, b // c
+    nrm = B * B + field.omega_trace * B + field.omega_norm
+    if nrm % A:
+        raise InvariantViolation("module basis is not an ideal")
+    f = start = reduce_form((A, 2 * B + field.omega_trace, nrm // A), Delta)
+    cycle: list[Form] = []
+    while not cycle or f != start:
+        # a reduced form has 0 < b < sqrt(Delta) and 0 < |a| < sqrt(Delta),
+        # so there are fewer than 2*Delta of them
+        if len(cycle) >= 2 * Delta or not is_reduced(f, Delta):
+            raise InvariantViolation(f"no rho-cycle of reduced forms through {start}")
+        cycle.append(f)
+        f = rho(f, Delta)
+    return min(g for g in cycle if g[0] > 0)
+
+
+def _class_key(M: FractionalIdeal, narrow: bool) -> Form:
+    """Key of the (narrow) class of M.  N(sqrt(D)) < 0, so the wide class of M
+    is the union of the narrow classes of M and sqrt(D)*M."""
+    key = _narrow_key(M)
+    return key if narrow else min(key, _narrow_key(M * M.field.sqrt_D()))
+
+
+def _key_ideal(field: Field, key: Form) -> FractionalIdeal:
+    """The ideal Z*A + Z*((B - t)/2 + w) of the key form (A, B, C); O for the principal form."""
+    A, B, _ = key
+    return _ideal_from_rows(field, 1, [(A, 0), ((B - field.omega_trace) // 2, 1)])
+
+
 def is_principal(M: FractionalIdeal, narrow: bool = False) -> bool:
-    g = find_generator(FractionalIdeal(M.field, 1, M.hnf))
-    if g is None:
-        return False
-    if not narrow:
-        return True
-    return totally_positive_adjust(g) is not None
-
-
-def _short_vector(M: FractionalIdeal) -> FieldElement:
-    """A short nonzero element of an integral ideal (Lagrange-Gauss, float pivots).
-
-    The pivots are the embeddings of the basis, float(u) + float(v)*w_j as in
-    FieldElement.embeddings; candidates are compared by the exact integer
-    norm of their rows.
-    """
-    field, den = M.field, M.den
-    r1, r2 = M.int_rows()
-    ws = field.omega_embeddings()
-
-    def emb(u: int, v: int) -> list[float]:
-        # int / int rounds correctly, as float(Fraction(u, den)) does
-        fu, fv = u / den, v / den
-        return [fu + fv * w for w in ws]
-
-    v = [emb(*r1), emb(*r2)]
-    co = [[1, 0], [0, 1]]
-
-    def dot(p, q):
-        return p[0] * q[0] + p[1] * q[1]
-
-    for _ in range(64):
-        if dot(v[1], v[1]) < dot(v[0], v[0]):
-            v[0], v[1] = v[1], v[0]
-            co[0], co[1] = co[1], co[0]
-        m = round(dot(v[0], v[1]) / dot(v[0], v[0]))
-        if m == 0:
-            break
-        v[1] = [v[1][k] - m * v[0][k] for k in range(2)]
-        co[1] = [co[1][k] - m * co[0][k] for k in range(2)]
-    cands = [co[0], co[1], [co[0][0] + co[1][0], co[0][1] + co[1][1]],
-             [co[0][0] - co[1][0], co[0][1] - co[1][1]]]
-    t, n = field.omega_trace, field.omega_norm
-    best = None
-    for i, j in cands:
-        x, y = r1[0] * i + r2[0] * j, r1[1] * i + r2[1] * j
-        if x == 0 and y == 0:
-            continue
-        key = abs(x * x + t * x * y + n * y * y)
-        if best is None or key < best[0]:
-            best = (key, x, y)
-    if best is None:
-        raise InvariantViolation("lattice reduction found no nonzero vector")
-    return field.element(Fraction(best[1], den), Fraction(best[2], den))
-
-
-def _inverse_reduce(M: FractionalIdeal, narrow: bool = False) -> FractionalIdeal:
-    """Integral ideal of small norm in the inverse class of M.
-
-    In narrow mode the scaling element is forced totally positive (falling
-    back to alpha*sqrt(D), which flips the norm sign), so the narrow class
-    is mapped exactly to its inverse.
-    """
+    """Whether M is principal; narrow: with a totally positive generator."""
+    if M.is_zero():
+        raise ZeroIdeal("zero ideal has no class")
     field = M.field
-    alpha = _short_vector(M)
-    if narrow:
-        adjusted = totally_positive_adjust(alpha)
-        if adjusted is None:
-            adjusted = totally_positive_adjust(alpha * field.sqrt_D())
-            if adjusted is None:
-                raise InvariantViolation("neither alpha nor alpha*sqrt(D) has a totally "
-                                         "positive associate")
-        alpha = adjusted
-    R = ideal_from_elements(field, [alpha]) * M.inverse()
-    if not R.is_integral():
-        raise InvariantViolation("reduced ideal is not integral")
-    return R
-
-
-def reduce_in_class(M: FractionalIdeal, narrow: bool = False) -> FractionalIdeal:
-    """Small-norm integral ideal in the same (narrow) class of M."""
-    return _inverse_reduce(_inverse_reduce(M, narrow), narrow)
+    if field.degree == 1:
+        return True
+    return _class_key(M, narrow) == _class_key(field.unit_ideal(), narrow)
 
 
 @dataclass(frozen=True)
@@ -1125,12 +1074,8 @@ class ClassGroupDescription:
     narrow: bool
 
 
-def _same_class(A: FractionalIdeal, B: FractionalIdeal, narrow: bool) -> bool:
-    return is_principal(A * B.conjugate(), narrow=narrow)
-
-
 def _class_structure(field: Field, narrow: bool):
-    """(order, cyclic_factors, representatives) by relation resolution."""
+    """(order, cyclic_factors, representatives), classes indexed by their keys."""
     O = field.unit_ideal()
     if field.degree == 1:
         return 1, (), (O,)
@@ -1140,16 +1085,17 @@ def _class_structure(field: Field, narrow: bool):
         for p in sorted(_rational_factorization(field.disc)):
             fac = _factor_prime(field, p)
             gens.extend(fac.primes)
-    reps: list[FractionalIdeal] = [O]
+    index: dict[Form, int] = {}
+    reps: list[FractionalIdeal] = []
 
     def cls_of(M: FractionalIdeal) -> int:
-        M = reduce_in_class(M, narrow)
-        for i, R in enumerate(reps):
-            if _same_class(M, R, narrow):
-                return i
-        reps.append(M)
-        return len(reps) - 1
+        key = _class_key(M, narrow)
+        if key not in index:
+            index[key] = len(reps)
+            reps.append(_key_ideal(field, key))
+        return index[key]
 
+    cls_of(O)
     gen_cls = sorted({cls_of(P) for P in gens})
     # close the group under multiplication by generator classes
     frontier = [0]
@@ -1292,15 +1238,12 @@ def elements_of_norm(field: Field, n: int) -> list[FieldElement]:
         raise InvalidParameter("norm bound must be positive")
     if field.degree == 1:
         return [field.element(n)]
-    eps1 = field.fundamental_unit.embeddings()[0]
-    yb = int(2.0 * math.sqrt(n * eps1) / math.sqrt(field.disc)) + 3
-    rows = {_canonical_row(field, p) for p in _norm_form_candidates(field, n, yb)}
+    cands = _norm_form_candidates(field, n, _norm_y_bound(field, n))
+    rows = {_canonical_row(field, p) for p in cands}
     return [field.element(x, y) for x, y in sorted(rows)]
 
 
-def narrow_square_witness(
-    P: FractionalIdeal, window: int = 8
-) -> Optional[tuple[FractionalIdeal, FieldElement]]:
+def narrow_square_witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement]]:
     """(b, eta) with P*b^2 = (eta), eta totally positive; None if no witness."""
     if not is_prime_ideal(P):
         raise NotPrime("witness requires a prime ideal")
@@ -1308,12 +1251,13 @@ def narrow_square_witness(
     if field.degree == 1:
         return (field.unit_ideal(), field.element(int(P.norm())))
     desc = class_group(field, narrow=True)
-    candidates = sorted(desc.representatives, key=lambda I: (I.norm(), I.hnf))
-    for b in candidates:
-        eta = principal_totally_positive_generator(P * b * b, window)
-        if eta is not None:
-            if not (eta.is_integral() and eta.is_totally_positive()):
-                raise InvariantViolation("narrow witness generator is not a totally "
-                                         "positive integer")
-            return (b, eta)
+    for b in sorted(desc.representatives, key=lambda I: (I.norm(), I.hnf)):
+        J = P * b * b
+        if not is_principal(J, narrow=True):
+            continue
+        eta = principal_totally_positive_generator(J)
+        if eta is None or not (eta.is_integral() and eta.is_totally_positive()):
+            raise InvariantViolation("a narrow-principal ideal has no totally positive "
+                                     "integral generator")
+        return (b, eta)
     return None

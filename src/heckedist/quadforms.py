@@ -1,14 +1,17 @@
 """Indefinite binary quadratic forms of positive discriminant.
 
 Cycles of reduced forms give the narrow class number, and orbits of cycles
-under total negation give the wide class number.  This is a computation
-independent of the ideal/unit machinery in numberfield.py and serves as a
-cross-check oracle for it.
+under total negation give the wide class number.  numberfield.py keys ideal
+classes by walking one cycle with `rho`; the census here enumerates every
+reduced form instead, independently of the ideal/unit machinery, and serves
+as a cross-check oracle for it.
 """
 
 from __future__ import annotations
 
 import math
+
+from .errors import InvalidParameter, InvariantViolation
 
 Form = tuple[int, int, int]
 
@@ -51,19 +54,17 @@ def reduce_form(f: Form, Delta: int, max_steps: int = 512) -> Form:
         if is_reduced(f, Delta):
             return f
         f = rho(f, Delta)
-    raise RuntimeError(f"form reduction did not terminate for {f}")
+    raise InvariantViolation(f"form reduction did not terminate for {f}")
 
 
 def reduced_forms(Delta: int) -> list[Form]:
-    """All reduced forms of discriminant Delta (Delta > 0, not a square)."""
-    sq = math.isqrt(Delta)
-    assert sq * sq != Delta, "discriminant must not be a square"
+    """All reduced forms of discriminant Delta (Delta > 0, not a square, 0 or 1 mod 4)."""
+    if Delta <= 0 or math.isqrt(Delta) ** 2 == Delta or Delta % 4 > 1:
+        raise InvalidParameter(f"{Delta} is not a positive non-square discriminant")
     out = []
     b = 2 - (Delta % 2)  # smallest positive b with b = Delta mod 2
     while b * b < Delta:
-        ac4 = b * b - Delta
-        assert ac4 % 4 == 0
-        ac = ac4 // 4  # negative
+        ac = (b * b - Delta) // 4  # negative, exact since b^2 = Delta mod 4
         for a in range(1, abs(ac) + 1):
             if ac % a:
                 continue
@@ -84,7 +85,8 @@ def cycles(Delta: int) -> list[list[Form]]:
         cyc = [start]
         f = rho(start, Delta)
         while f != start:
-            assert is_reduced(f, Delta)
+            if not is_reduced(f, Delta):
+                raise InvariantViolation(f"rho left the reduced forms at {f}")
             cyc.append(f)
             f = rho(f, Delta)
         for g in cyc:
@@ -98,7 +100,8 @@ def principal_form(Delta: int) -> Form:
     sq = math.isqrt(Delta)
     b0 = sq if (sq - Delta) % 2 == 0 else sq - 1
     f = (1, b0, (b0 * b0 - Delta) // 4)
-    assert is_reduced(f, Delta)
+    if not is_reduced(f, Delta):
+        raise InvariantViolation(f"principal form {f} is not reduced")
     return f
 
 
@@ -118,5 +121,6 @@ def class_numbers_by_form_census(Delta: int) -> tuple[int, int]:
     principal_cycle = rep_to_cycle[(a, b, c)]
     kernel_order = 1 if rep_to_cycle[reduce_form((-a, -b, -c), Delta)] == principal_cycle else 2
     h_plus = len(cycs)
-    assert h_plus % kernel_order == 0
+    if h_plus % kernel_order:
+        raise InvariantViolation(f"{h_plus} narrow classes over a kernel of order {kernel_order}")
     return h_plus, h_plus // kernel_order

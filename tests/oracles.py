@@ -3,8 +3,8 @@
 Everything here is deliberately primitive: exact integer power series for
 the classical level-one eigenforms, affine point counting for the level-11
 elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a smallest-unit
-search, unit-power scans and lattice reduction in Fraction arithmetic, and a
-sieved Euler product.
+search, unit-power scans in Fraction arithmetic, the trace-dual module from
+the trace pairing, and a sieved Euler product.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
@@ -217,6 +217,24 @@ def smallest_unit_gt_one(field):
         y += 1
 
 
+# --- the inverse different from the trace pairing ---------------------------
+
+
+def trace_dual_module(field):
+    """{x : S(x*O) in Z}, from the inverse Gram matrix of the trace pairing on (1, w)."""
+    from heckedist.numberfield import ideal_from_elements
+
+    if field.degree == 1:
+        return field.unit_ideal()
+    one, w = field.one(), field.omega()
+    g11, g12 = one.trace(), w.trace()
+    g22 = (w * w).trace()
+    det = g11 * g22 - g12 * g12
+    d1 = one * (g22 / det) + w * (-g12 / det)
+    d2 = one * (-g12 / det) + w * (g11 / det)
+    return ideal_from_elements(field, [d1, d2])
+
+
 # --- unit-power scans in exact field arithmetic ------------------------------
 
 
@@ -260,34 +278,6 @@ def canonical_associate_walk(e):
     while _abs_embedding_cmp(e / eps) >= 0:
         e = e / eps
     return e if e.sign_at(0) > 0 else -e
-
-
-def short_vector_by_elements(M):
-    """Lagrange-Gauss reduction of an integral ideal's basis with float pivots
-    from FieldElement.embeddings, candidates compared by the Fraction norm."""
-    g1, g2 = M.basis_elements()
-    v = [list(g1.embeddings()), list(g2.embeddings())]
-    co = [[1, 0], [0, 1]]
-
-    def dot(p, q):
-        return p[0] * q[0] + p[1] * q[1]
-
-    for _ in range(64):
-        if dot(v[1], v[1]) < dot(v[0], v[0]):
-            v[0], v[1] = v[1], v[0]
-            co[0], co[1] = co[1], co[0]
-        m = round(dot(v[0], v[1]) / dot(v[0], v[0]))
-        if m == 0:
-            break
-        v[1] = [v[1][k] - m * v[0][k] for k in range(2)]
-        co[1] = [co[1][k] - m * co[0][k] for k in range(2)]
-    best = None
-    for i, j in (co[0], co[1], [co[0][0] + co[1][0], co[0][1] + co[1][1]],
-                 [co[0][0] - co[1][0], co[0][1] - co[1][1]]):
-        e = g1 * i + g2 * j
-        if not e.is_zero() and (best is None or abs(e.norm()) < abs(best.norm())):
-            best = e
-    return best
 
 
 # --- Euler product over prime ideals from a sieve and the Kronecker symbol ------

@@ -38,12 +38,11 @@ from heckedist.numberfield import (
     prime_splitting_type,
     principal_totally_positive_generator,
     totally_positive_adjust,
-    trace_dual_module,
 )
 from oracles import (
     canonical_associate_walk,
-    short_vector_by_elements,
     smallest_unit_gt_one,
+    trace_dual_module,
     unit_power_scan,
 )
 
@@ -293,6 +292,23 @@ def test_representative_orders():
         assert desc.order % k == 0
 
 
+@pytest.mark.parametrize("D", [3, 10, 15, 30, 79, 82])
+@pytest.mark.parametrize("narrow", [False, True])
+def test_class_index_agrees_with_generator_search(D, narrow):
+    # two primes share a class index exactly when A * conj(B) has a generator
+    # (a totally positive one in the narrow variant), found by the Pell search
+    F = make_field(D)
+    reps = class_group(F, narrow=narrow).representatives
+    assert reps[0] == F.unit_ideal()
+    primes = prime_ideals_of_norm_upto(F, 60)
+    index = [reps.index(nf._key_ideal(F, nf._class_key(P, narrow))) for P in primes]
+    for i, A in enumerate(primes):
+        for j, B in enumerate(primes[: i + 1]):
+            g = find_generator(A * B.conjugate())
+            same = g is not None and (not narrow or totally_positive_adjust(g) is not None)
+            assert (index[i] == index[j]) == same, (D, narrow, A, B)
+
+
 # --- principal generators and witnesses --------------------------------------
 
 
@@ -344,7 +360,7 @@ def test_narrow_square_witness_exactness():
 
 
 def test_h_and_h_plus_agree_with_form_census_small():
-    for D in (2, 3, 5, 6, 7, 10, 15, 34, 79, 82):
+    for D in (2, 3, 5, 6, 7, 10, 15, 34, 79, 82, 331, 379):
         F = make_field(D)
         cg = class_group(F)
         hp, h = quadforms.class_numbers_by_form_census(F.disc)
@@ -468,23 +484,21 @@ def test_unit_fields_cover_both_unit_norms():
 
 
 @settings(max_examples=300, deadline=None)
-@given(_unit_multiples(), st.sampled_from([0, 1, 8]))
-def test_totally_positive_adjust_matches_unit_power_scan(g, window):
-    assert totally_positive_adjust(g, window) == unit_power_scan(g, window)
+@given(_unit_multiples())
+def test_totally_positive_adjust_matches_unit_power_scan(g):
+    assert totally_positive_adjust(g) == unit_power_scan(g, 8)
 
 
 def test_totally_positive_adjust_edge_cases():
     for F in _UNIT_FIELDS:
-        for window in (0, 1, 8):
-            assert totally_positive_adjust(F.zero(), window) is None
-            assert unit_power_scan(F.zero(), window) is None
+        assert totally_positive_adjust(F.zero()) is None
+        assert unit_power_scan(F.zero(), 8) is None
         eps = F.fundamental_unit
         for g in (F.one(), F.omega(), F.sqrt_D(), F.element(Fraction(1, 3), Fraction(-2, 5))):
             for k in range(-3, 4):
-                for window in (0, 1, 8):
-                    h = g * eps**k
-                    assert totally_positive_adjust(h, window) == unit_power_scan(h, window)
-                    assert totally_positive_adjust(-h, window) == unit_power_scan(-h, window)
+                h = g * eps**k
+                assert totally_positive_adjust(h) == unit_power_scan(h, 8)
+                assert totally_positive_adjust(-h) == unit_power_scan(-h, 8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -504,15 +518,6 @@ def test_elements_of_norm_match_fraction_walk():
             assert got == sorted(got, key=lambda e: (e.x, e.y))
 
 
-def test_short_vector_matches_element_reduction():
-    for D in (2, 3, 5, 6, 7, 10, 13, 15, 79, 82):
-        F = make_field(D)
-        primes = prime_ideals_of_norm_upto(F, 40)
-        for P in primes:
-            for I in (P, P * P, P * primes[0], P * P.conjugate() * primes[-1]):
-                assert nf._short_vector(I) == short_vector_by_elements(I), (D, I)
-
-
 def test_prime_splitting_type_still_checks_primality():
     with pytest.raises(NotPrime):
         prime_splitting_type(F5, 9)
@@ -528,11 +533,15 @@ from heckedist.errors import InvariantViolation
 
 F = nf.make_field(10)
 P = nf.factor_rational_prime(F, 3).primes[0]  # not principal
+P7 = nf.factor_rational_prime(F, 7).primes[0]  # inert, so narrow principal
 cases = [
-    ("_short_vector", lambda M: M.field.one(), lambda: nf.reduce_in_class(P)),
+    # a step that stays on the reduced forms of disc 40 but never returns to P's form
+    ("rho", lambda f, Delta: (-1, 6, 1), lambda: nf.is_principal(P)),
     ("_sqrt_mod_prime", lambda n, p: None, lambda: nf.factor_rational_prime(F, 13)),
-    ("principal_totally_positive_generator", lambda I, window=8: -I.field.one(),
-     lambda: nf.narrow_square_witness(nf.factor_rational_prime(F, 2).primes[0])),
+    ("principal_totally_positive_generator", lambda I: -I.field.one(),
+     lambda: nf.narrow_square_witness(P7)),
+    ("principal_totally_positive_generator", lambda I: None,
+     lambda: nf.narrow_square_witness(P7)),
 ]
 for name, fake, call in cases:
     real = getattr(nf, name)
@@ -545,14 +554,16 @@ for name, fake, call in cases:
         setattr(nf, name, real)
 """
 
+_BROKEN_INVARIANTS_RAISED = [
+    "raised rho", "raised _sqrt_mod_prime", "raised principal_totally_positive_generator",
+    "raised principal_totally_positive_generator"]
+
 
 def test_broken_invariants_raise():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(_BREAK_NUMBERFIELD_INVARIANTS, {})
-    assert out.getvalue().split("\n")[:3] == [
-        "raised _short_vector", "raised _sqrt_mod_prime",
-        "raised principal_totally_positive_generator"]
+    assert out.getvalue().split("\n")[:4] == _BROKEN_INVARIANTS_RAISED
 
 
 def test_broken_invariants_raise_under_optimize():
@@ -563,6 +574,4 @@ def test_broken_invariants_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == [
-        "raised _short_vector", "raised _sqrt_mod_prime",
-        "raised principal_totally_positive_generator"]
+    assert proc.stdout.split("\n")[:4] == _BROKEN_INVARIANTS_RAISED

@@ -1,5 +1,6 @@
 import pytest
 
+from heckedist.errors import InvalidParameter, InvariantViolation
 from heckedist.quadforms import (
     class_numbers_by_form_census,
     cycles,
@@ -42,6 +43,15 @@ def test_principal_form_is_reduced():
 def test_reduce_form_reaches_reduced():
     f = reduce_form((-1, -6, 1), 40)
     assert is_reduced(f, 40)
+    with pytest.raises(InvariantViolation):
+        reduce_form((-1, -6, 1), 40, max_steps=1)
+
+
+@pytest.mark.parametrize("Delta", [0, -3, 36, 41 * 41, 10, 7])
+def test_census_rejects_non_discriminants(Delta):
+    # squares, non-positive values and values = 2, 3 mod 4
+    with pytest.raises(InvalidParameter):
+        class_numbers_by_form_census(Delta)
 
 
 @pytest.mark.parametrize(
