@@ -72,9 +72,9 @@ def _sorted_empirical(ds: Dataset):
     Ties are broken by a stable sort on (lambda, label) and then collapsed,
     so the value at a tied point carries the whole mass sitting there.
     """
-    pts = sorted(ds.points, key=lambda p: (p.lam, p.label))
-    xs = np.array([p.lam for p in pts])
-    ws = np.array([p.weight for p in pts])
+    lams = ds.lambdas()
+    order = np.lexsort((np.array([p.label for p in ds.points]), lams))
+    xs, ws = lams[order], ds.weights()[order]
     cum = np.cumsum(ws) / np.sum(ws)
     keep = np.append(xs[1:] != xs[:-1], True)
     return xs[keep], cum[keep]

@@ -10,9 +10,11 @@ with continuous part tanh/coth(pi*sqrt(lambda - 1/4)) on [1/4, inf) plus
 discrete-series atoms (b-1) at b/2*(1 - b/2), the comparison measure v1,
 and their discrete counterparts in the nu-coordinate.
 
-All quadrature is adaptive Gauss-Legendre (rel. tol 1e-10, subdivision cap
-2^16); endpoint singularities are removed by the substitutions x = 2 cos t
-and u = sqrt(lambda - 1/4).
+The x-measures have exact CDFs in the angle t = arccos(-x/2), which runs
+from 0 at x = -2 to pi at x = 2; their samplers invert those CDFs by
+safeguarded Newton steps.  The continuous spectral part is integrated by
+adaptive Gauss-Legendre (rel. tol 1e-10, subdivision cap 2^16) after the
+substitution u = sqrt(lambda - 1/4).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     InvalidParameter,
@@ -72,13 +73,18 @@ def _gl15(f: Callable, a: float, b: float) -> float:
 
 
 def adaptive_quad(f: Callable, a: float, b: float, rel_tol: float = QUAD_REL_TOL) -> float:
-    """Adaptive 15-point Gauss-Legendre with interval-proportional budget."""
+    """Adaptive 15-point Gauss-Legendre with interval-proportional budget.
+
+    Raises InvariantViolation, with the error it achieved, when the
+    tolerance needs more than QUAD_MAX_SUBDIV subdivisions.
+    """
     if a >= b:
         return 0.0
     whole = _gl15(f, a, b)
     scale = max(1.0, abs(whole))
     stack = [(a, b, whole)]
     total = 0.0
+    error = 0.0
     splits = 0
     while stack:
         x0, x1, est = stack.pop()
@@ -87,10 +93,16 @@ def adaptive_quad(f: Callable, a: float, b: float, rel_tol: float = QUAD_REL_TOL
         budget = rel_tol * scale * max((x1 - x0) / (b - a), 1e-12)
         if abs(s1 + s2 - est) <= budget or splits >= QUAD_MAX_SUBDIV:
             total += s1 + s2
+            error += abs(s1 + s2 - est)
         else:
             splits += 1
             stack.append((x0, m, s1))
             stack.append((m, x1, s2))
+    if splits >= QUAD_MAX_SUBDIV:
+        raise InvariantViolation(
+            f"quadrature over [{a}, {b}] hit the cap of {QUAD_MAX_SUBDIV} subdivisions: "
+            f"estimated error {error:.3g} against a tolerance of {rel_tol * scale:.3g}"
+        )
     return total
 
 
@@ -199,18 +211,29 @@ def density(spec: MeasureSpec, x) -> Union[float, np.ndarray]:
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _integrate_x_measure(spec: MeasureSpec, g: Callable, a: float, b: float) -> float:
-    """Integral of g against the spec's density over [a, b] (x = 2 cos t)."""
-    a, b = max(a, -2.0), min(b, 2.0)
-    if a >= b:
-        return 0.0
-    t1, t0 = math.acos(a / 2.0), math.acos(b / 2.0)  # t decreasing in x
+def _angle_cdf(spec: MeasureSpec, t):
+    """CDF of an x-measure at x = -2 cos t, exact in t in [0, pi].
 
-    def integrand(t):
-        xv = 2.0 * np.cos(t)
-        return g(xv) * density(spec, xv) * 2.0 * np.sin(t)
+    Phi(ord) has density (2/pi) sin^2(n t) dt with n = ord + 1 (Sato-Tate is
+    n = 1), so F = (t - sin(2 n t)/(2 n))/pi.  Summing Serre's expansion
+    mu_p = sum_m p^(-m) X_2m mu_inf in closed form gives
+    F = (t - (p - 1)/2 * atan2(sin 2t, p - cos 2t))/pi; both terms stay of
+    order one, so F(-2) = 0 exactly and rounding stays near 1e-16 for every p.
+    """
+    if spec.tag == "padic_sato_tate":
+        p = spec.p
+        return (t - 0.5 * (p - 1) * np.arctan2(np.sin(2.0 * t), p - np.cos(2.0 * t))) / math.pi
+    n = 1 if spec.tag == "sato_tate" else spec.ord + 1
+    return (t - np.sin(2.0 * n * t) / (2.0 * n)) / math.pi
 
-    return adaptive_quad(integrand, t0, t1)
+
+def _angle_density(spec: MeasureSpec, t):
+    """dF/dt at x = -2 cos t: the density times dx/dt = 2 sin t."""
+    if spec.tag == "padic_sato_tate":
+        p, s2 = spec.p, np.sin(t) ** 2
+        return 2.0 * (p + 1) * s2 / (math.pi * ((p - 1) ** 2 / p + 4.0 * s2))
+    n = 1 if spec.tag == "sato_tate" else spec.ord + 1
+    return (2.0 / math.pi) * np.sin(n * t) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +320,7 @@ def _interval_mass(spec: MeasureSpec, low: float, high: float) -> float:
     if high <= low:
         return 0.0
     if spec.tag in _X_TAGS:
-        return _integrate_x_measure(spec, lambda x: x * 0 + 1.0, low, high)
+        return max(0.0, cdf(spec, high) - cdf(spec, low))
     if spec.tag == "plancherel":
         cont = _sqrt_sub_integral(spec.xi, low, high)
         return cont + sum(w for _, w in _spectral_atoms(spec, low, high))
@@ -369,9 +392,15 @@ def tilde_singleton(xi: Sequence[int], b: Sequence[int], measure: str = "pl",
 
 
 def phi_moment(ord: int, ell: int) -> float:
-    """Integral of X_ell against Phi(ord); 1 for even ell <= 2*ord, else 0."""
-    spec = MeasureSpec.phi(ord)
-    return _integrate_x_measure(spec, lambda x: chebyshev_eval(ell, x), -2.0, 2.0)
+    """Integral of X_ell against Phi(ord); 1 for even ell <= 2*ord, else 0.
+
+    Exact: X_ord^2 = sum_{k <= ord} X_2k, and the X_l are orthonormal.
+    """
+    if ord < 0:
+        raise InvalidParameter("phi needs ord >= 0")
+    if ell < 0:
+        raise InvalidParameter("ell must be >= 0")
+    return 1.0 if ell % 2 == 0 and ell <= 2 * ord else 0.0
 
 
 def orthonormality_matrix(max_degree: int, nodes: int = 512) -> np.ndarray:
@@ -396,56 +425,63 @@ def orthonormality_matrix(max_degree: int, nodes: int = 512) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CDF tables and seeded inverse-transform sampling
+# Closed-form CDFs and seeded inverse-transform sampling
 
-_TABLE_NODES = 4097
-_table_cache: dict[MeasureSpec, tuple] = {}
+# cells of the t-grid that brackets each u before the Newton steps
+_BRACKET_CELLS = 1024
+# |F(t) - u| at which a Newton iterate counts as converged: two ulps of 1
+_NEWTON_TOL = 2.0 * np.finfo(float).eps
+# Newton steps at most.  Random u converge in 2 or 3; u next to a zero of the
+# density is a triple root of F - u, where Newton converges only linearly, and
+# took up to 44 for ord <= 5000.
+_NEWTON_MAX_STEPS = 60
 
 
-def _x_measure_table(spec: MeasureSpec):
-    """(x grid, cdf values, cdf interpolant, inverse interpolant), cached."""
+def _require_x_measure(spec: MeasureSpec):
     if spec.tag not in _X_TAGS:
         raise NoDensity(f"{spec.tag} has no CDF on [-2, 2]")
-    if spec in _table_cache:
-        return _table_cache[spec]
-    theta = np.linspace(math.pi, 0.0, _TABLE_NODES)
-    xs = 2.0 * np.cos(theta)
-    xs[0], xs[-1] = -2.0, 2.0
-    # per-segment fixed GL8 in theta; integrand is smooth there
-    gl_t, gl_w = np.polynomial.legendre.leggauss(8)
-    t0, t1 = theta[:-1], theta[1:]
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    tt = mid[:, None] + half[:, None] * gl_t[None, :]
-    xv = 2.0 * np.cos(tt)
-    seg = np.abs(half) * np.sum(gl_w[None, :] * density(spec, xv) * 2.0 * np.sin(tt), axis=1)
-    cdf_vals = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cdf_vals[-1]
-    if not abs(total - 1.0) < 1e-8:
-        raise InvariantViolation(f"total mass {total} far from 1")
-    cdf_vals /= total
-    cdf_vals[-1] = 1.0
-    fwd = PchipInterpolator(xs, cdf_vals)
-    # strictly increasing cdf values (positive density between grid nodes)
-    inv = PchipInterpolator(cdf_vals, xs)
-    _table_cache[spec] = (xs, cdf_vals, fwd, inv)
-    return _table_cache[spec]
 
 
 def cdf(spec: MeasureSpec, x) -> Union[float, np.ndarray]:
-    """CDF of an x-measure, from the cached monotone-cubic table."""
-    _, _, fwd, _ = _x_measure_table(spec)
+    """CDF of an x-measure, from its closed form in t = arccos(-x/2)."""
+    _require_x_measure(spec)
     xs = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)
-    out = fwd(xs)
+    out = np.where(xs >= 2.0, 1.0, np.clip(_angle_cdf(spec, np.arccos(-0.5 * xs)), 0.0, 1.0))
     return out if isinstance(x, np.ndarray) else float(out)
+
+
+def _inverse_angle_cdf(spec: MeasureSpec, u: np.ndarray) -> np.ndarray:
+    """t in [0, pi] with F(t) = u: a grid bracket, then safeguarded Newton."""
+    grid = np.linspace(0.0, math.pi, _BRACKET_CELLS + 1)
+    f_grid = _angle_cdf(spec, grid)
+    i = np.clip(np.searchsorted(f_grid, u, side="right") - 1, 0, _BRACKET_CELLS - 1)
+    lo, hi = grid[i], grid[i + 1]
+    t = lo + (u - f_grid[i]) / (f_grid[i + 1] - f_grid[i]) * (hi - lo)
+    todo = np.arange(u.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        r = _angle_cdf(spec, t[todo]) - u[todo]
+        active = np.abs(r) > _NEWTON_TOL
+        todo, r = todo[active], r[active]
+        if todo.size == 0:
+            break
+        tt = t[todo]
+        lo[todo] = np.where(r < 0, tt, lo[todo])
+        hi[todo] = np.where(r > 0, tt, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = tt - r / _angle_density(spec, tt)
+        # non-strict: a converged step may land on the bracket's edge
+        inside = (lo[todo] <= step) & (step <= hi[todo])
+        t[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+    return t
 
 
 def sample(spec: MeasureSpec, n: int, seed: int) -> np.ndarray:
     """n inverse-CDF samples from an x-measure, deterministic per seed."""
     if n < 1:
         raise InvalidParameter("n must be >= 1")
-    _, _, _, inv = _x_measure_table(spec)
+    _require_x_measure(spec)
     u = np.random.default_rng(seed).random(n)
-    return np.clip(inv(u), -2.0, 2.0)
+    return -2.0 * np.cos(_inverse_angle_cdf(spec, u))
 
 
 def _spectral_cont_grid(spec: MeasureSpec, lo_c: float, hi: float):
@@ -494,19 +530,13 @@ def sample_spectral(spec: MeasureSpec, low: float, high: float, n: int,
     if cont > 1e-12 * total and high > 0.25:
         grid = _spectral_cont_grid(spec, max(low, 0.25), high)
     u = rng.random(n) * total
-    out = np.empty(n)
-    for i, ui in enumerate(u):
-        acc = 0.0
-        hit = None
-        for pos, w in atoms:
-            acc += w
-            if ui < acc:
-                hit = pos
-                break
-        if hit is not None:
-            out[i] = hit
-        else:
-            v = min(max((ui - atom_w) / max(cont, 1e-300), 0.0), 1.0)
-            gx, gcdf = grid
-            out[i] = float(np.interp(v, gcdf, gx))
+    # u falls on the first atom whose running weight exceeds it, else on the
+    # continuous part; cumsum adds the weights in the order of a running sum
+    k = np.searchsorted(np.cumsum([w for _, w in atoms]), u, side="right")
+    out = np.array([pos for pos, _ in atoms] + [0.0])[k]
+    cont_hit = k == len(atoms)
+    if cont_hit.any():
+        v = np.clip((u[cont_hit] - atom_w) / max(cont, 1e-300), 0.0, 1.0)
+        gx, gcdf = grid
+        out[cont_hit] = np.interp(v, gcdf, gx)
     return out

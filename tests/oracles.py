@@ -4,7 +4,9 @@ Everything here is deliberately primitive: exact integer power series for
 the classical level-one eigenforms, affine point counting for the level-11
 elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a smallest-unit
 search, unit-power scans in Fraction arithmetic, the trace-dual module from
-the trace pairing, and a sieved Euler product.
+the trace pairing, a sieved Euler product, x-measure CDFs by adaptive
+quadrature and by Serre's series, and the per-sample loop of the spectral
+sampler.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
@@ -326,3 +328,124 @@ def gauss_integral(f, a: float, b: float, nodes: int = 200) -> float:
     x, w = np.polynomial.legendre.leggauss(nodes)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return float(half * np.sum(w * f(mid + half * x)))
+
+
+# --- x-measure CDFs: adaptive quadrature in theta and Serre's series ---------
+
+
+def _x_density(tag: str, param, x):
+    """The densities on [-2, 2] as written in the paper, in x."""
+    import numpy as np
+
+    semi = np.sqrt(np.clip(1.0 - x * x / 4.0, 0.0, None)) / math.pi
+    if tag == "sato_tate":
+        return semi
+    if tag == "padic_sato_tate":
+        return (param + 1) * semi / (param + 2.0 + 1.0 / param - x * x)
+    prev, cur = np.ones_like(x), x  # phi: X_ord(x)^2 semi, X by its recurrence
+    for _ in range(param):
+        prev, cur = cur, x * cur - prev
+    return prev * prev * semi
+
+
+def _adaptive_gl(f, a: float, b: float, tol: float) -> float:
+    """15-point Gauss-Legendre, halving each panel until two halves agree."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+
+    def gl(x0, x1):
+        mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+        return half * float(np.dot(weights, f(mid + half * nodes)))
+
+    total, stack = 0.0, [(a, b, gl(a, b))]
+    while stack:
+        x0, x1, whole = stack.pop()
+        m = 0.5 * (x0 + x1)
+        left, right = gl(x0, m), gl(m, x1)
+        if abs(left + right - whole) <= tol * (x1 - x0) / (b - a) or x1 - x0 < 1e-9:
+            total += left + right
+        else:
+            stack += [(x0, m, left), (m, x1, right)]
+    return total
+
+
+def x_measure_cdf_quadrature(tag: str, param, xs) -> list[float]:
+    """F(x) for sorted xs: the density integrated in theta = arccos(x/2).
+
+    After x = 2 cos(theta) the integrand density(2 cos theta) * 2 sin(theta)
+    is smooth, so each gap between consecutive points is integrated
+    adaptively and the pieces are summed from x = -2.
+    """
+    import numpy as np
+
+    def integrand(theta):
+        return _x_density(tag, param, 2.0 * np.cos(theta)) * 2.0 * np.sin(theta)
+
+    out, acc, theta_prev = [], 0.0, math.pi
+    for x in xs:
+        theta = math.acos(min(max(x / 2.0, -1.0), 1.0))
+        acc += _adaptive_gl(integrand, theta, theta_prev, 1e-15) if theta < theta_prev else 0.0
+        theta_prev = min(theta, theta_prev)
+        out.append(acc)
+    return out
+
+
+def padic_cdf_serre(p: int, x: float) -> float:
+    """F(x) for mu_p from Serre's expansion mu_p = sum_m p^(-m) X_2m mu_inf.
+
+    With theta = arccos(x/2), term m >= 1 adds
+    p^(-m) (sin((2m+2) theta)/(2m+2) - sin(2m theta)/(2m))/pi; the sum stops
+    once p^(-m) < 1e-17.
+    """
+    theta = math.acos(min(max(x / 2.0, -1.0), 1.0))
+    total = (math.pi - theta + math.sin(2 * theta) / 2) / math.pi
+    m = 1
+    while p ** (-m) >= 1e-17:
+        total += p ** (-m) * (math.sin((2 * m + 2) * theta) / (2 * m + 2)
+                              - math.sin(2 * m * theta) / (2 * m)) / math.pi
+        m += 1
+    return total
+
+
+# --- the spectral sampler, one sample at a time -----------------------------
+
+
+def sample_spectral_loop(spec, low: float, high: float, n: int, rng):
+    """The per-sample loop that `measures.sample_spectral` vectorises.
+
+    It takes the atoms, the masses and the continuous-part grid from the
+    library and draws one u at a time: a running sum over the atoms, then a
+    scalar interpolation on the grid.
+    """
+    import numpy as np
+
+    from heckedist import measures
+
+    total = measures._interval_mass(spec, low, high)
+    if spec.tag in ("plancherel", "v1"):
+        atoms = list(measures._spectral_atoms(spec, low, high))
+    else:
+        atoms = list(measures._tilde_atoms(spec, low, high))
+    atom_w = sum(w for _, w in atoms)
+    cont = total - atom_w
+    grid = None
+    if cont > 1e-12 * total and high > 0.25:
+        grid = measures._spectral_cont_grid(spec, max(low, 0.25), high)
+    u = rng.random(n) * total
+    out = np.empty(n)
+    for i, ui in enumerate(u):
+        acc = 0.0
+        hit = None
+        for pos, w in atoms:
+            acc += w
+            if ui < acc:
+                hit = pos
+                break
+        if hit is not None:
+            out[i] = hit
+        else:
+            v = min(max((ui - atom_w) / max(cont, 1e-300), 0.0), 1.0)
+            gx, gcdf = grid
+            out[i] = float(np.interp(v, gcdf, gx))
+    return out

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heckedist
 from heckedist import datasource
 from heckedist.cli import emit_report, run_command
 from heckedist.errors import UnsupportedFormat
@@ -245,3 +250,14 @@ def test_config_file_changes_hash(tmp_path):
     rep1 = _json_out(["field", "--D", "5"])
     rep2 = _json_out(["--config", str(cfg), "field", "--D", "5"])
     assert rep1["meta"]["config_hash"] != rep2["meta"]["config_hash"]
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.interpolate alone cost about 0.6 s of every CLI start-up
+    src = str(Path(heckedist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, heckedist.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heckedist.equidist import (
+    _sorted_empirical,
     DataPoint,
     Dataset,
     empirical_cdf,
@@ -46,6 +47,21 @@ def test_ks_of_dataset_against_itself_is_zero():
     rng = np.random.default_rng(3)
     ds = _ds([DataPoint(f"p{i}", float(x)) for i, x in enumerate(rng.uniform(-2, 2, 200))])
     assert ks_distance(ds, empirical_cdf(ds)) == 0.0
+
+
+def test_sorted_empirical_matches_a_sort_on_lambda_then_label():
+    rng = np.random.default_rng(6)
+    lams = rng.choice([-1.5, -0.25, 0.0, 0.75, 2.0], size=300)
+    labels = rng.choice(["b", "a", "c", "aa"], size=300)
+    weights = rng.uniform(0.0, 3.0, size=300)
+    ds = _ds([DataPoint(str(lb), float(x), float(w)) for lb, x, w in zip(labels, lams, weights)])
+    pts = sorted(ds.points, key=lambda p: (p.lam, p.label))
+    xs = np.array([p.lam for p in pts])
+    ws = np.array([p.weight for p in pts])
+    cum = np.cumsum(ws) / np.sum(ws)
+    keep = np.append(xs[1:] != xs[:-1], True)
+    got_xs, got_cum = _sorted_empirical(ds)
+    assert np.array_equal(got_xs, xs[keep]) and np.array_equal(got_cum, cum[keep])
 
 
 def test_ks_sampler_self_test():

@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heckedist.errors import NoDensity, ParityMismatch, UnboundedRegion
+from heckedist import measures
+from heckedist.errors import (
+    InvalidParameter,
+    InvariantViolation,
+    NoDensity,
+    ParityMismatch,
+    UnboundedRegion,
+)
 from heckedist.measures import (
     MeasureSpec,
     PlaceBox,
@@ -20,6 +27,7 @@ from heckedist.measures import (
     sample_spectral,
     tilde_singleton,
 )
+import oracles
 from oracles import gauss_integral
 
 ST = MeasureSpec.sato_tate()
@@ -197,10 +205,14 @@ def test_even_sum_is_square_identity():
 
 
 def test_phi_moment_case_split():
-    for ordv in range(0, 6):
-        for ell in range(0, 13):
+    for ordv in range(0, 21):
+        for ell in range(0, 45):
             expected = 1.0 if (ell % 2 == 0 and ell <= 2 * ordv) else 0.0
-            assert abs(phi_moment(ordv, ell) - expected) < 1e-8, (ordv, ell)
+            assert phi_moment(ordv, ell) == expected, (ordv, ell)
+    with pytest.raises(InvalidParameter):
+        phi_moment(2, -1)
+    with pytest.raises(InvalidParameter):
+        phi_moment(-1, 2)
 
 
 # --- sampling --------------------------------------------------------------------
@@ -211,6 +223,28 @@ def test_sample_support_and_determinism():
     assert np.all(xs >= -2.0) and np.all(xs <= 2.0)
     assert np.array_equal(xs, sample(ST, 2000, 7))
     assert not np.array_equal(xs, sample(ST, 2000, 8))
+
+
+def test_sample_inverts_the_cdf_for_each_seed():
+    for spec in (ST, MeasureSpec.padic(2), MeasureSpec.padic(97), MeasureSpec.phi(3),
+                 MeasureSpec.phi(7), MeasureSpec.phi(20)):
+        for seed in (0, 1, 2):
+            xs = sample(spec, 20_000, seed)
+            u = np.random.default_rng(seed).random(20_000)
+            assert np.max(np.abs(cdf(spec, xs) - u)) <= 1e-13, (spec, seed)
+            assert np.array_equal(xs, sample(spec, 20_000, seed))
+
+
+def test_inverse_cdf_converges_next_to_density_zeros():
+    # u at or next to F at a zero of the density is a triple root of F - u,
+    # where Newton converges only linearly
+    for spec in (ST, MeasureSpec.padic(2), MeasureSpec.phi(7), MeasureSpec.phi(20)):
+        n = spec.ord + 1 if spec.ord is not None else 1
+        zeros = measures._angle_cdf(spec, np.arange(n + 1) * math.pi / n)
+        u = np.clip(np.concatenate([zeros + d for d in (0.0, 1e-15, 1e-12, 1e-9, -1e-12, -1e-9)]),
+                    0.0, 1.0 - 2.0 ** -53)
+        t = measures._inverse_angle_cdf(spec, u)
+        assert np.max(np.abs(measures._angle_cdf(spec, t) - u)) <= 1e-15, spec
 
 
 def test_sample_ks_self_consistency():
@@ -243,11 +277,40 @@ def test_plancherel_continuous_part_against_reference():
         assert abs(gotc - refc) < 1e-8
 
 
+def _primes_upto(n):
+    return [p for p in range(2, n + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+X_SPECS = ([(ST, "sato_tate", None)]
+           + [(MeasureSpec.padic(p), "padic_sato_tate", p) for p in _primes_upto(97)]
+           + [(MeasureSpec.phi(o), "phi", o) for o in range(21)])
+
+
+def test_x_measure_cdfs_against_quadrature_oracle():
+    xs = np.sort(np.concatenate([[-2.0, 2.0], np.linspace(-1.99, 1.99, 9),
+                                 np.random.default_rng(11).uniform(-2, 2, 40)]))
+    for spec, tag, param in X_SPECS:
+        ref = np.array(oracles.x_measure_cdf_quadrature(tag, param, xs))
+        assert np.max(np.abs(cdf(spec, xs) - ref)) <= 1e-10, spec
+        # mass is a difference of CDFs after clipping to [-2, 2]
+        assert abs(mass(spec, (-5.0, xs[20])) - ref[20]) <= 1e-10
+        assert abs(mass(spec, (xs[20], 5.0)) - (1.0 - ref[20])) <= 1e-10
+
+
+def test_padic_cdf_against_serre_series():
+    xs = np.linspace(-2.0, 2.0, 81)
+    for p in _primes_upto(97):
+        ref = np.array([oracles.padic_cdf_serre(p, x) for x in xs])
+        assert np.max(np.abs(cdf(MeasureSpec.padic(p), xs) - ref)) <= 1e-13, p
+
+
 def test_cdf_endpoints_and_monotone():
     xs = np.linspace(-2, 2, 257)
     vals = cdf(ST, xs)
     assert abs(vals[0]) < 1e-12 and abs(vals[-1] - 1) < 1e-12
     assert np.all(np.diff(vals) >= 0)
+    for spec, _, _ in X_SPECS:
+        assert cdf(spec, -2.0) == 0.0 and cdf(spec, 2.0) == 1.0, spec
 
 
 def test_spectral_sampler_matches_masses():
@@ -263,5 +326,27 @@ def test_spectral_sampler_matches_masses():
     assert abs(np.mean(xs > 0.25) - cont / total) < 0.02
 
 
+def test_spectral_sampler_equals_the_per_sample_loop():
+    cases = [
+        (MeasureSpec.plancherel(0), -3.0, 4.0),
+        (MeasureSpec.plancherel(1), -7.0, 2.5),
+        (MeasureSpec.plancherel(0), 0.3, 6.0),  # no atoms
+        (MeasureSpec.v1(1), -6.0, 3.0),
+        (MeasureSpec.tilde_pl(0), -3.0, 4.0),
+        (MeasureSpec.tilde_v1(1, A=3.0), -2.0, 5.0),
+    ]
+    for spec, lo, hi in cases:
+        got = sample_spectral(spec, lo, hi, 5_000, np.random.default_rng(9))
+        ref = oracles.sample_spectral_loop(spec, lo, hi, 5_000, np.random.default_rng(9))
+        assert np.array_equal(got, ref), spec
+
+
 def test_adaptive_quad_known_integral():
     assert abs(adaptive_quad(lambda t: np.sin(t), 0.0, math.pi) - 2.0) < 1e-12
+
+
+def test_adaptive_quad_raises_at_the_subdivision_cap(monkeypatch):
+    monkeypatch.setattr(measures, "QUAD_MAX_SUBDIV", 4)
+    with pytest.raises(InvariantViolation, match="estimated error"):
+        adaptive_quad(lambda t: np.sqrt(np.abs(t)), -1.0, 1.0)
+    assert abs(adaptive_quad(lambda t: t * t, 0.0, 1.0) - 1.0 / 3.0) < 1e-12
