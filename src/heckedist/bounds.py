@@ -29,7 +29,7 @@ class PlaceParams:
     def __post_init__(self):
         if self.place_class not in ("E", "Q+", "Q-"):
             raise InvalidParameter(f"bad place class {self.place_class!r}")
-        if self.q <= 0 or self.phi_norm <= 0:
+        if not (self.q > 0 and self.phi_norm > 0):
             raise InvalidParameter("q and phi_norm must be positive")
 
 
@@ -53,13 +53,13 @@ class BoundParams:
     def __post_init__(self):
         if not (0.25 < self.tau < 0.5):
             raise InvalidParameter("tau must lie in (1/4, 1/2)")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise InvalidParameter("eps must be positive")
         if not (self.tau < self.gamma < 0.5):
             raise InvalidParameter("gamma must lie in (tau, 1/2)")
-        if self.U < 1:
+        if not self.U >= 1:
             raise InvalidParameter("U must be >= 1")
-        if self.A1 <= 0:
+        if not self.A1 > 0:
             raise InvalidParameter("A1 must be positive")
         if not (0.5 < self.rho1 < 1.0):
             raise InvariantViolation(f"rho1 = {self.rho1} outside (1/2, 1)")
@@ -162,6 +162,8 @@ def euler_product_tail(params: BoundParams, field: Field, X: int,
     Primes dividing the level are skipped.  The rational-prime product at
     the same exponent is reported for comparison.
     """
+    if X < 2:
+        raise InvalidParameter(f"X must be >= 2, got {X}")
     if not params.converges:
         raise DivergentExponent(
             f"exponent {params.euler_exponent:.4f} is not < -1; "

@@ -47,6 +47,14 @@ def parse_element(field: nf.Field, text: str) -> nf.FieldElement:
     return field.element(x, y)
 
 
+def parse_number(text: str, kind=Fraction):
+    """int, float or Fraction from text; bad text is a domain error."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameter(f"bad {kind.__name__} {text!r}") from None
+
+
 def parse_interval(text: str) -> tuple[float, float]:
     try:
         lo, hi = text.split(",")
@@ -69,13 +77,17 @@ def parse_field(dspec: str) -> nf.Field:
 def load_config(path: str | None) -> dict:
     cfg = dict(CONFIG_ENV_DEFAULTS)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                k, v = line.split("=", 1)
-                cfg[k.strip()] = v.strip()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidParameter(f"cannot read config file {path!r}: {exc}") from None
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#") or "=" not in line:
+                continue
+            k, v = line.split("=", 1)
+            cfg[k.strip()] = v.strip()
     if os.environ.get(datasource.CACHE_ENV_VAR):
         cfg["cache_dir"] = os.environ[datasource.CACHE_ENV_VAR]
     if os.environ.get(datasource.OFFLINE_ENV_VAR):
@@ -263,10 +275,12 @@ def cmd_sample(args) -> dict:
 
 def cmd_hecke(args) -> dict:
     if args.action == "power":
-        lam = Fraction(args.lam)
+        lam = parse_number(args.lam)
         val = heckealg.hecke_power_eigenvalue(lam, args.ell)
         return {"lambda": str(lam), "ell": args.ell, "value": float(val)}
     f = parse_field(args.D)
+    if args.prime_index < 0:
+        raise InvalidParameter(f"prime index must be >= 0, got {args.prime_index}")
     fac = nf.factor_rational_prime(f, args.p)
     P = fac.primes[min(args.prime_index, len(fac.primes) - 1)]
     if args.action == "cosets":
@@ -301,7 +315,7 @@ def cmd_hecke(args) -> dict:
         return {"delta_tilde": heckealg.delta_tilde(r, rp)}
     if args.action == "relation":
         ok = heckealg.verify_coefficient_relation(
-            Fraction(args.lam), args.p, args.ell, int(args.r)
+            parse_number(args.lam), args.p, args.ell, parse_number(args.r, int)
         )
         return {"holds": bool(ok)}
     raise UnsupportedFormat(f"unknown hecke action {args.action}")
@@ -312,8 +326,8 @@ def _bound_params(args) -> bounds_mod.BoundParams:
     for part in args.places.split(","):
         bits = part.split(":")
         cls = bits[0]
-        q = float(bits[1]) if len(bits) > 1 else 1.0
-        pn = float(bits[2]) if len(bits) > 2 else 1.0
+        q = parse_number(bits[1], float) if len(bits) > 1 else 1.0
+        pn = parse_number(bits[2], float) if len(bits) > 2 else 1.0
         places.append(bounds_mod.PlaceParams(cls, q, pn))
     return bounds_mod.BoundParams(
         tau=args.tau, eps=args.eps, gamma=args.gamma, U=args.U, A1=args.A1,
@@ -392,8 +406,8 @@ def cmd_test_dist(args, cfg: dict) -> dict:
         if args.box:
             places = []
             for part in args.box.split(";"):
-                lo, hi = part.split(",")
-                places.append(measures.PlaceBox(float(lo), float(hi), "Q+", args.xi))
+                lo, hi = parse_interval(part)
+                places.append(measures.PlaceBox(lo, hi, "Q+", args.xi))
             box = measures.SpectralBox(tuple(places))
         ds = equidist.synthesize_dataset(f, args.prime, args.ord, box, args.n, args.seed)
     else:
@@ -564,6 +578,10 @@ def _merge_pair_flags(argv: list[str]) -> list[str]:
     return out
 
 
+def _error(exc: HeckedistError) -> tuple[int, bytes]:
+    return (1, (canonical_json({"error": {"code": exc.code, "message": str(exc)}}) + "\n").encode())
+
+
 def run_command(argv: list[str]) -> tuple[int, bytes]:
     """Execute argv; returns (exit code, output bytes)."""
     ap = build_parser()
@@ -571,10 +589,10 @@ def run_command(argv: list[str]) -> tuple[int, bytes]:
         args = ap.parse_args(_merge_pair_flags(argv))
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0, b"")
-    cfg = load_config(args.config)
     if getattr(args, "D_alias", None):
         args.D = args.D_alias
     try:
+        cfg = load_config(args.config)
         if args.command == "field":
             report = cmd_field(args)
         elif args.command == "ideal":
@@ -596,8 +614,10 @@ def run_command(argv: list[str]) -> tuple[int, bytes]:
         else:
             return (2, b"unknown command\n")
     except HeckedistError as exc:
-        err = {"error": {"code": exc.code, "message": str(exc)}}
-        return (1, (canonical_json(err) + "\n").encode())
+        return _error(exc)
+    except OverflowError as exc:
+        # a parameter so large that a float result overflows
+        return _error(InvalidParameter(f"parameter out of float range: {exc}"))
     if isinstance(report, dict):
         report.setdefault("meta", {})
         report["meta"].update(
@@ -610,8 +630,7 @@ def run_command(argv: list[str]) -> tuple[int, bytes]:
     try:
         out = emit_report(report, args.format)
     except HeckedistError as exc:
-        err = {"error": {"code": exc.code, "message": str(exc)}}
-        return (1, (canonical_json(err) + "\n").encode())
+        return _error(exc)
     return (0, out)
 
 

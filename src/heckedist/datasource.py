@@ -314,8 +314,13 @@ class DataClient:
         return rows
 
     def _fixture_rows(self, query: Query) -> list[dict]:
+        try:
+            names = sorted(os.listdir(self.fixture_dir))
+        except OSError as exc:
+            raise InvalidParameter(f"cannot list fixture directory {self.fixture_dir!r}: "
+                                   f"{exc.strerror}") from None
         rows = []
-        for name in sorted(os.listdir(self.fixture_dir)):
+        for name in names:
             if not name.endswith(".jsonl"):
                 continue
             with open(os.path.join(self.fixture_dir, name), "r", encoding="utf-8") as fh:
@@ -373,4 +378,4 @@ def to_dataset(
     if pts and sum(p.weight for p in pts) <= 0:
         raise TotalWeightZero("provided weights sum to zero")
     meta = (("prime", str(prime_key)), ("ord", ord), ("weights", weights))
-    return Dataset(tuple(pts), MeasureSpec.phi(ord), meta)
+    return Dataset.from_points(pts, MeasureSpec.phi(ord), meta)

@@ -30,35 +30,77 @@ class DataPoint:
     casimir: Optional[tuple[float, ...]] = None
 
 
-@dataclass(frozen=True)
-class Dataset:
-    points: tuple[DataPoint, ...]
-    target: MeasureSpec
-    meta: tuple[tuple[str, object], ...] = ()
+def _column(values, dtype) -> np.ndarray:
+    col = np.array(values, dtype=dtype)
+    col.flags.writeable = False
+    return col
 
-    def __post_init__(self):
-        w = 0.0
-        for pt in self.points:
-            if abs(pt.lam) > 2.0 + RAMANUJAN_SLACK:
-                raise InvalidParameter(f"lambda {pt.lam} outside [-2, 2] at {pt.label}")
-            if pt.weight < 0:
-                raise InvalidParameter(f"negative weight at {pt.label}")
-            w += pt.weight
-        if self.points and w <= 0.0:
+
+class Dataset:
+    """Weighted normalized eigenvalues, stored as read-only numpy columns.
+
+    `lams` and `weights` are float64, `labels` a unicode array and `casimir`
+    an n x d float64 array of per-place Casimir values, or None.  `points`
+    rebuilds the DataPoints on demand; `from_points` goes the other way.
+    """
+
+    __slots__ = ("_lams", "_weights", "labels", "casimir", "target", "meta")
+
+    def __init__(self, lams, weights, labels, target: MeasureSpec, casimir=None,
+                 meta: tuple[tuple[str, object], ...] = ()):
+        lams, weights, labels = (_column(lams, np.float64), _column(weights, np.float64),
+                                 _column(labels, str))
+        if not len(lams) == len(weights) == len(labels):
+            raise InvalidParameter("lambda, weight and label columns differ in length")
+        if casimir is not None:
+            casimir = _column(casimir, np.float64)
+            if casimir.ndim != 2 or len(casimir) != len(lams):
+                raise InvalidParameter("casimir values must be an n x d array")
+        # NaN fails both comparisons, so it is rejected with the out-of-range values
+        bad_lam = ~(np.abs(lams) <= 2.0 + RAMANUJAN_SLACK)
+        bad = bad_lam | ~(np.isfinite(weights) & (weights >= 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_lam[i]:
+                raise InvalidParameter(f"lambda {lams[i]} outside [-2, 2] at {labels[i]}")
+            raise InvalidParameter(f"weight {weights[i]} negative or not finite at {labels[i]}")
+        if len(lams) and np.sum(weights) <= 0.0:
             raise TotalWeightZero("dataset has zero total weight")
+        for name, value in zip(self.__slots__, (lams, weights, labels, casimir, target, meta)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is immutable; cannot set {name}")
+
+    @classmethod
+    def from_points(cls, points, target: MeasureSpec,
+                    meta: tuple[tuple[str, object], ...] = ()) -> "Dataset":
+        points = tuple(points)
+        cas = [pt.casimir for pt in points]
+        if any(c is None for c in cas) and any(c is not None for c in cas):
+            raise InvalidParameter("casimir values on some points but not on all")
+        return cls([pt.lam for pt in points], [pt.weight for pt in points],
+                   [pt.label for pt in points], target,
+                   cas if points and cas[0] is not None else None, meta)
+
+    @property
+    def points(self) -> tuple[DataPoint, ...]:
+        cas = map(tuple, self.casimir.tolist()) if self.casimir is not None else [None] * len(self)
+        return tuple(map(DataPoint, self.labels.tolist(), self._lams.tolist(),
+                         self._weights.tolist(), cas))
 
     def __len__(self):
-        return len(self.points)
+        return len(self._lams)
 
     @property
     def total_weight(self) -> float:
-        return sum(pt.weight for pt in self.points)
+        return float(np.sum(self._weights))
 
     def lambdas(self) -> np.ndarray:
-        return np.array([pt.lam for pt in self.points])
+        return self._lams
 
     def weights(self) -> np.ndarray:
-        return np.array([pt.weight for pt in self.points])
+        return self._weights
 
 
 def _require_nonempty(ds: Dataset):
@@ -73,7 +115,7 @@ def _sorted_empirical(ds: Dataset):
     so the value at a tied point carries the whole mass sitting there.
     """
     lams = ds.lambdas()
-    order = np.lexsort((np.array([p.label for p in ds.points]), lams))
+    order = np.lexsort((ds.labels, lams))
     xs, ws = lams[order], ds.weights()[order]
     cum = np.cumsum(ws) / np.sum(ws)
     keep = np.append(xs[1:] != xs[:-1], True)
@@ -129,8 +171,8 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
     weighted mean; there is no finite-sample error model to appeal to.
     """
     _require_nonempty(ds)
-    if ell_max > 40:
-        raise InvalidParameter("ell_max capped at 40")
+    if not 0 <= ell_max <= 40:
+        raise InvalidParameter(f"ell_max must lie in [0, 40], got {ell_max}")
     lams = ds.lambdas()
     ws = ds.weights()
     W = float(np.sum(ws))
@@ -184,10 +226,7 @@ def synthesize_dataset(
                 raise ZeroMassRegion(f"spectral box place {pl} carries no mass")
             cols.append(measures.sample_spectral(pl_spec, pl.low, pl.high, n, rng))
         casimirs = np.stack(cols, axis=1)
-    pts = []
-    for i in range(n):
-        cas = tuple(float(v) for v in casimirs[i]) if casimirs is not None else None
-        pts.append(DataPoint(f"synth-{i:06d}", float(lams[i]), 1.0, cas))
+    labels = np.char.add("synth-", np.char.zfill(np.arange(n).astype(f"U{len(str(n - 1))}"), 6))
     meta = (
         ("field", getattr(field, "D", None) or "rational"),
         ("prime", str(prime)),
@@ -195,7 +234,7 @@ def synthesize_dataset(
         ("seed", seed),
         ("n", n),
     )
-    return Dataset(tuple(pts), spec, meta)
+    return Dataset(lams, np.ones(n), labels, spec, casimirs, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +305,7 @@ def plot_data(ds: Dataset, spec: Optional[MeasureSpec] = None) -> list[tuple[flo
     spec = spec or ds.target
     xs, emp = _sorted_empirical(ds)
     target = measures.cdf(spec, xs)
-    return [(float(x), float(e), float(t)) for x, e, t in zip(xs, emp, target)]
+    return list(zip(xs.tolist(), emp.tolist(), target.tolist()))
 
 
 def max_interior_gap(ds: Dataset, lo: float = -1.9, hi: float = 1.9) -> float:

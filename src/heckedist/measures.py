@@ -315,6 +315,11 @@ def _abs_sqrt_antideriv(lam: float) -> float:
     return -2.0 * math.sqrt(0.25 - lam)
 
 
+def _cont_lower(spec: MeasureSpec) -> float:
+    """Lower end of a spectral measure's continuous part: 0 for v1 with xi = 0, else 1/4."""
+    return 0.0 if spec.tag == "v1" and spec.xi == 0 else 0.25
+
+
 def _interval_mass(spec: MeasureSpec, low: float, high: float) -> float:
     _check_finite(low, high)
     if high <= low:
@@ -326,7 +331,7 @@ def _interval_mass(spec: MeasureSpec, low: float, high: float) -> float:
         return cont + sum(w for _, w in _spectral_atoms(spec, low, high))
     if spec.tag == "v1":
         top = 0.5 * max(0.0, high - max(low, 1.25))
-        lower = 0.0 if spec.xi == 0 else 0.25
+        lower = _cont_lower(spec)
         if spec.literal_middle:
             # paper-verbatim variant: the middle term carries no test function,
             # so it contributes a constant and the set function is not additive
@@ -477,8 +482,8 @@ def _inverse_angle_cdf(spec: MeasureSpec, u: np.ndarray) -> np.ndarray:
 
 def sample(spec: MeasureSpec, n: int, seed: int) -> np.ndarray:
     """n inverse-CDF samples from an x-measure, deterministic per seed."""
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
+    if n < 1 or seed < 0:
+        raise InvalidParameter(f"need n >= 1 and seed >= 0, got n = {n}, seed = {seed}")
     _require_x_measure(spec)
     u = np.random.default_rng(seed).random(n)
     return -2.0 * np.cos(_inverse_angle_cdf(spec, u))
@@ -488,7 +493,7 @@ def _spectral_cont_grid(spec: MeasureSpec, lo_c: float, hi: float):
     """(lambda grid, normalized cumulative continuous mass) over [lo_c, hi]."""
     if spec.tag == "v1":
         gx = np.linspace(lo_c, hi, 1025)
-        lower = 0.0 if spec.xi == 0 else 0.25
+        lower = _cont_lower(spec)
         anti = np.where(
             gx >= 0.25, 2.0 * np.sqrt(np.clip(gx - 0.25, 0, None)),
             -2.0 * np.sqrt(np.clip(0.25 - gx, 0, None)),
@@ -526,9 +531,9 @@ def sample_spectral(spec: MeasureSpec, low: float, high: float, n: int,
     )
     atom_w = sum(w for _, w in atoms)
     cont = total - atom_w
-    grid = None
-    if cont > 1e-12 * total and high > 0.25:
-        grid = _spectral_cont_grid(spec, max(low, 0.25), high)
+    grid, lower = None, _cont_lower(spec)
+    if cont > 1e-12 * total and high > lower:
+        grid = _spectral_cont_grid(spec, max(low, lower), high)
     u = rng.random(n) * total
     # u falls on the first atom whose running weight exceeds it, else on the
     # continuous part; cumsum adds the weights in the order of a running sum

@@ -5,8 +5,8 @@ the classical level-one eigenforms, affine point counting for the level-11
 elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a smallest-unit
 search, unit-power scans in Fraction arithmetic, the trace-dual module from
 the trace pairing, a sieved Euler product, x-measure CDFs by adaptive
-quadrature and by Serre's series, and the per-sample loop of the spectral
-sampler.
+quadrature and by Serre's series, the per-sample loop of the spectral
+sampler, and synthetic datasets built and read one DataPoint at a time.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
@@ -429,9 +429,11 @@ def sample_spectral_loop(spec, low: float, high: float, n: int, rng):
         atoms = list(measures._tilde_atoms(spec, low, high))
     atom_w = sum(w for _, w in atoms)
     cont = total - atom_w
+    # the continuous part starts at 0 for v1 with xi = 0 and at 1/4 otherwise
+    lower = 0.0 if spec.tag == "v1" and spec.xi == 0 else 0.25
     grid = None
-    if cont > 1e-12 * total and high > 0.25:
-        grid = measures._spectral_cont_grid(spec, max(low, 0.25), high)
+    if cont > 1e-12 * total and high > lower:
+        grid = measures._spectral_cont_grid(spec, max(low, lower), high)
     u = rng.random(n) * total
     out = np.empty(n)
     for i, ui in enumerate(u):
@@ -449,3 +451,60 @@ def sample_spectral_loop(spec, low: float, high: float, n: int, rng):
             gx, gcdf = grid
             out[i] = float(np.interp(v, gcdf, gx))
     return out
+
+
+# --- synthetic datasets, one DataPoint at a time -----------------------------
+
+
+def synthesize_points(ord: int, box, n: int, seed: int) -> tuple:
+    """The DataPoints of `equidist.synthesize_dataset`, built one at a time.
+
+    Same draws as the library (Phi(ord) values, then one Plancherel column
+    per place of the box from the same generator), then a label, a float()
+    per value and a DataPoint per point.
+    """
+    import numpy as np
+
+    from heckedist import measures
+    from heckedist.equidist import DataPoint
+
+    lams = measures.sample(measures.MeasureSpec.phi(ord), n, seed)
+    casimirs = None
+    if box is not None:
+        rng = np.random.default_rng([seed, 0xC0FFEE])
+        casimirs = np.stack([measures.sample_spectral(measures.MeasureSpec.plancherel(pl.xi),
+                                                      pl.low, pl.high, n, rng)
+                             for pl in box.places], axis=1)
+    pts = []
+    for i in range(n):
+        cas = tuple(float(v) for v in casimirs[i]) if casimirs is not None else None
+        pts.append(DataPoint(f"synth-{i:06d}", float(lams[i]), 1.0, cas))
+    return tuple(pts)
+
+
+def point_lambdas(points):
+    import numpy as np
+
+    return np.array([pt.lam for pt in points])
+
+
+def point_weights(points):
+    import numpy as np
+
+    return np.array([pt.weight for pt in points])
+
+
+def point_plot_data(points, spec) -> list:
+    """(x, empirical cdf, target cdf) rows: a sort on (lambda, label), ties
+    collapsed onto their last cumulative weight, a float() per value."""
+    import numpy as np
+
+    from heckedist import measures
+
+    lams = point_lambdas(points)
+    order = np.lexsort((np.array([pt.label for pt in points]), lams))
+    xs, ws = lams[order], point_weights(points)[order]
+    cum = np.cumsum(ws) / np.sum(ws)
+    keep = np.append(xs[1:] != xs[:-1], True)
+    xs, emp = xs[keep], cum[keep]
+    return [(float(x), float(e), float(t)) for x, e, t in zip(xs, emp, measures.cdf(spec, xs))]

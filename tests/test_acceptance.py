@@ -220,7 +220,7 @@ def test_criterion_09_synthetic_equidistribution():
             for row in moment_test(ds, ordv, 10):
                 assert abs(row.z) <= 3.0, (ordv, row.ell, row.z)
         rng = np.random.default_rng(77)
-        uniform = Dataset(
+        uniform = Dataset.from_points(
             tuple(DataPoint(f"u{i}", float(x)) for i, x in
                   enumerate(rng.uniform(-2, 2, 100_000))),
             MeasureSpec.phi(0),

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heckedist
 from heckedist import datasource
@@ -261,3 +264,88 @@ def test_cli_import_loads_no_scipy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# --- argv fuzz: the README contract for any subcommand, flags and values -----
+
+_JUNK = ["", "abc", "1/0", "1,2", "-2,2", "1,2;3,4", ",", ";", "nan", "inf", "-inf", "1e300",
+         "0.5", "-1", "x:y", "Q+:1:1", "2,1", "a,b"]
+_SMALL = st.integers(-2, 8).map(str)
+_ANY = st.one_of(_SMALL, st.sampled_from(_JUNK))
+_FIELD = st.sampled_from(["rational", "q", "2", "5", "10", "13", "0", "1", "4", "-5", "abc"])
+_FLAG = None  # a flag without a value
+
+
+def _choice(*values):
+    return st.sampled_from(values + ("junk",))
+
+
+# subcommand -> (positional strategies, {flag: value strategy or _FLAG}); the
+# sizes (-n, --c-max, --norm-max, --X, --ell) stay small so each run is quick
+_ARGV = {
+    "field": ([], {"--D": _FIELD}),
+    "ideal": ([], {"--D": _FIELD, "--op": _choice("product", "inverse", "norm", "sum",
+                                                   "membership", "factor"),
+                   "--gens": _ANY, "--rhs": _ANY, "--elem": _ANY, "--p": _SMALL}),
+    "kloosterman": ([_choice("classical", "twisted", "sweep")],
+                    {"--m": _SMALL, "--n": _SMALL, "--c": _SMALL, "--D": _FIELD, "--r": _ANY,
+                     "--rp": _ANY, "--c-elem": _ANY, "--eps": _ANY, "--c-max": _SMALL,
+                     "--norm-max": _SMALL}),
+    "measure": ([_choice("sato-tate", "padic", "phi", "plancherel", "v1", "tilde-pl",
+                         "tilde-v1")],
+                {"--p": _SMALL, "--ord": _SMALL, "--xi": _SMALL, "--A": _ANY,
+                 "--literal-middle": _FLAG, "--interval": _ANY, "--density-at": _ANY,
+                 "--moment": _SMALL}),
+    "sample": ([_choice("sato-tate", "padic", "phi", "plancherel", "v1")],
+               {"--p": _SMALL, "--ord": _SMALL, "--xi": _SMALL, "--A": _ANY, "-n": _ANY,
+                "--seed": _SMALL}),
+    "hecke": ([_choice("power", "cosets", "descent", "delta", "relation")],
+              {"--lambda": _ANY, "--ell": st.integers(-1, 3).map(str), "--D": _FIELD,
+               "--field": _FIELD, "--p": _SMALL, "--prime-index": _SMALL, "--r": _ANY,
+               "--rp": _ANY}),
+    "bound": ([_choice("kloosterman", "euler", "envelope")],
+              {"--tau": _ANY, "--eps": _ANY, "--gamma": _ANY, "--U": _ANY, "--A1": _ANY,
+               "--places": _ANY, "--D": _FIELD, "--X": st.integers(-5, 300).map(str),
+               "--r": _ANY, "--rp": _ANY, "--c-elem": _ANY, "--gamma-scalar": _ANY}),
+    "fetch": ([], {"--mode": _choice("fixture", "cache_only", "network"), "--offline": _FLAG,
+                   "--fixture-dir": st.sampled_from(["", "no-such-dir"]), "--degree": _SMALL,
+                   "--level-min": _SMALL, "--level-max": st.sampled_from(["1", "11", "100", "x"]),
+                   "--weight-min": _SMALL, "--weight-max": _SMALL, "--prime": _ANY}),
+    "test-dist": ([], {"--synthetic": _FLAG, "--D": _FIELD, "--prime": _ANY, "--ord": _SMALL,
+                       "--xi": _SMALL, "-n": st.integers(-2, 300).map(str), "--seed": _SMALL,
+                       "--interval": _ANY, "--ell-max": _SMALL, "--ks-threshold": _ANY,
+                       "--box": _ANY, "--plot": _FLAG,
+                       "--mode": _choice("fixture", "cache_only", "network"),
+                       "--level-max": st.sampled_from(["1", "11", "100"])}),
+}
+_PREFIXES = [[], ["--format", "csv"], ["--format", "plot-data"], ["--format", "xml"],
+             ["--config", "no-such-config.ini"], ["--config", os.path.dirname(__file__)]]
+
+
+def _output_parses(fmt: str, text: str) -> bool:
+    if fmt == "json":
+        return isinstance(json.loads(text), dict)
+    lines = text.rstrip("\n").split("\n")
+    if fmt == "csv" or lines[0] == "x,empirical_cdf,target_cdf":
+        return all(line.count(",") == lines[0].count(",") for line in lines)
+    return all(float(line) == float(line) for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_argv_fuzz_keeps_the_cli_contract(data):
+    sub = data.draw(st.sampled_from(sorted(_ARGV)))
+    positional, flags = _ARGV[sub]
+    argv = [*data.draw(st.sampled_from(_PREFIXES)), sub, *(data.draw(p) for p in positional)]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5)):
+        argv += [flag] if flags[flag] is _FLAG else [flag, data.draw(flags[flag])]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code, out = run_command(argv)  # an exception escaping here is a traceback
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr.getvalue(), argv
+    if code == 0:
+        fmt = argv[1] if argv[0] == "--format" else "json"
+        assert _output_parses(fmt, out.decode()), argv
+    elif code == 1:
+        assert isinstance(json.loads(out.decode())["error"]["code"], str), argv

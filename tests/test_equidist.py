@@ -16,9 +16,11 @@ from heckedist.equidist import (
     plot_data,
     synthesize_dataset,
 )
-from heckedist.errors import EmptyDataset, TotalWeightZero, ZeroMassRegion
+from heckedist.errors import EmptyDataset, InvalidParameter, TotalWeightZero, ZeroMassRegion
 from heckedist.measures import MeasureSpec, PlaceBox, SpectralBox
 from heckedist.numberfield import make_field
+
+import oracles
 
 ST = MeasureSpec.sato_tate()
 PHI0 = MeasureSpec.phi(0)
@@ -26,7 +28,7 @@ Q = make_field("rational")
 
 
 def _ds(points, target=PHI0):
-    return Dataset(tuple(points), target)
+    return Dataset.from_points(points, target)
 
 
 def test_dataset_validation():
@@ -36,6 +38,59 @@ def test_dataset_validation():
         _ds([DataPoint("x", 0.0, -1.0)])
     with pytest.raises(TotalWeightZero):
         _ds([DataPoint("x", 0.0, 0.0)])
+    # the message names the first offending point, whichever check it fails
+    with pytest.raises(InvalidParameter, match="at b$"):
+        _ds([DataPoint("a", 0.0), DataPoint("b", 0.0, -1.0), DataPoint("c", 3.0)])
+    with pytest.raises(InvalidParameter):
+        _ds([DataPoint("a", 0.0, 1.0, (1.0,)), DataPoint("b", 0.0)])
+
+
+@pytest.mark.parametrize("bad", [
+    DataPoint("bad", math.nan),
+    DataPoint("bad", math.inf),
+    DataPoint("bad", 0.1, math.nan),
+    DataPoint("bad", 0.1, math.inf),
+    DataPoint("bad", 0.1, -math.inf),
+])
+def test_dataset_rejects_non_finite_values(bad):
+    with pytest.raises(InvalidParameter, match="at bad$"):
+        _ds([DataPoint("ok", 0.5), bad])
+
+
+def test_dataset_columns_are_read_only():
+    box = SpectralBox((PlaceBox(-4.0, 6.0, "Q+", 0),))
+    ds = synthesize_dataset(make_field(5), "2", 0, box, 20, 1)
+    for col in (ds.lambdas(), ds.weights(), ds.labels, ds.casimir):
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = col[1]
+    with pytest.raises(AttributeError):
+        ds.labels = ds.labels.copy()
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+@pytest.mark.parametrize("boxed", [False, True])
+def test_columns_match_the_per_point_construction(seed, boxed):
+    F = make_field(5)
+    box = SpectralBox((PlaceBox(-4.0, 6.0, "Q+", 0), PlaceBox(-0.5, 3.0, "Q+", 0))) \
+        if boxed else None
+    ds = synthesize_dataset(F, "2", 1, box, 3000, seed)
+    pts = oracles.synthesize_points(1, box, 3000, seed)
+    assert ds.points == pts
+    assert np.array_equal(ds.lambdas(), oracles.point_lambdas(pts))
+    assert np.array_equal(ds.weights(), oracles.point_weights(pts))
+    assert plot_data(ds) == oracles.point_plot_data(pts, ds.target)
+
+    def report_bytes(d):
+        rep = equidist_report(d, (-1.0, 0.5), 1, field=F, box=box)
+        return json.dumps(rep, sort_keys=True).encode()
+
+    assert report_bytes(ds) == report_bytes(Dataset.from_points(pts, ds.target))
+
+
+def test_synthetic_labels_past_six_digits():
+    ds = synthesize_dataset(Q, "2", 0, None, 1_000_002, 5)
+    assert ds.labels.tolist() == [f"synth-{i:06d}" for i in range(1_000_002)]
 
 
 def test_ks_point_mass_at_zero():

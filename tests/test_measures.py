@@ -326,6 +326,19 @@ def test_spectral_sampler_matches_masses():
     assert abs(np.mean(xs > 0.25) - cont / total) < 0.02
 
 
+def test_v1_xi0_sampler_covers_the_continuous_part_below_a_quarter():
+    # for xi = 0 the continuous part of v1 starts at 0, not at 1/4
+    spec = MeasureSpec.v1(0)
+    n = 200_000
+    xs = sample_spectral(spec, -1.0, 3.0, n, np.random.default_rng(13))
+    p = mass(spec, (1e-12, 0.25)) / mass(spec, (-1.0, 3.0))
+    got = np.mean((xs > 0.0) & (xs < 0.25))
+    assert abs(got - p) < 4 * math.sqrt(p * (1 - p) / n), (got, p)
+    low = sample_spectral(spec, -1.0, 0.2, 1000, np.random.default_rng(13))
+    assert np.all((low >= 0.0) & (low <= 0.2))
+    assert np.any(low > 0.0)
+
+
 def test_spectral_sampler_equals_the_per_sample_loop():
     cases = [
         (MeasureSpec.plancherel(0), -3.0, 4.0),
