@@ -29,13 +29,13 @@ class PlaceParams:
     def __post_init__(self):
         if self.place_class not in ("E", "Q+", "Q-"):
             raise InvalidParameter(f"bad place class {self.place_class!r}")
-        if not (self.q > 0 and self.phi_norm > 0):
-            raise InvalidParameter("q and phi_norm must be positive")
+        if not (0 < self.q < math.inf and 0 < self.phi_norm < math.inf):
+            raise InvalidParameter("q and phi_norm must be positive and finite")
 
 
 @dataclass(frozen=True)
 class BoundParams:
-    """tau in (1/4,1/2), eps > 0, gamma in (tau,1/2), U >= 1, A1 > 0.
+    """tau in (1/4,1/2), eps > 0, gamma in (tau,1/2), U >= 1, A1 > 0, all finite.
 
     Derived on construction: rho1 = 3/2 - gamma - tau in (1/2, 1),
     rho = rho1 + (1-rho1)*eps, A = A1 + (1-A1)*eps, t0 = tau^2 (1+eps)/2,
@@ -53,14 +53,14 @@ class BoundParams:
     def __post_init__(self):
         if not (0.25 < self.tau < 0.5):
             raise InvalidParameter("tau must lie in (1/4, 1/2)")
-        if not self.eps > 0:
-            raise InvalidParameter("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise InvalidParameter("eps must be positive and finite")
         if not (self.tau < self.gamma < 0.5):
             raise InvalidParameter("gamma must lie in (tau, 1/2)")
-        if not self.U >= 1:
-            raise InvalidParameter("U must be >= 1")
-        if not self.A1 > 0:
-            raise InvalidParameter("A1 must be positive")
+        if not 1 <= self.U < math.inf:
+            raise InvalidParameter("U must be >= 1 and finite")
+        if not 0 < self.A1 < math.inf:
+            raise InvalidParameter("A1 must be positive and finite")
         if not (0.5 < self.rho1 < 1.0):
             raise InvariantViolation(f"rho1 = {self.rho1} outside (1/2, 1)")
         # the asymptotic setting requires a nonempty Q part, but the closed
@@ -108,6 +108,8 @@ def bessel_envelope(
     The (a_j, b_j) pair depends on the place class: (norm, norm) at E
     places, (|q|^(-A1), |q|) at Q-, (e^(tau^2 U / 2) |q|^rho1, |q|) at Q+.
     """
+    if not math.isfinite(gamma_scalar):
+        raise InvalidParameter(f"gamma must be finite, got {gamma_scalar}")
     if gamma_scalar == 0:
         raise ModulusZero("gamma must be nonzero")
     if len(r_embs) != len(params.places) or len(c_embs) != len(params.places):

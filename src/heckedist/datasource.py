@@ -56,10 +56,6 @@ class EigenvalueRecord:
     synthetic: bool = False
     weight_factor: float = 1.0
 
-    def normalized(self, prime_key: str) -> float:
-        return normalize(self, prime_key)
-
-
 def normalize(record: EigenvalueRecord, prime_key: str) -> float:
     """lambda_p = a_p / N(p)^((k-1)/2), Deligne-checked."""
     key = str(prime_key)

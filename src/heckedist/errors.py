@@ -65,10 +65,6 @@ class PreconditionViolation(HeckedistError):
     pass
 
 
-class IllDefinedExponent(HeckedistError):
-    pass
-
-
 # --- measures -------------------------------------------------------------
 
 class NoDensity(HeckedistError):

@@ -33,6 +33,7 @@ from .numberfield import (
     QuotientModule,
     _rational_factorization,
     find_generator,
+    ideal_from_elements,
     ideal_valuation,
     is_prime_ideal,
     is_rational_prime,
@@ -124,8 +125,6 @@ class DescentData:
         P, ell = self.prime, self.ell
         assert self.eta.is_totally_positive()
         f = P.field
-        from .numberfield import ideal_from_elements
-
         assert P * self.b_ideal * self.b_ideal == ideal_from_elements(f, [self.eta])
         vb = ideal_valuation(self.b_ideal, P)
         for s, (a_s, bt_s) in enumerate(zip(self.a_elems, self.b_shifts)):

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     EnumerationTooLarge,
-    IllDefinedExponent,
     InvalidParameter,
     InvariantViolation,
     ModulusZero,
@@ -44,6 +43,7 @@ from .numberfield import (
     elements_of_norm,
     factor_rational_prime,
     ideal_from_elements,
+    make_field,
     _mul_coords,
     _rational_factorization,
 )
@@ -365,21 +365,6 @@ def ks_twisted(
         raise PreconditionViolation("r' not in a d^(-1) c_frak^(-2)")
     if group is None:
         group = residue_unit_group(a_ideal, c, c_ideal, level=level, cap=cap)
-    # exact well-definedness on cosets: r*Lsub/c and r'*Lsub'/c must be trace-dual
-    c_inv = field.one() / c
-    shift1 = ideal_from_elements(field, [r * c_inv]) * a_ideal * ideal_from_elements(field, [c]) if not r.is_zero() else None
-    shift2 = (
-        ideal_from_elements(field, [rp * c_inv])
-        * a_ideal.inverse()
-        * ideal_from_elements(field, [c])
-        * c_ideal
-        * c_ideal
-        if not rp.is_zero()
-        else None
-    )
-    for shift in (shift1, shift2):
-        if shift is not None and not dinv.contains_ideal(shift):
-            raise IllDefinedExponent("exponent is not constant on residue cosets")
     phases, den = _phase_numerators(group, r, rp, c)
     acc, comp = 0.0 + 0.0j, 0.0 + 0.0j
     for p, v in zip(phases.tolist(), chi.values(group)):
@@ -391,15 +376,9 @@ def ks_twisted(
 
 def ks_classical(m: int, n: int, c: int, chi: Optional[TwistCharacter] = None) -> complex:
     """S(m, n; c) over Q through the general machinery."""
-    Q = _rational_field()
+    Q = make_field("rational")
     O = Q.unit_ideal()
     return ks_twisted(Q.element(m), O, Q.element(n), Q.element(c), O, chi=chi)
-
-
-def _rational_field() -> Field:
-    from .numberfield import make_field
-
-    return make_field("rational")
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +406,8 @@ def weil_check(
     group: Optional[ResidueUnitGroup] = None,
 ) -> WeilCheck:
     """|KS| against N(gcd(r a d, r' c_frak^2 a^(-1) d, c c_frak))^(1/2) N(c c_frak)^(1/2+eps)."""
+    if not math.isfinite(eps):
+        raise InvalidParameter(f"eps must be finite, got {eps}")
     field = a_ideal.field
     ks = ks_twisted(r, a_ideal, rp, c, c_ideal, chi=chi, group=group)
     d = different_ideal(field)
@@ -474,7 +455,7 @@ def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
 
     Yields (c, m, n, value) with value = S(m, n; c) as a float.
     """
-    Q = _rational_field()
+    Q = make_field("rational")
     O = Q.unit_ideal()
     mn = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
     ms, ns = (np.array(col, dtype=np.int64) for col in zip(*mn))
@@ -493,7 +474,7 @@ def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
 def classical_weil_sweep(c_max: int, m: int = 1, n: int = 1,
                          eps: float = 0.0) -> list[SweepRow]:
     """Classical sums S(m, n; c) for c <= c_max with Weil-bound ratios."""
-    Q = _rational_field()
+    Q = make_field("rational")
     O = Q.unit_ideal()
     rows = []
     for c in range(1, c_max + 1):

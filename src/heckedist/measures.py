@@ -133,8 +133,8 @@ class MeasureSpec:
             raise InvalidParameter("phi needs ord >= 0")
         if self.tag in _SPECTRAL_TAGS + _TILDE_TAGS and self.xi not in (0, 1):
             raise InvalidParameter(f"{self.tag} needs xi in {{0, 1}}")
-        if self.tag == "tilde_v1" and self.A <= 2:
-            raise InvalidParameter("tilde_v1 exponent A must exceed 2")
+        if self.tag == "tilde_v1" and not 2 < self.A < math.inf:
+            raise InvalidParameter(f"tilde_v1 exponent A must be finite and exceed 2, got {self.A}")
         if self.tag not in _X_TAGS + _SPECTRAL_TAGS + _TILDE_TAGS:
             raise InvalidParameter(f"unknown measure tag {self.tag!r}")
 
@@ -198,6 +198,8 @@ def density(spec: MeasureSpec, x) -> Union[float, np.ndarray]:
     if spec.tag not in _X_TAGS:
         raise NoDensity(f"{spec.tag} has atoms and no pointwise density")
     xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise InvalidParameter("density needs finite points")
     inside = np.abs(xs) <= 2.0
     semi = np.where(inside, np.sqrt(np.clip(1.0 - xs * xs / 4.0, 0.0, None)) / math.pi, 0.0)
     if spec.tag == "sato_tate":
@@ -384,8 +386,8 @@ def tilde_singleton(xi: Sequence[int], b: Sequence[int], measure: str = "pl",
         if measure == "pl":
             out *= Fraction(bj - 1, 2)
         elif measure == "v1":
-            if A <= 2:
-                raise InvalidParameter("A must exceed 2")
+            if not 2 < A < math.inf:
+                raise InvalidParameter(f"A must be finite and exceed 2, got {A}")
             out = float(out) * ((bj - 1) / 2.0) ** (-A)
         else:
             raise InvalidParameter(f"unknown singleton measure {measure!r}")

@@ -5,10 +5,9 @@ where w = (1+sqrt(D))/2 for D = 1 mod 4 and w = sqrt(D) otherwise.
 Fractional ideals are Hermite-reduced 2-row module bases over Z together
 with a positive integer denominator, so ideal equality is a structural
 comparison; products, sums and conjugates work on those integer rows.
-Ideal classes are keyed by cycles of reduced binary quadratic forms.
-Everything is immutable and exact; floating point appears only in
-`embeddings` and in the padded search bound of the norm equation, whose
-hits are verified exactly.
+Ideal classes are keyed by cycles of reduced binary quadratic forms, and
+principal generators are read off the same rho-walk.  Everything is
+immutable and exact; floating point appears only in `embeddings`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .errors import (
     ZeroArgument,
     ZeroIdeal,
 )
-from .quadforms import Form, is_reduced, reduce_form, rho
+from .quadforms import Form, is_reduced, rho
 
 Rat = Union[int, Fraction]
 
@@ -49,25 +48,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return n >= 1 and all(e == 1 for e in _rational_factorization(n).values())
 
 
 def is_rational_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and _rational_factorization(p) == {p: 1}
 
 
 def rational_primes_upto(bound: int) -> list[int]:
@@ -936,48 +921,35 @@ def _fundamental_unit_by_continued_fraction(field: Field) -> FieldElement:
 # Generators, principality, class groups
 
 
-def _norm_form_candidates(field: Field, N: int, y_bound: int):
-    """Integer rows (x, y) of the x + y*w with |norm| == N and 0 <= y <= y_bound."""
-    Delta, t = field.disc, field.omega_trace
-    for y in range(0, y_bound + 1):
-        base = Delta * y * y
-        for s4 in (4 * N, -4 * N):
-            u2 = base + s4
-            if u2 < 0:
-                continue
-            u = math.isqrt(u2)
-            if u * u != u2:
-                continue
-            for uu in ((u, -u) if u else (0,)):
-                if (uu - t * y) % 2:
-                    continue
-                yield ((uu - t * y) // 2, y)
-
-
-def _norm_y_bound(field: Field, N: int) -> int:
-    """|y| bound for x + y*w of norm +-N balanced across the two embeddings:
-    2*sqrt(N*eps0)/sqrt(disc), padded by 3 against float rounding."""
-    eps0 = field.fundamental_unit.embeddings()[0]
-    return int(2.0 * math.sqrt(N * eps0) / math.sqrt(field.disc)) + 3
-
-
 def find_generator(M: FractionalIdeal) -> Optional[FieldElement]:
     """A generator of the integral ideal M, or None if M is not principal.
 
-    Candidates come from the Pell-type equation u^2 - disc*y^2 = +-4N within
-    the balanced-generator window of _norm_y_bound and are verified by exact
-    membership.
+    The generator comes from the rho-walk of `_rho_walk` and is normalised to
+    the least (y, N(g) < 0, 2x + t*y < 0) over the generators x + y*w with
+    y >= 0; the balanced associate and its two neighbours under eps0 hold
+    that least one.  It is checked by its exact norm and by membership.
     """
     field = M.field
     if M.is_zero():
         raise ZeroIdeal("generator of zero ideal")
+    if not M.is_integral():
+        raise InvalidParameter("find_generator needs an integral ideal")
     if field.degree == 1:
         return field.element(M.hnf[0])
-    N = int(M.norm())
-    for x, y in _norm_form_candidates(field, N, _norm_y_bound(field, N)):
-        if M._row_coords(x, y, 1) is not None:
-            return field.element(x, y)
-    return None
+    p = _rho_walk(M, generator=True)
+    if p is None:
+        return None
+    p = _canonical_row(field, p)
+    x0, y0 = int(field.fundamental_unit.x), int(field.fundamental_unit.y)
+    eps_inv = (field.unit_norm * (x0 + field.omega_trace * y0), -field.unit_norm * y0)
+    cands = [q for r in (p, _mul_coords(field, p, (x0, y0)), _mul_coords(field, p, eps_inv))
+             for q in (r, (-r[0], -r[1])) if q[1] >= 0]
+    x, y = min(cands, key=lambda q: (q[1], _row_norm(field, q) < 0,
+                                     2 * q[0] + field.omega_trace * q[1] < 0))
+    a, _, c = M.hnf
+    if abs(_row_norm(field, (x, y))) != a * c or M._row_coords(x, y, 1) is None:
+        raise InvariantViolation(f"the rho-walk element {(x, y)} does not generate {M}")
+    return field.element(x, y)
 
 
 def totally_positive_adjust(g: FieldElement) -> Optional[FieldElement]:
@@ -1016,37 +988,67 @@ def principal_totally_positive_generator(I: FractionalIdeal) -> Optional[FieldEl
     return g / I.den
 
 
-def _narrow_key(M: FractionalIdeal) -> Form:
-    """Canonical key of the narrow class of a nonzero ideal of a quadratic field.
+def _row_norm(field: Field, p: tuple[int, int]) -> int:
+    """N(x + y*w) on integer coordinates."""
+    x, y = p
+    return x * x + field.omega_trace * x * y + field.omega_norm * y * y
+
+
+def _rho_walk(M: FractionalIdeal, generator: bool = False):
+    """Walk the form of M through its reduction and once round its rho-cycle.
 
     The integral part c*(Z*A + Z*(B' + w)) maps to the form
-    (A, 2B' + t, N(B' + w)/A) of discriminant disc; the key is the least
-    form with a > 0 on the rho-cycle of its reduction (Buchmann-Vollmer,
-    Binary Quadratic Forms, ch. 6; Cohen, GTM 138, 5.6-5.7).
+    (A, 2B' + t, N(B' + w)/A) of discriminant disc.  Without `generator`
+    return the narrow key of M: the least form with a > 0 on the rho-cycle
+    of its reduction (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6;
+    Cohen, GTM 138, 5.6-5.7).
+
+    With `generator` return the integer row of a generator of the integral
+    part, or None if it is not principal.  The form (a, b, e) has the module
+    I = Z*|a| + Z*theta, theta = (b + sqrt(disc))/2 = (b - t)/2 + w, and
+    I = (theta/e) * I' for the module I' of rho(a, b, e).  So the walk keeps
+    M = (num/den) * I_k, and at the first form with |a| = 1, where I_k = O,
+    num/den generates M.  A principal M meets such a form within one cycle
+    (Shanks's infrastructure; Lenstra 1982; Cohen, GTM 138, 5.7).
     """
-    field, Delta = M.field, M.field.disc
+    field, Delta, t = M.field, M.field.disc, M.field.omega_trace
     a, b, c = M.hnf
     A, B = a // c, b // c
-    nrm = B * B + field.omega_trace * B + field.omega_norm
+    nrm = _row_norm(field, (B, 1))
     if nrm % A:
         raise InvariantViolation("module basis is not an ideal")
-    f = start = reduce_form((A, 2 * B + field.omega_trace, nrm // A), Delta)
+    f = (A, 2 * B + t, nrm // A)
+    num, den = (c, 0), 1
     cycle: list[Form] = []
-    while not cycle or f != start:
-        # a reduced form has 0 < b < sqrt(Delta) and 0 < |a| < sqrt(Delta),
-        # so there are fewer than 2*Delta of them
-        if len(cycle) >= 2 * Delta or not is_reduced(f, Delta):
-            raise InvariantViolation(f"no rho-cycle of reduced forms through {start}")
-        cycle.append(f)
+    steps = 0
+    while not cycle or f != cycle[0]:
+        if generator and abs(f[0]) == 1:
+            if num[0] % den or num[1] % den:
+                raise InvariantViolation(f"the rho-walk of {M} ends in a non-integral element")
+            return (num[0] // den, num[1] // den)
+        if is_reduced(f, Delta):
+            # a reduced form has 0 < b < sqrt(Delta) and 0 < |a| < sqrt(Delta),
+            # so there are fewer than 2*Delta of them
+            if len(cycle) >= 2 * Delta:
+                raise InvariantViolation(f"no rho-cycle of reduced forms through {cycle[0]}")
+            cycle.append(f)
+        elif cycle or steps >= 512:  # 512: the step cap of quadforms.reduce_form
+            raise InvariantViolation(f"rho left the reduced forms or never reached them at {f}")
+        if generator:
+            num = _mul_coords(field, num, ((f[1] - t) // 2, 1))
+            den *= f[2]
         f = rho(f, Delta)
+        steps += 1
+    if generator:
+        return None
     return min(g for g in cycle if g[0] > 0)
 
 
 def _class_key(M: FractionalIdeal, narrow: bool) -> Form:
     """Key of the (narrow) class of M.  N(sqrt(D)) < 0, so the wide class of M
     is the union of the narrow classes of M and sqrt(D)*M."""
-    key = _narrow_key(M)
-    return key if narrow else min(key, _narrow_key(M * M.field.sqrt_D()))
+    key = _rho_walk(M)
+    return key if narrow else min(key, _rho_walk(M * M.field.sqrt_D()))
 
 
 def _key_ideal(field: Field, key: Form) -> FractionalIdeal:
@@ -1238,8 +1240,20 @@ def elements_of_norm(field: Field, n: int) -> list[FieldElement]:
         raise InvalidParameter("norm bound must be positive")
     if field.degree == 1:
         return [field.element(n)]
-    cands = _norm_form_candidates(field, n, _norm_y_bound(field, n))
-    rows = {_canonical_row(field, p) for p in cands}
+    # the integral ideals of norm n are c*(Z*A + Z*(B + w)) with c^2*A = n,
+    # 0 <= B < A and A | N(B + w)
+    rows = set()
+    for c in range(1, math.isqrt(n) + 1):
+        A, rest = divmod(n, c * c)
+        if rest:
+            continue
+        for B in range(A):
+            if _row_norm(field, (B, 1)) % A:
+                continue
+            p = _rho_walk(FractionalIdeal(field, 1, (c * A, c * B, c), _canonical=True),
+                          generator=True)
+            if p is not None:
+                rows.add(_canonical_row(field, p))
     return [field.element(x, y) for x, y in sorted(rows)]
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately primitive: exact integer power series for
 the classical level-one eigenforms, affine point counting for the level-11
 elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a smallest-unit
-search, unit-power scans in Fraction arithmetic, the trace-dual module from
+search, the Pell-type y-scan for principal generators and elements of a
+given norm, unit-power scans in Fraction arithmetic, the trace-dual module from
 the trace pairing, a sieved Euler product, x-measure CDFs by adaptive
 quadrature and by Serre's series, the per-sample loop of the spectral
 sampler, and synthetic datasets built and read one DataPoint at a time.
@@ -280,6 +281,58 @@ def canonical_associate_walk(e):
     while _abs_embedding_cmp(e / eps) >= 0:
         e = e / eps
     return e if e.sign_at(0) > 0 else -e
+
+
+# --- principal generators by the Pell-type y-scan ------------------------------
+
+
+def norm_form_rows(field, N: int, y_bound: int):
+    """Integer rows (x, y) of the x + y*w with |norm| = N and 0 <= y <= y_bound,
+    from u^2 - disc*y^2 = +-4N with u = 2x + t*y: ascending y, then positive
+    norm first, then u > 0 first."""
+    Delta, t = field.disc, field.omega_trace
+    for y in range(0, y_bound + 1):
+        for s4 in (4 * N, -4 * N):
+            u2 = Delta * y * y + s4
+            if u2 < 0:
+                continue
+            u = math.isqrt(u2)
+            if u * u != u2:
+                continue
+            for uu in ((u, -u) if u else (0,)):
+                if (uu - t * y) % 2 == 0:
+                    yield ((uu - t * y) // 2, y)
+
+
+def norm_y_bound(field, N: int) -> int:
+    """|y| bound for x + y*w of norm +-N balanced across the two embeddings:
+    2*sqrt(N*eps0)/sqrt(disc), padded by 3 against float rounding.  It grows
+    like sqrt(eps0), so the scan is only usable where eps0 is small."""
+    eps0 = field.fundamental_unit.embeddings()[0]
+    return int(2.0 * math.sqrt(N * eps0) / math.sqrt(field.disc)) + 3
+
+
+def generator_scan(M):
+    """The first generator x + y*w of the integral ideal M in the order of
+    norm_form_rows, or None if M is not principal."""
+    field = M.field
+    if field.degree == 1:
+        return field.element(M.hnf[0])
+    N = int(M.norm())
+    for x, y in norm_form_rows(field, N, norm_y_bound(field, N)):
+        if M.contains(field.element(x, y)):
+            return field.element(x, y)
+    return None
+
+
+def elements_of_norm_scan(field, n: int) -> list:
+    """Canonical associates (canonical_associate_walk) of the elements with
+    |norm| = n, sorted by their coordinates."""
+    if field.degree == 1:
+        return [field.element(n)]
+    found = {canonical_associate_walk(field.element(x, y))
+             for x, y in norm_form_rows(field, n, norm_y_bound(field, n))}
+    return sorted(found, key=lambda e: (e.x, e.y))
 
 
 # --- Euler product over prime ideals from a sieve and the Kronecker symbol ------

@@ -200,6 +200,19 @@ def test_numberfield_stdout_is_byte_identical(monkeypatch):
     ["bound", "kloosterman", "--places", "X:1:1"],
     ["field", "--D", "abc"],
     ["ideal", "--D", "5", "--op", "norm", "--gens", "1/0"],
+    # non-finite float parameters
+    ["kloosterman", "classical", "--c", "3", "--eps", "nan"],
+    ["kloosterman", "twisted", "--D", "5", "--c-elem", "3", "--eps", "inf"],
+    ["kloosterman", "sweep", "--D", "5", "--norm-max", "5", "--eps", "nan"],
+    ["measure", "phi", "--density-at", "nan"],
+    ["measure", "tilde-v1", "--A", "nan", "--interval", "0,3"],
+    ["measure", "tilde-v1", "--A", "inf", "--interval", "0,3"],
+    ["bound", "envelope", "--tau", "0.3", "--eps", "0.01", "--gamma", "0.35", "--D",
+     "rational", "--c-elem", "3", "--gamma-scalar", "nan"],
+    ["bound", "kloosterman", "--tau", "0.3", "--eps", "inf", "--gamma", "0.35"],
+    ["bound", "kloosterman", "--tau", "0.3", "--eps", "0.01", "--gamma", "0.35", "--U", "inf"],
+    ["bound", "kloosterman", "--tau", "0.3", "--eps", "0.01", "--gamma", "0.35", "--A1", "inf"],
+    ["bound", "kloosterman", "--places", "Q+:inf:1"],
 ])
 def test_out_of_domain_input_exits_1_with_error_code(argv):
     code, out = run_command(argv)

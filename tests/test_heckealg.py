@@ -19,7 +19,15 @@ from heckedist.heckealg import (
     verify_coefficient_relation,
 )
 from heckedist.measures import chebyshev_eval
-from heckedist.numberfield import factor_rational_prime, make_field
+from heckedist.numberfield import (
+    factor_rational_prime,
+    find_generator,
+    ideal_from_elements,
+    is_principal,
+    make_field,
+    narrow_square_witness,
+    rational_primes_upto,
+)
 
 Q = make_field("rational")
 F3 = make_field(3)
@@ -131,8 +139,6 @@ def test_descent_with_nonprincipal_witness_ideal():
     # class number 3: the witness ideal b is forced non-principal, and the
     # non-midpoint ideals P^s b^2 are non-principal, exercising the
     # exact-valuation element construction
-    from heckedist.numberfield import find_generator
-
     F79 = make_field(79)
     P5 = factor_rational_prime(F79, 5).primes[0]
     dd = descent_data(P5, 2)
@@ -205,3 +211,31 @@ def test_relation_with_distinct_other_lambda():
     assert verify_coefficient_relation(
         Fraction(1, 3), 5, 2, 25 * 6, lam_other=Fraction(-1, 2)
     ) is True
+
+
+@pytest.mark.parametrize("D", [331, 379])
+def test_witness_descent_and_generators_over_fields_with_large_units(D):
+    # eps0 is about 5.6e15 for D = 331 and 2.6e16 for D = 379, too large
+    # for the y-scan, so the generators are checked against their own
+    # definition: they generate the ideal and are least in the order
+    # (y, N(g) < 0, Tr(g) < 0) among the associates with y >= 0
+    F = make_field(D)
+    assoc = [s * F.fundamental_unit**k for s in (1, -1) for k in range(-3, 4)]
+    for p in rational_primes_upto(100):
+        for P in factor_rational_prime(F, p).primes:
+            w = narrow_square_witness(P)
+            for ell in (1, 2):
+                if w is None:
+                    with pytest.raises(NotNarrowSquare):
+                        descent_data(P, ell)
+                else:
+                    assert descent_data(P, ell).verify()
+            for M in (P,) if w is None else (P, P * w[0] * w[0]):
+                g = find_generator(M)
+                if g is None:
+                    assert not is_principal(M)
+                    continue
+                assert ideal_from_elements(F, [g]) == M
+                least = min((u * g for u in assoc if (u * g).y >= 0),
+                            key=lambda h: (h.y, h.norm() < 0, h.trace() < 0))
+                assert g == least, (D, M)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from heckedist import numberfield as nf, quadforms
 from heckedist.errors import (
     DegreeUnsupported,
+    InvalidParameter,
     InvariantViolation,
     NotPrime,
     NotSquarefree,
@@ -41,6 +42,9 @@ from heckedist.numberfield import (
 )
 from oracles import (
     canonical_associate_walk,
+    elements_of_norm_scan,
+    generator_scan,
+    norm_form_rows,
     smallest_unit_gt_one,
     trace_dual_module,
     unit_power_scan,
@@ -286,7 +290,7 @@ def test_representative_orders():
     for rep in desc.representatives:
         k = 1
         acc = rep
-        while find_generator(acc) is None:
+        while generator_scan(acc) is None:
             acc = acc * rep
             k += 1
         assert desc.order % k == 0
@@ -304,7 +308,7 @@ def test_class_index_agrees_with_generator_search(D, narrow):
     index = [reps.index(nf._key_ideal(F, nf._class_key(P, narrow))) for P in primes]
     for i, A in enumerate(primes):
         for j, B in enumerate(primes[: i + 1]):
-            g = find_generator(A * B.conjugate())
+            g = generator_scan(A * B.conjugate())
             same = g is not None and (not narrow or totally_positive_adjust(g) is not None)
             assert (index[i] == index[j]) == same, (D, narrow, A, B)
 
@@ -513,9 +517,42 @@ def test_elements_of_norm_match_fraction_walk():
         for n in range(1, 40):
             got = elements_of_norm(F, n)
             cands = {canonical_associate_walk(F.element(x, y))
-                     for x, y in nf._norm_form_candidates(F, n, 40)}
+                     for x, y in norm_form_rows(F, n, 40)}
             assert set(got) == cands, (D, n)
             assert got == sorted(got, key=lambda e: (e.x, e.y))
+
+
+def _integral_ideals_of_norm(F, n):
+    """Every integral ideal of norm n: the HNF modules Z*a + Z*(b + c*w) with
+    a*c = n and 0 <= b < a that are ideals, i.e. c | a, c | b and
+    (a/c) | N(b/c + w) (Cohen, GTM 138, 5.2)."""
+    for c in range(1, n + 1):
+        a = n // c
+        if n % c or a % c:
+            continue
+        for b in range(0, a, c):
+            if (F.element(b // c, 1).norm() % (a // c)) == 0:
+                yield nf.FractionalIdeal(F, 1, (a, b, c))
+
+
+def test_generators_and_elements_of_norm_match_the_y_scan():
+    # the y-scan is independent of the rho-walk that find_generator and
+    # elements_of_norm share with the class keys; D < 150 covers both unit
+    # norms and class numbers up to 4
+    fields = [make_field(D) for D in range(2, 150) if is_squarefree(D)]
+    assert {F.unit_norm for F in fields} == {-1, 1}
+    assert max(class_group(F).order for F in fields) > 1
+    for F in fields:
+        for n in range(1, 41):
+            for M in _integral_ideals_of_norm(F, n):
+                assert find_generator(M) == generator_scan(M), (F.D, M)
+            assert elements_of_norm(F, n) == elements_of_norm_scan(F, n), (F.D, n)
+
+
+def test_find_generator_needs_an_integral_ideal():
+    with pytest.raises(InvalidParameter):
+        find_generator(F5.ideal(F5.element(Fraction(1, 2))))
+    assert find_generator(F10.ideal(F10.element(9, 2))) == F10.element(9, 2)
 
 
 def test_prime_splitting_type_still_checks_primality():
@@ -534,6 +571,7 @@ from heckedist.errors import InvariantViolation
 F = nf.make_field(10)
 P = nf.factor_rational_prime(F, 3).primes[0]  # not principal
 P7 = nf.factor_rational_prime(F, 7).primes[0]  # inert, so narrow principal
+P41 = F.ideal(F.element(9, 2))  # 9 + 2w has norm 41, and 41 splits
 cases = [
     # a step that stays on the reduced forms of disc 40 but never returns to P's form
     ("rho", lambda f, Delta: (-1, 6, 1), lambda: nf.is_principal(P)),
@@ -542,6 +580,8 @@ cases = [
      lambda: nf.narrow_square_witness(P7)),
     ("principal_totally_positive_generator", lambda I: None,
      lambda: nf.narrow_square_witness(P7)),
+    # the walk hands back 9 - 2w: of norm 41, but a generator of the conjugate prime
+    ("_rho_walk", lambda M, generator=False: (9, -2), lambda: nf.find_generator(P41)),
 ]
 for name, fake, call in cases:
     real = getattr(nf, name)
@@ -556,14 +596,14 @@ for name, fake, call in cases:
 
 _BROKEN_INVARIANTS_RAISED = [
     "raised rho", "raised _sqrt_mod_prime", "raised principal_totally_positive_generator",
-    "raised principal_totally_positive_generator"]
+    "raised principal_totally_positive_generator", "raised _rho_walk"]
 
 
 def test_broken_invariants_raise():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(_BREAK_NUMBERFIELD_INVARIANTS, {})
-    assert out.getvalue().split("\n")[:4] == _BROKEN_INVARIANTS_RAISED
+    assert out.getvalue().split("\n")[:5] == _BROKEN_INVARIANTS_RAISED
 
 
 def test_broken_invariants_raise_under_optimize():
@@ -574,4 +614,4 @@ def test_broken_invariants_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:4] == _BROKEN_INVARIANTS_RAISED
+    assert proc.stdout.split("\n")[:5] == _BROKEN_INVARIANTS_RAISED
