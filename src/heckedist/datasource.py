@@ -157,7 +157,6 @@ class Query:
     level_max: int = 1
     weight_min: int = 2
     weight_max: int = 12
-    primes_up_to: int = 100
 
     def canonical(self) -> str:
         return json.dumps(
@@ -165,7 +164,6 @@ class Query:
                 "degree": self.degree,
                 "level": [self.level_min, self.level_max],
                 "weight": [self.weight_min, self.weight_max],
-                "primes_up_to": self.primes_up_to,
             },
             sort_keys=True,
             separators=(",", ":"),

@@ -21,6 +21,8 @@ from .errors import EmptyDataset, InvalidParameter, TotalWeightZero, ZeroMassReg
 from . import measures
 from .measures import RAMANUJAN_SLACK, MeasureSpec, SpectralBox, chebyshev_eval
 
+Z_THRESHOLD = 3.0  # largest moment |z| an equidist_report passes
+
 
 @dataclass(frozen=True)
 class DataPoint:
@@ -249,7 +251,6 @@ def equidist_report(
     box: Optional[SpectralBox] = None,
     ell_max: int = 10,
     ks_threshold: float = 0.02,
-    z_threshold: float = 3.0,
 ) -> dict:
     """Observed vs predicted mass on an interval, KS distance, moment table.
 
@@ -272,7 +273,7 @@ def equidist_report(
     ks = ks_distance(ds, spec)
     moments = moment_test(ds, ord, ell_max)
     max_abs_z = max(abs(m.z) for m in moments)
-    passed = bool(ks < ks_threshold and max_abs_z <= z_threshold)
+    passed = bool(ks < ks_threshold and max_abs_z <= Z_THRESHOLD)
     report = {
         "n": len(ds),
         "total_weight": W,

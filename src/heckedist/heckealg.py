@@ -81,20 +81,14 @@ def coset_reps(P: FractionalIdeal, ell: int,
     total = (np_ ** (ell + 1) - 1) // (np_ - 1)
     if total > cap:
         raise EnumerationTooLarge(f"{total} cosets exceeds cap {cap}")
-    field = P.field
-    O = field.unit_ideal()
+    O = P.field.unit_ideal()
     out = []
     for s in range(ell + 1):
-        Q = QuotientModule(O, P ** (ell - s)) if ell - s > 0 else None
-        if Q is None:
-            out.append(CosetRep(s, 0, s, field.zero(), 0))
-            continue
-        reps = Q.representatives()
-        width = Q.shape[1]
-        for beta in reps:
-            key = Q.key(beta)
-            idx = key[0] if field.degree == 1 else key[0] * width + key[1]
-            out.append(CosetRep(s, ell - s, s, beta, idx))
+        Q = QuotientModule(O, P ** (ell - s))
+        a1, c1 = Q.shape
+        for i in range(a1):
+            for j in range(c1):
+                out.append(CosetRep(s, ell - s, s, Q.element(i, j), i * c1 + j))
     if len(out) != total:
         raise InvariantViolation(f"{len(out)} coset representatives, expected {total}")
     return out
@@ -186,7 +180,7 @@ def descent_data(P: FractionalIdeal, ell: int,
 # Totally-positive-unit indicator
 
 
-def delta_tilde(r: FieldElement, rp: FieldElement, field: Optional[Field] = None) -> int:
+def delta_tilde(r: FieldElement, rp: FieldElement) -> int:
     """1 iff r/r' is a totally positive unit of the ring of integers."""
     if r.is_zero() or rp.is_zero():
         raise ZeroArgument("delta~ needs nonzero arguments")

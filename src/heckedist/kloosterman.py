@@ -7,7 +7,7 @@ x*x^(-1) = 1 mod (c)*c_frak, and e(y) = exp(2 pi i y).  Over Q with the
 trivial twist this is the classical sum S(r, r'; c).
 
 Residues are integer coordinates over the Z-bases of the two modules, held
-in numpy int64 arrays.  The units are the residues outside P*L for every
+in numpy int64 arrays and made canonical by numberfield.QuotientModule.  The units are the residues outside P*L for every
 prime P dividing the modulus.  Inverses come from one inverse found by an
 exact scan and square-and-multiply in O/modulus, and every pair is checked
 against x*x^(-1) = 1 before it is used.  The exponent is linear in the
@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -81,15 +80,8 @@ class ResidueUnitGroup:
 
     def elements(self) -> list[tuple[FieldElement, FieldElement]]:
         """The pairs (x, x^(-1)) as field elements."""
-        xs = _coords_to_elements(self.quotient.L, self.units)
-        ys = _coords_to_elements(self.inverse_quotient.L, self.inverses)
-        return list(zip(xs, ys))
-
-
-def _coords_to_elements(L: FractionalIdeal, coords: np.ndarray) -> list[FieldElement]:
-    (u1, v1), (u2, v2) = L.int_rows()
-    return [L.field.element(Fraction(i * u1 + j * u2, L.den), Fraction(i * v1 + j * v2, L.den))
-            for i, j in coords.tolist()]
+        return [(self.quotient.element(*x), self.inverse_quotient.element(*y))
+                for x, y in zip(self.units.tolist(), self.inverses.tolist())]
 
 
 def _distinct_prime_divisors(field: Field, I: FractionalIdeal) -> list[FractionalIdeal]:
@@ -101,28 +93,10 @@ def _distinct_prime_divisors(field: Field, I: FractionalIdeal) -> list[Fractiona
     return out
 
 
-def _reduce(co, hnf: tuple[int, int, int]):
-    """Canonical representatives of coordinates co = (i, j) modulo Z*(a, 0) + Z*(b, c)."""
-    a, b, c = hnf
-    q = co[1] // c
-    return ((co[0] - q * b) % a, co[1] - q * c)
-
-
-def _member(co, hnf: tuple[int, int, int]):
-    """Mask of the coordinates co = (i, j) lying in Z*(a, 0) + Z*(b, c)."""
-    a, b, c = hnf
-    return (co[1] % c == 0) & ((co[0] - (co[1] // c) * b) % a == 0)
-
-
-def _combine(elems, coeffs, mod: tuple[int, int, int]):
-    """sum of coeffs[n] * elems[n] for O-elements elems[n] = (u, v), reduced modulo mod."""
-    return _reduce((coeffs[0] * elems[0][0] + coeffs[1] * elems[1][0],
-                    coeffs[0] * elems[0][1] + coeffs[1] * elems[1][1]), mod)
-
-
-def _mod_hnf(I: FractionalIdeal) -> tuple[int, int, int]:
-    """An integral ideal as the lattice Z*(a, 0) + Z*(b, c) of O-coordinates."""
-    return I.hnf if I.field.degree == 2 else (I.hnf[0], 0, 1)
+def _combine(elems, coeffs, mod: QuotientModule):
+    """sum of coeffs[n] * elems[n] for O-elements elems[n] = (u, v), reduced in O/modulus."""
+    return mod.reduce((coeffs[0] * elems[0][0] + coeffs[1] * elems[1][0],
+                       coeffs[0] * elems[0][1] + coeffs[1] * elems[1][1]))
 
 
 def _check_int64(bound: int):
@@ -130,15 +104,16 @@ def _check_int64(bound: int):
         raise EnumerationTooLarge(f"integer coordinates up to {bound} would overflow int64")
 
 
-def _pow_mod(field: Field, base, e: int, mod: tuple[int, int, int]):
-    """base**e in O/mod by square-and-multiply, reducing after every product."""
+def _pow_mod(field: Field, base, e: int, mod: QuotientModule):
+    """base**e in O/modulus by square-and-multiply, reducing after every product."""
+    a = mod.shape[0]
 
     def mul(p, q):
-        if field.degree == 1:  # O/mod is Z/a, and the w-coordinate stays 0
-            return ((p[0] * q[0]) % mod[0], p[1])
-        return _reduce(_mul_coords(field, p, q), mod)
+        if field.degree == 1:  # O/modulus is Z/a, and the w-coordinate stays 0
+            return ((p[0] * q[0]) % a, p[1])
+        return mod.reduce(_mul_coords(field, p, q))
 
-    out = (np.full_like(base[0], 1 % mod[0]), np.zeros_like(base[1]))
+    out = (np.full_like(base[0], 1 % a), np.zeros_like(base[1]))
     while e:
         if e & 1:
             out = mul(out, base)
@@ -148,18 +123,18 @@ def _pow_mod(field: Field, base, e: int, mod: tuple[int, int, int]):
     return out
 
 
-def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, modulus: FractionalIdeal,
+def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, mod: QuotientModule,
                  primes: list[FractionalIdeal]) -> tuple[np.ndarray, np.ndarray]:
     """Units of quo = L/L*modulus and their inverses in quo_inv = L^(-1)/L^(-1)*modulus.
 
-    Returns two (phi, 2) int64 arrays of coordinates over the Z-bases of L
-    and L^(-1); `primes` are the prime ideals dividing the modulus.
+    mod is O/modulus.  Returns two (phi, 2) int64 arrays of coordinates over
+    the Z-bases of L and L^(-1); `primes` are the prime ideals dividing the
+    modulus.
     """
     field, L, Linv = quo.field, quo.L, quo_inv.L
-    mod = _mod_hnf(modulus)
     # every intermediate below is at most this many times N(modulus)^2
     _check_int64((abs(field.omega_norm) + abs(field.omega_trace) + 4) * quo.index**2)
-    one = (1 % mod[0], 0)
+    one = mod.reduce((1, 0))
 
     # x generates L/L*modulus iff (x) L^(-1) is coprime to the modulus, i.e.
     # x avoids P*L for every prime P dividing the modulus
@@ -167,7 +142,7 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, modulus: Fraction
     i, j = np.divmod(np.arange(a1 * c1, dtype=np.int64), c1)
     keep = np.ones(len(i), dtype=bool)
     for P in primes:
-        keep &= ~_member((i, j), QuotientModule(L, P * L).sub_hnf)
+        keep &= ~QuotientModule(L, P * L).contains((i, j))
     x = (i[keep], j[keep])
     phi = len(x[0])
 
@@ -180,7 +155,7 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, modulus: Fraction
             u, v = _mul_coords(field, e, f)
             if u % den or v % den:
                 raise InvariantViolation("L * L^(-1) is not the ring of integers")
-            row.append(_reduce((u // den, v // den), mod))
+            row.append(mod.reduce((u // den, v // den)))
         prod.append(row)
     # x * f_n for every unit x; then x * y = sum over n of y_n * (x * f_n)
     xf = [_combine(p, x, mod) for p in prod]
@@ -199,9 +174,8 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, modulus: Fraction
     if field.degree == 1:
         yw = (0, 0)  # t is always 0 over Q
     else:
-        (y0_elem,) = _coords_to_elements(Linv, np.array([y0]))
-        yw = _reduce(Linv.element_coords(y0_elem * field.omega()), quo_inv.sub_hnf)
-    y = _reduce((s * y0[0] + t * yw[0], s * y0[1] + t * yw[1]), quo_inv.sub_hnf)
+        yw = quo_inv.reduce(Linv.element_coords(quo_inv.element(*y0) * field.omega()))
+    y = quo_inv.reduce((s * y0[0] + t * yw[0], s * y0[1] + t * yw[1]))
 
     check = _combine(xf, y, mod)
     if not (np.all(check[0] == one[0]) and np.all(check[1] == one[1])):
@@ -213,16 +187,14 @@ def residue_unit_group(
     a_ideal: FractionalIdeal,
     c: FieldElement,
     c_ideal: FractionalIdeal,
-    level: Optional[FractionalIdeal] = None,
     cap: int = DEFAULT_RESIDUE_CAP,
 ) -> ResidueUnitGroup:
     """Enumerate the unit residues and pair each with its verified inverse."""
     field = a_ideal.field
     if c.is_zero():
         raise ModulusZero("modulus element c must be nonzero")
-    level = level if level is not None else field.unit_ideal()
-    if not (c_ideal.inverse() * level).contains(c):
-        raise PreconditionViolation("c not in c_frak^(-1) * level")
+    if not c_ideal.inverse().contains(c):
+        raise PreconditionViolation("c not in c_frak^(-1)")
     c_principal = ideal_from_elements(field, [c])
     modulus = c_principal * c_ideal
     if not modulus.is_integral():
@@ -233,7 +205,8 @@ def residue_unit_group(
         raise EnumerationTooLarge(f"{Q.index} residues exceeds cap {cap}")
     Linv = a_ideal.inverse() * c_ideal
     Qinv = QuotientModule(Linv, Linv * modulus)
-    units, inverses = _unit_coords(Q, Qinv, modulus, _distinct_prime_divisors(field, modulus))
+    units, inverses = _unit_coords(Q, Qinv, QuotientModule(field.unit_ideal(), modulus),
+                                   _distinct_prime_divisors(field, modulus))
     units.setflags(write=False)
     inverses.setflags(write=False)
     return ResidueUnitGroup(field, a_ideal, c, c_ideal, modulus, units, inverses, Q, Qinv)
@@ -289,7 +262,7 @@ class TwistCharacter:
             raise PreconditionViolation(
                 "explicit twist tables need a*c_frak^(-1) = O (module = O/(c)c_frak)"
             )
-        i, j = _reduce(co, group.quotient.sub_hnf)
+        i, j = group.quotient.reduce(co)
         keys = zip(i.tolist()) if group.field.degree == 1 else zip(i.tolist(), j.tolist())
         out = []
         for key in keys:
@@ -304,7 +277,7 @@ class TwistCharacter:
             return True
         chi = np.array(self.values(group))
         # the residue module is O here, so unit coordinates are O-coordinates
-        x = _reduce((group.units[:, 0], group.units[:, 1]), group.quotient.sub_hnf)
+        x = group.quotient.reduce((group.units[:, 0], group.units[:, 1]))
         xy = _mul_coords(group.field, (x[0][:, None], x[1][:, None]), (x[0][None, :], x[1][None, :]))
         lhs = np.array(self._lookup(group, (xy[0].ravel(), xy[1].ravel())))
         return bool(np.all(np.abs(lhs - np.outer(chi, chi).ravel()) <= tol))
@@ -331,9 +304,9 @@ def _phase_numerators(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement
     field = group.field
     c_inv = field.one() / c
     coeffs = []
-    for scale, I in ((r * c_inv, group.quotient.L), (rp * c_inv, group.inverse_quotient.L)):
-        for u, v in I.int_rows():
-            coeffs.append((scale * field.element(Fraction(u, I.den), Fraction(v, I.den))).trace())
+    for scale, quo in ((r * c_inv, group.quotient), (rp * c_inv, group.inverse_quotient)):
+        for e in (quo.element(1, 0), quo.element(0, 1)):
+            coeffs.append((scale * e).trace())
     den = 1
     for cf in coeffs:
         den = den * cf.denominator // math.gcd(den, cf.denominator)
@@ -351,8 +324,6 @@ def ks_twisted(
     c: FieldElement,
     c_ideal: FractionalIdeal,
     chi: Optional[TwistCharacter] = None,
-    level: Optional[FractionalIdeal] = None,
-    cap: int = DEFAULT_RESIDUE_CAP,
     group: Optional[ResidueUnitGroup] = None,
 ) -> complex:
     """The twisted Kloosterman sum; classical S(r, r'; c) over Q, trivial chi."""
@@ -364,7 +335,7 @@ def ks_twisted(
     if not rp.is_zero() and not (a_ideal * dinv * c_ideal.inverse() ** 2).contains(rp):
         raise PreconditionViolation("r' not in a d^(-1) c_frak^(-2)")
     if group is None:
-        group = residue_unit_group(a_ideal, c, c_ideal, level=level, cap=cap)
+        group = residue_unit_group(a_ideal, c, c_ideal)
     phases, den = _phase_numerators(group, r, rp, c)
     acc, comp = 0.0 + 0.0j, 0.0 + 0.0j
     for p, v in zip(phases.tolist(), chi.values(group)):
@@ -463,7 +434,7 @@ def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
         modulus = FractionalIdeal(Q, 1, (c,))
         quo = QuotientModule(O, modulus)
         primes = [FractionalIdeal(Q, 1, (p,)) for p in sorted(_rational_factorization(c))]
-        units, inverses = _unit_coords(quo, quo, modulus, primes)
+        units, inverses = _unit_coords(quo, quo, quo, primes)
         cos_table = np.cos(2.0 * np.pi * np.arange(c) / c)
         # row (m, n) holds the phase indices (m*x + n*x^(-1)) mod c
         idx = (ms[:, None] * units[:, 0] + ns[:, None] * inverses[:, 0]) % c
@@ -485,8 +456,7 @@ def classical_weil_sweep(c_max: int, m: int = 1, n: int = 1,
 
 
 def quadratic_weil_sweep(field: Field, norm_max: int, r_val: int = 1,
-                         rp_val: int = 1, eps: float = 0.0,
-                         require_real: bool = True) -> list[SweepRow]:
+                         rp_val: int = 1, eps: float = 0.0) -> list[SweepRow]:
     """Twisted sums over a real quadratic field for modulus norms <= norm_max.
 
     The modulus c runs over canonical associates with |N(c)| <= norm_max,
@@ -499,8 +469,7 @@ def quadratic_weil_sweep(field: Field, norm_max: int, r_val: int = 1,
     rows = []
     for n in range(1, norm_max + 1):
         for c in elements_of_norm(field, n):
-            group = residue_unit_group(O, c, O)
-            chk = weil_check(r, O, rp, c, O, eps=eps, group=group)
+            chk = weil_check(r, O, rp, c, O, eps=eps)
             label = f"{c.x}+{c.y}w"
             rows.append(SweepRow(label, float(abs(c.norm())), chk.ks_abs,
                                  abs(chk.value.imag), chk.rhs, chk.ratio))

@@ -72,7 +72,7 @@ def _gl15(f: Callable, a: float, b: float) -> float:
     return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
 
 
-def adaptive_quad(f: Callable, a: float, b: float, rel_tol: float = QUAD_REL_TOL) -> float:
+def adaptive_quad(f: Callable, a: float, b: float) -> float:
     """Adaptive 15-point Gauss-Legendre with interval-proportional budget.
 
     Raises InvariantViolation, with the error it achieved, when the
@@ -90,7 +90,7 @@ def adaptive_quad(f: Callable, a: float, b: float, rel_tol: float = QUAD_REL_TOL
         x0, x1, est = stack.pop()
         m = 0.5 * (x0 + x1)
         s1, s2 = _gl15(f, x0, m), _gl15(f, m, x1)
-        budget = rel_tol * scale * max((x1 - x0) / (b - a), 1e-12)
+        budget = QUAD_REL_TOL * scale * max((x1 - x0) / (b - a), 1e-12)
         if abs(s1 + s2 - est) <= budget or splits >= QUAD_MAX_SUBDIV:
             total += s1 + s2
             error += abs(s1 + s2 - est)
@@ -101,7 +101,7 @@ def adaptive_quad(f: Callable, a: float, b: float, rel_tol: float = QUAD_REL_TOL
     if splits >= QUAD_MAX_SUBDIV:
         raise InvariantViolation(
             f"quadrature over [{a}, {b}] hit the cap of {QUAD_MAX_SUBDIV} subdivisions: "
-            f"estimated error {error:.3g} against a tolerance of {rel_tol * scale:.3g}"
+            f"estimated error {error:.3g} against a tolerance of {QUAD_REL_TOL * scale:.3g}"
         )
     return total
 
@@ -525,6 +525,9 @@ def sample_spectral(spec: MeasureSpec, low: float, high: float, n: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Samples from a spectral measure restricted to [low, high)."""
     _check_finite(low, high)
+    if spec.literal_middle:
+        # the verbatim middle term is a constant, not a measure
+        raise InvalidParameter("a literal_middle spec is not a measure and cannot be sampled")
     total = _interval_mass(spec, low, high)
     if total <= 0.0:
         raise ZeroMassRegion(f"no spectral mass in [{low}, {high})")

@@ -27,7 +27,7 @@ from .errors import (
     ZeroArgument,
     ZeroIdeal,
 )
-from .quadforms import Form, is_reduced, rho
+from .quadforms import Form, is_reduced, principal_form, rho
 
 Rat = Union[int, Fraction]
 
@@ -159,7 +159,7 @@ class Field:
         return self.omega()
 
     def unit_ideal(self) -> "FractionalIdeal":
-        return ideal_from_elements(self, [self.one()])
+        return FractionalIdeal(self, 1, (1,) if self.degree == 1 else (1, 0, 1), _canonical=True)
 
     def ideal(self, *gens) -> "FractionalIdeal":
         elems = [g if isinstance(g, FieldElement) else self.element(g) for g in gens]
@@ -670,7 +670,15 @@ def ideal_from_json(field: Field, obj: dict) -> FractionalIdeal:
 
 
 class QuotientModule:
-    """Finite quotient L/Lsub of two fractional ideals with Lsub contained in L."""
+    """Finite quotient L/Lsub of two fractional ideals with Lsub contained in L.
+
+    A coset is named by integer coordinates (i, j) over the Z-basis of L
+    (`L.int_rows()`).  In those coordinates Lsub is the lattice
+    Z*(a1, 0) + Z*(b1, c1) given by `sub_hnf`, so every coset has exactly one
+    canonical pair with 0 <= i < a1 and 0 <= j < c1 (`shape`), and there are
+    `index` = a1*c1 cosets.  Over Q, sub_hnf = (a1, 0, 1) and j is always 0.
+    `reduce` and `contains` take Python ints or numpy int64 arrays alike.
+    """
 
     def __init__(self, L: FractionalIdeal, Lsub: FractionalIdeal):
         if L.field != Lsub.field:
@@ -682,54 +690,31 @@ class QuotientModule:
         self.field = L.field
         coords = [L._row_coords(u, v, Lsub.den) for (u, v) in Lsub.int_rows()]
         if self.field.degree == 1:
-            self._a1 = abs(coords[0][0])
-            self._b1, self._c1 = 0, 1
-            self.index = self._a1
+            a1, b1, c1 = abs(coords[0][0]), 0, 1
         else:
             a1, b1, c1 = _hnf_rows_deg2(coords)
             if a1 <= 0 or c1 <= 0:
                 raise InvariantViolation("quotient is not finite")
-            self._a1, self._b1, self._c1 = a1, b1, c1
-            self.index = a1 * c1
+        self.sub_hnf = (a1, b1, c1)
+        self.shape = (a1, c1)
+        self.index = a1 * c1
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Cyclic ranges (a1, c1) of the canonical coordinates."""
-        return (self._a1, self._c1)
+    def reduce(self, co):
+        """Canonical coordinates of the coset of co = (i, j)."""
+        a, b, c = self.sub_hnf
+        q = co[1] // c
+        return ((co[0] - q * b) % a, co[1] - q * c)
 
-    @property
-    def sub_hnf(self) -> tuple[int, int, int]:
-        """Lsub in L's coordinates: the lattice Z*(a1, 0) + Z*(b1, c1)."""
-        return (self._a1, self._b1, self._c1)
+    def contains(self, co):
+        """Whether co = (i, j) lies in Lsub (a boolean mask for arrays)."""
+        a, b, c = self.sub_hnf
+        return (co[1] % c == 0) & ((co[0] - (co[1] // c) * b) % a == 0)
 
-    def representatives(self) -> list[FieldElement]:
-        b = self.L.basis_elements()
-        out = []
-        if self.field.degree == 1:
-            for i in range(self._a1):
-                out.append(b[0] * i)
-            return out
-        for i in range(self._a1):
-            for j in range(self._c1):
-                out.append(b[0] * i + b[1] * j)
-        return out
-
-    def key(self, e: FieldElement) -> tuple[int, ...]:
-        """Canonical coordinates of the coset of e (e must lie in L)."""
-        co = self.L.element_coords(e)
-        if self.field.degree == 1:
-            return (co[0] % self._a1,)
-        i, j = co
-        q, j = divmod(j, self._c1)
-        i -= q * self._b1
-        return (i % self._a1, j)
-
-    def reduce(self, e: FieldElement) -> FieldElement:
-        k = self.key(e)
-        b = self.L.basis_elements()
-        if self.field.degree == 1:
-            return b[0] * k[0]
-        return b[0] * k[0] + b[1] * k[1]
+    def element(self, i: int, j: int) -> FieldElement:
+        """The element of L with coordinates (i, j)."""
+        (u1, v1), (u2, v2) = self.L.int_rows()
+        den = self.L.den
+        return self.field.element(Fraction(i * u1 + j * u2, den), Fraction(i * v1 + j * v2, den))
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1049,9 @@ def is_principal(M: FractionalIdeal, narrow: bool = False) -> bool:
     field = M.field
     if field.degree == 1:
         return True
-    return _class_key(M, narrow) == _class_key(field.unit_ideal(), narrow)
+    # the principal form is the only reduced form with a = 1, so it keys O in
+    # both variants
+    return _class_key(M, narrow) == principal_form(field.disc)
 
 
 @dataclass(frozen=True)
@@ -1117,56 +1104,34 @@ def _class_structure(field: Field, narrow: bool):
 
 
 def _abelian_invariants(table: list[list[int]]) -> list[int]:
-    """Invariant factors of a finite abelian group given by its table."""
-    n = len(table)
-    if n == 1:
-        return []
+    """Invariant factors, largest first, of a finite abelian group given by its table.
 
-    def order_of(g: int) -> int:
+    The p-part of G is a sum of cyclic groups Z/p^e, and |G[p^k]|/|G[p^(k-1)]|
+    is p^r with r the number of them with e >= k, where G[m] is the set of
+    elements whose order divides m.  So the first r invariant factors each
+    take one more power of p at every k.
+    """
+    orders = []
+    for g in range(len(table)):
         k, x = 1, g
         while x != 0:
             x = table[x][g]
             k += 1
-        return k
-
-    elems = list(range(n))
-    orders = {g: order_of(g) for g in elems}
-    m = max(orders.values())
-    g = next(e for e in elems if orders[e] == m)
-    # subgroup generated by g, then recurse on the quotient
-    sub = []
-    x = g
-    while True:
-        sub.append(x)
-        if x == 0:
-            break
-        x = table[x][g]
-    subset = set(sub)
-    cosets: list[frozenset] = []
-    elem_to_coset: dict[int, int] = {}
-    for e in elems:
-        if e in elem_to_coset:
-            continue
-        coset = frozenset(table[e][s] for s in subset)
-        idx = len(cosets)
-        cosets.append(coset)
-        for member in coset:
-            elem_to_coset[member] = idx
-    q = len(cosets)
-    qtable = [[0] * q for _ in range(q)]
-    reps_c = [min(c) for c in cosets]
-    for i in range(q):
-        for j in range(q):
-            qtable[i][j] = elem_to_coset[table[reps_c[i]][reps_c[j]]]
-    zero_idx = elem_to_coset[0]
-    if zero_idx != 0:
-        # relabel so identity coset is index 0
-        perm = list(range(q))
-        perm[0], perm[zero_idx] = perm[zero_idx], perm[0]
-        inv = {v: i for i, v in enumerate(perm)}
-        qtable = [[inv[qtable[perm[i]][perm[j]]] for j in range(q)] for i in range(q)]
-    rest = _abelian_invariants(qtable)
-    return [m] + rest
+        orders.append(k)
+    factors: list[int] = []
+    for p, e in _rational_factorization(len(table)).items():
+        below = 1
+        for k in range(1, e + 1):
+            count = sum(1 for o in orders if p**k % o == 0)
+            r, q = 0, count // below
+            while q > 1:
+                q //= p
+                r += 1
+            below = count
+            factors += [1] * (r - len(factors))
+            for i in range(r):
+                factors[i] *= p
+    return factors
 
 
 def class_group(field: Field, narrow: bool = False) -> ClassGroupDescription:

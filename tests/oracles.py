@@ -4,10 +4,11 @@ Everything here is deliberately primitive: exact integer power series for
 the classical level-one eigenforms, affine point counting for the level-11
 elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a smallest-unit
 search, the Pell-type y-scan for principal generators and elements of a
-given norm, unit-power scans in Fraction arithmetic, the trace-dual module from
-the trace pairing, a sieved Euler product, x-measure CDFs by adaptive
-quadrature and by Serre's series, the per-sample loop of the spectral
-sampler, and synthetic datasets built and read one DataPoint at a time.
+given norm, invariant factors by recursive quotients, unit-power scans in
+Fraction arithmetic, the trace-dual module from the trace pairing, a sieved
+Euler product, x-measure CDFs by adaptive quadrature and by Serre's series,
+the per-sample loop of the spectral sampler, and synthetic datasets built
+and read one DataPoint at a time.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
@@ -333,6 +334,61 @@ def elements_of_norm_scan(field, n: int) -> list:
     found = {canonical_associate_walk(field.element(x, y))
              for x, y in norm_form_rows(field, n, norm_y_bound(field, n))}
     return sorted(found, key=lambda e: (e.x, e.y))
+
+
+def abelian_invariants_by_quotients(table: list[list[int]]) -> list[int]:
+    """Invariant factors of a finite abelian group given by its table (identity 0),
+    largest first: the order m of an element of maximal order, then the factors of
+    the quotient by the cyclic subgroup it generates, with its cosets relabelled."""
+    n = len(table)
+    if n == 1:
+        return []
+
+    def order_of(g: int) -> int:
+        k, x = 1, g
+        while x != 0:
+            x = table[x][g]
+            k += 1
+        return k
+
+    elems = list(range(n))
+    orders = {g: order_of(g) for g in elems}
+    m = max(orders.values())
+    g = next(e for e in elems if orders[e] == m)
+    # subgroup generated by g, then recurse on the quotient
+    sub = []
+    x = g
+    while True:
+        sub.append(x)
+        if x == 0:
+            break
+        x = table[x][g]
+    subset = set(sub)
+    cosets: list[frozenset] = []
+    elem_to_coset: dict[int, int] = {}
+    for e in elems:
+        if e in elem_to_coset:
+            continue
+        coset = frozenset(table[e][s] for s in subset)
+        idx = len(cosets)
+        cosets.append(coset)
+        for member in coset:
+            elem_to_coset[member] = idx
+    q = len(cosets)
+    qtable = [[0] * q for _ in range(q)]
+    reps_c = [min(c) for c in cosets]
+    for i in range(q):
+        for j in range(q):
+            qtable[i][j] = elem_to_coset[table[reps_c[i]][reps_c[j]]]
+    zero_idx = elem_to_coset[0]
+    if zero_idx != 0:
+        # relabel so identity coset is index 0
+        perm = list(range(q))
+        perm[0], perm[zero_idx] = perm[zero_idx], perm[0]
+        inv = {v: i for i, v in enumerate(perm)}
+        qtable = [[inv[qtable[perm[i]][perm[j]]] for j in range(q)] for i in range(q)]
+    rest = abelian_invariants_by_quotients(qtable)
+    return [m] + rest
 
 
 # --- Euler product over prime ideals from a sieve and the Kronecker symbol ------

@@ -348,7 +348,7 @@ real = K._pow_mod
 def corrupt(field, base, e, mod):
     s, t = real(field, base, e, mod)
     s = s.copy()
-    s[0] = (s[0] + 1) % mod[0]  # moves the first inverse off its coset
+    s[0] = (s[0] + 1) % mod.shape[0]  # moves the first inverse off its coset
     return s, t
 
 

@@ -153,6 +153,14 @@ def test_v1_literal_middle_flag_is_constant_offset():
     assert abs(mass(lit, (2.0, 2.1)) - (0.5 * 0.1 + 1.5)) < 1e-12
 
 
+def test_literal_middle_spec_is_not_sampled():
+    # the constant middle term is no measure, so there is nothing to sample
+    rng = np.random.default_rng(0)
+    for low, high in [(-0.5, 0.1), (0.0, 3.0)]:
+        with pytest.raises(InvalidParameter):
+            sample_spectral(MeasureSpec.v1(1, literal_middle=True), low, high, 5, rng)
+
+
 def test_unbounded_region_rejected():
     with pytest.raises(UnboundedRegion):
         mass(MeasureSpec.plancherel(0), (0.0, math.inf))

@@ -1,11 +1,13 @@
 import contextlib
 import io
+import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +43,7 @@ from heckedist.numberfield import (
     totally_positive_adjust,
 )
 from oracles import (
+    abelian_invariants_by_quotients,
     canonical_associate_walk,
     elements_of_norm_scan,
     generator_scan,
@@ -402,20 +405,69 @@ def test_cyclic_factor_structure_consistent():
             assert len(desc.representatives) == order
 
 
+def _product_table(orders, seed):
+    """Table of Z/n1 x ... x Z/nk, elements shuffled with the identity kept at 0."""
+    elems = list(itertools.product(*(range(n) for n in orders)))
+    rest = elems[1:]
+    random.Random(seed).shuffle(rest)
+    elems = elems[:1] + rest
+    index = {e: k for k, e in enumerate(elems)}
+    return [[index[tuple((x + y) % n for x, y, n in zip(a, b, orders))] for b in elems]
+            for a in elems]
+
+
+@pytest.mark.parametrize("orders, factors", [
+    ((4, 2), [4, 2]), ((2, 2, 2), [2, 2, 2]), ((12,), [12]), ((3, 9), [9, 3]),
+    ((4, 6), [12, 2]), ((1,), []),
+])
+def test_abelian_invariants_by_p_power_counts(orders, factors):
+    table = _product_table(orders, seed=sum(orders))
+    assert nf._abelian_invariants(table) == factors
+    assert abelian_invariants_by_quotients(table) == factors
+
+
+def test_principal_form_keys_the_ring_of_integers():
+    # the principal form is the only reduced form with a = 1 on O's cycle
+    for D in range(2, 400):
+        if is_squarefree(D):
+            F = make_field(D)
+            for narrow in (False, True):
+                assert nf._class_key(F.unit_ideal(), narrow) == quadforms.principal_form(F.disc)
+
+
 # --- quotients / canonical associates ----------------------------------------
 
 
 def test_quotient_module_counts():
     P = factor_rational_prime(F5, 2).primes[0]  # inert, norm 4
     Qm = QuotientModule(F5.unit_ideal(), P)
-    assert Qm.index == 4
-    reps = Qm.representatives()
-    assert len(reps) == 4
-    keys = {Qm.key(r) for r in reps}
-    assert len(keys) == 4
-    # reduce is idempotent and lands in the representative set
-    for r in reps:
-        assert Qm.key(Qm.reduce(r + P.basis_elements()[0])) == Qm.key(r)
+    assert Qm.index == 4 and Qm.shape == (2, 2)
+    canon = [(i, j) for i in range(2) for j in range(2)]
+    # the canonical pairs name distinct cosets: no difference of two lies in P
+    for x in canon:
+        for y in canon:
+            assert bool(Qm.contains((x[0] - y[0], x[1] - y[1]))) == (x == y)
+    # reduce fixes canonical coordinates and ignores shifts by Lsub
+    a, b, c = Qm.sub_hnf
+    for i, j in canon:
+        assert Qm.reduce((i, j)) == (i, j)
+        for k, m in [(1, 0), (0, 1), (-2, 3)]:
+            assert Qm.reduce((i + k * a + m * b, j + m * c)) == (i, j)
+    # coordinates name elements of L, and contains agrees with the ideal Lsub
+    for i in range(-3, 4):
+        for j in range(-3, 4):
+            assert bool(Qm.contains((i, j))) == P.contains(Qm.element(i, j))
+    # int64 arrays give the same answers as Python ints
+    i, j = np.divmod(np.arange(-20, 20, dtype=np.int64), 5)
+    ri, rj = Qm.reduce((i, j))
+    assert [(int(u), int(v)) for u, v in zip(ri, rj)] == [Qm.reduce(co) for co in
+                                                          zip(i.tolist(), j.tolist())]
+    assert Qm.contains((i, j)).tolist() == [bool(Qm.contains(co)) for co in
+                                            zip(i.tolist(), j.tolist())]
+    # over Q the second coordinate is inert
+    Q3 = QuotientModule(Q.unit_ideal(), Q.ideal(3))
+    assert (Q3.sub_hnf, Q3.shape, Q3.index) == ((3, 0, 1), (3, 1), 3)
+    assert Q3.reduce((7, 0)) == (1, 0) and Q3.element(2, 0) == Q.element(2)
 
 
 def test_elements_of_norm_canonical():
