@@ -300,7 +300,7 @@ def cmd_hecke(args) -> dict:
             ],
         }
     if args.action == "descent":
-        dd = heckealg.descent_data(P, args.ell, f)
+        dd = heckealg.descent_data(P, args.ell)
         return {
             "prime": P.to_json(),
             "ell": args.ell,

@@ -81,8 +81,20 @@ def _require(obj: dict, key: str, label: str = "?"):
 
 
 def parse_record_json(obj: dict) -> list[EigenvalueRecord]:
-    """Parse one JSON object into records (one per Hecke-field embedding)."""
+    """Parse one JSON object into records (one per Hecke-field embedding).
+
+    A value of the wrong type or shape is a SchemaError naming the record.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"record is a JSON {type(obj).__name__}, not an object")
     label = _require(obj, "label")
+    try:
+        return _parse_record(obj, label)
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise SchemaError(f"record {label}: {exc}") from None
+
+
+def _parse_record(obj: dict, label) -> list[EigenvalueRecord]:
     degree = int(_require(obj, "degree", label))
     field_spec = _require(obj, "field", label)
     field_disc = None if field_spec == "rational" else int(field_spec)
@@ -94,10 +106,14 @@ def parse_record_json(obj: dict) -> list[EigenvalueRecord]:
 
     def prime_norm(key: str, entry) -> int:
         if isinstance(entry, dict) and "norm" in entry:
-            return int(entry["norm"])
-        if degree == 1:
-            return int(key)
-        raise SchemaError(f"record {label}: no norm for prime {key}")
+            norm = int(entry["norm"])
+        elif degree == 1:
+            norm = int(key)
+        else:
+            raise SchemaError(f"record {label}: no norm for prime {key}")
+        if norm < 2:  # normalize divides by a power of the norm
+            raise SchemaError(f"record {label}: prime norm {norm} at {key} is below 2")
+        return norm
 
     embeddings: list[tuple[float, float]] = [(1.0, 0.0)]
     if hecke is not None:
@@ -146,6 +162,30 @@ def _record_to_json(rec_obj: dict) -> str:
     return json.dumps(rec_obj, sort_keys=True, separators=(",", ":"))
 
 
+def _read_jsonl(path: str) -> list[dict]:
+    """The JSON objects on the non-blank lines of a file; SchemaError naming the
+    file and line for anything else."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise InvalidParameter(f"cannot read {path}: {exc.strerror}") from None
+    rows = []
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise SchemaError(f"{path}, line {n}: not JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{path}, line {n}: a JSON {type(obj).__name__}, not an object")
+        rows.append(obj)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Queries and cache
 
@@ -173,11 +213,14 @@ class Query:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     def matches(self, obj: dict) -> bool:
-        return (
-            int(obj.get("degree", -1)) == self.degree
-            and self.level_min <= int(obj.get("level_norm", -1)) <= self.level_max
-            and self.weight_min <= int(obj.get("weight", -1)) <= self.weight_max
-        )
+        try:
+            return (
+                int(obj.get("degree", -1)) == self.degree
+                and self.level_min <= int(obj.get("level_norm", -1)) <= self.level_max
+                and self.weight_min <= int(obj.get("weight", -1)) <= self.weight_max
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"record {obj.get('label', '?')}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -229,8 +272,7 @@ class DataClient:
         path = self._cache_path(query)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+        return _read_jsonl(path)
 
     def cache_store(self, query: Query, rows: list[dict]):
         os.makedirs(self.cache_dir, exist_ok=True)
@@ -317,14 +359,13 @@ class DataClient:
         for name in names:
             if not name.endswith(".jsonl"):
                 continue
-            with open(os.path.join(self.fixture_dir, name), "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
+            path = os.path.join(self.fixture_dir, name)
+            for obj in _read_jsonl(path):
+                try:
                     if query.matches(obj):
                         rows.append(obj)
+                except SchemaError as exc:
+                    raise SchemaError(f"{path}: {exc}") from None
         return rows
 
     # --- main entry ----------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import (
     DivisibilityViolation,
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .measures import RAMANUJAN_SLACK, chebyshev_eval
 from .numberfield import (
-    Field,
     FieldElement,
     FractionalIdeal,
     QuotientModule,
@@ -143,14 +142,12 @@ def _element_with_exact_valuation(J: FractionalIdeal, P: FractionalIdeal,
     raise InvariantViolation("no basis element attains the minimal valuation")
 
 
-def descent_data(P: FractionalIdeal, ell: int,
-                 field: Optional[Field] = None) -> DescentData:
+def descent_data(P: FractionalIdeal, ell: int) -> DescentData:
     """Construct descent data for P^ell; P must be a narrow-class-group square."""
     if not is_prime_ideal(P):
         raise NotPrime("descent data requires a prime ideal")
     if ell < 0:
         raise InvalidParameter("ell must be >= 0")
-    f = field or P.field
     witness = narrow_square_witness(P)
     if witness is None:
         raise NotNarrowSquare(
@@ -170,7 +167,7 @@ def descent_data(P: FractionalIdeal, ell: int,
             if a_s is None:
                 a_s = _element_with_exact_valuation(J, P, target)
         a_elems.append(a_s)
-        b_shifts.append(f.zero())
+        b_shifts.append(P.field.zero())
     data = DescentData(P, ell, b_ideal, eta, tuple(a_elems), tuple(b_shifts))
     data.verify()
     return data

@@ -42,6 +42,7 @@ from .numberfield import (
     elements_of_norm,
     factor_rational_prime,
     ideal_from_elements,
+    is_rational_prime,
     make_field,
     _mul_coords,
     _rational_factorization,
@@ -242,8 +243,8 @@ class TwistCharacter:
     @staticmethod
     def legendre(p: int) -> "TwistCharacter":
         """Quadratic residue character mod an odd prime p (over Q)."""
-        if p < 3 or p % 2 == 0:
-            raise InvalidParameter("legendre twist needs an odd prime")
+        if p == 2 or not is_rational_prime(p):
+            raise InvalidParameter(f"legendre twist needs an odd prime, got {p}")
         table = {}
         for x in range(1, p):
             table[(x,)] = complex(1.0 if pow(x, (p - 1) // 2, p) == 1 else -1.0)
@@ -307,9 +308,7 @@ def _phase_numerators(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement
     for scale, quo in ((r * c_inv, group.quotient), (rp * c_inv, group.inverse_quotient)):
         for e in (quo.element(1, 0), quo.element(0, 1)):
             coeffs.append((scale * e).trace())
-    den = 1
-    for cf in coeffs:
-        den = den * cf.denominator // math.gcd(den, cf.denominator)
+    den = math.lcm(*(cf.denominator for cf in coeffs))
     nums = [int(cf * den) % den for cf in coeffs]
     co = (group.units[:, 0], group.units[:, 1], group.inverses[:, 0], group.inverses[:, 1])
     _check_int64(den * sum(int(np.abs(a).max(initial=0)) for a in co))

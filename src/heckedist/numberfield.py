@@ -1,10 +1,12 @@
 """Exact arithmetic for Q and real quadratic fields Q(sqrt(D)).
 
-Elements carry exact rational coordinates over the integral basis (1, w),
-where w = (1+sqrt(D))/2 for D = 1 mod 4 and w = sqrt(D) otherwise.
-Fractional ideals are Hermite-reduced 2-row module bases over Z together
-with a positive integer denominator, so ideal equality is a structural
-comparison; products, sums and conjugates work on those integer rows.
+Everything is written over the integral basis (1, w), where
+w = (1+sqrt(D))/2 for D = 1 mod 4 and w = sqrt(D) otherwise, as integer
+rows (u, v) ~ u + v*w over a positive denominator.  An element is one row
+over its denominator in lowest terms, (u + v*w)/den; a fractional ideal is
+a Hermite-reduced 2-row module basis over its least denominator.  So
+equality is a structural comparison, and products, norms, conjugates and
+signs of elements and ideals alike come from the same row helpers.
 Ideal classes are keyed by cycles of reduced binary quadratic forms, and
 principal generators are read off the same rho-walk.  Everything is
 immutable and exact; floating point appears only in `embeddings`.
@@ -137,7 +139,11 @@ class Field:
     # basic constructors ----------------------------------------------------
 
     def element(self, x: Rat, y: Rat = 0) -> "FieldElement":
-        return FieldElement(self, Fraction(x), Fraction(y))
+        x, y = Fraction(x), Fraction(y)
+        if self.degree == 1 and y:
+            raise DegreeUnsupported("Q elements have no w-coordinate")
+        return FieldElement(self, (x.numerator * y.denominator, y.numerator * x.denominator),
+                            x.denominator * y.denominator)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -216,19 +222,29 @@ def make_field(D) -> Field:
 
 
 class FieldElement:
-    """x + y*w with exact rational coordinates (y = 0 over Q)."""
+    """(u + v*w)/den: integer `row` = (u, v) (v = 0 over Q) and `den` > 0 in lowest
+    terms, the row format of `FractionalIdeal`; x + y*w gives the rationals x, y."""
 
-    __slots__ = ("field", "x", "y")
+    __slots__ = ("field", "row", "den")
 
-    def __init__(self, field: Field, x: Fraction, y: Fraction = Fraction(0)):
-        if field.degree == 1 and y != 0:
-            raise DegreeUnsupported("Q elements have no w-coordinate")
+    def __init__(self, field: Field, row: tuple[int, int], den: int = 1):
+        if not den:
+            raise ZeroDivisionError("field element with denominator 0")
+        g = math.gcd(*row, den) if den > 0 else -math.gcd(*row, den)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        object.__setattr__(self, "row", (row[0] // g, row[1] // g))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.row[0], self.den)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.row[1], self.den)
 
     # ring structure -------------------------------------------------------
 
@@ -237,16 +253,18 @@ class FieldElement:
             if other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
-        return FieldElement(self.field, Fraction(other))
+        return self.field.element(other)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return FieldElement(self.field, self.x + o.x, self.y + o.y)
+        (u1, v1), (u2, v2) = self.row, o.row
+        return FieldElement(self.field, (u1 * o.den + u2 * self.den, v1 * o.den + v2 * self.den),
+                            self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, -self.x, -self.y)
+        return FieldElement(self.field, (-self.row[0], -self.row[1]), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -256,24 +274,18 @@ class FieldElement:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if self.field.degree == 1:
-            return FieldElement(self.field, self.x * o.x)
-        t, n = self.field.omega_trace, self.field.omega_norm
-        # (x1 + y1 w)(x2 + y2 w) with w^2 = t*w - n
-        x = self.x * o.x - n * self.y * o.y
-        y = self.x * o.y + self.y * o.x + t * self.y * o.y
-        return FieldElement(self.field, x, y)
+        return FieldElement(self.field, _mul_coords(self.field, self.row, o.row), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # a/b = a * conj(b) / N(b), and over Q conj(b) = b with N = b^2 on rows
         o = self._coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        if self.field.degree == 1:
-            return FieldElement(self.field, self.x / o.x)
-        nrm = o.norm()
-        return self * o.conjugate() * FieldElement(self.field, 1 / nrm)
+        u, v = _mul_coords(self.field, self.row, _conj_row(self.field, o.row))
+        return FieldElement(self.field, (u * o.den, v * o.den),
+                            self.den * _row_norm(self.field, o.row))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -295,50 +307,40 @@ class FieldElement:
             o = self._coerce(other)
         except (ValueError, TypeError):
             return NotImplemented
-        return self.x == o.x and self.y == o.y
+        return self.row == o.row and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field, self.x, self.y))
+        # a rational element hashes like the Fraction it equals
+        return hash(self.x) if self.row[1] == 0 else hash((self.field, self.row, self.den))
 
     # maps -------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return self.row == (0, 0)
 
     def conjugate(self) -> "FieldElement":
-        if self.field.degree == 1:
-            return self
-        t = self.field.omega_trace
-        return FieldElement(self.field, self.x + t * self.y, -self.y)
+        return FieldElement(self.field, _conj_row(self.field, self.row), self.den)
 
     def trace(self) -> Fraction:
         if self.field.degree == 1:
             return self.x
-        return 2 * self.x + self.field.omega_trace * self.y
+        return Fraction(2 * self.row[0] + self.field.omega_trace * self.row[1], self.den)
 
     def norm(self) -> Fraction:
         if self.field.degree == 1:
             return self.x
-        t, n = self.field.omega_trace, self.field.omega_norm
-        return self.x * self.x + t * self.x * self.y + n * self.y * self.y
+        return Fraction(_row_norm(self.field, self.row), self.den * self.den)
 
     def embeddings(self) -> tuple[float, ...]:
+        x, y = self.row[0] / self.den, self.row[1] / self.den
         if self.field.degree == 1:
-            return (float(self.x),)
+            return (x,)
         w1, w2 = self.field.omega_embeddings()
-        return (float(self.x) + float(self.y) * w1, float(self.x) + float(self.y) * w2)
-
-    def _sqrtD_coords(self) -> tuple[Fraction, Fraction]:
-        """(A, B) with value A + B*sqrt(D); (x, 0) over Q."""
-        if self.field.degree == 1:
-            return (self.x, Fraction(0))
-        if self.field.D % 4 == 1:
-            return (self.x + self.y / 2, self.y / 2)
-        return (self.x, self.y)
+        return (x + y * w1, x + y * w2)
 
     def sign_at(self, j: int) -> int:
         """Exact sign of the j-th embedding (j = 0 or 1)."""
-        a, b = self._sqrtD_coords()
+        a, b = _sqrtD_row(self.field, self.row)
         if j == 1:
             b = -b
         if b == 0:
@@ -352,12 +354,10 @@ class FieldElement:
         return (1 if a > 0 else -1) if big else (1 if b > 0 else -1)
 
     def is_totally_positive(self) -> bool:
-        if self.field.degree == 1:
-            return self.x > 0
         return self.sign_at(0) > 0 and self.sign_at(1) > 0
 
     def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
+        return self.den == 1
 
     def is_unit(self) -> bool:
         return self.is_integral() and abs(self.norm()) == 1
@@ -376,7 +376,7 @@ def element_from_json(field: Field, obj: dict) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Fractional ideals
+# Integer rows (u, v) ~ u + v*w, shared by elements and ideals; fractional ideals
 
 
 def _mul_coords(field: Field, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
@@ -384,6 +384,25 @@ def _mul_coords(field: Field, p: tuple[int, int], q: tuple[int, int]) -> tuple[i
     (x1, y1), (x2, y2) = p, q
     t, n = field.omega_trace, field.omega_norm
     return (x1 * x2 - n * y1 * y2, x1 * y2 + y1 * x2 + t * y1 * y2)
+
+
+def _conj_row(field: Field, p: tuple[int, int]) -> tuple[int, int]:
+    """conj(x + y*w) = (x + t*y) - y*w on integer coordinates."""
+    x, y = p
+    return (x + field.omega_trace * y, -y)
+
+
+def _row_norm(field: Field, p: tuple[int, int]) -> int:
+    """N(x + y*w) on integer coordinates; x^2 over Q, where t = n = 0."""
+    x, y = p
+    return x * x + field.omega_trace * x * y + field.omega_norm * y * y
+
+
+def _sqrtD_row(field: Field, p: tuple[int, int]) -> tuple[int, int]:
+    """Integers (A, B) with x + y*w a positive multiple of A + B*sqrt(D):
+    x + y*w = ((2x + y) + y*sqrt(D))/2 when w = (1 + sqrt(D))/2."""
+    x, y = p
+    return ((2 * x + y) if field.omega_trace else x, y)
 
 
 def _hnf_rows_deg2(rows: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
@@ -465,12 +484,8 @@ class FractionalIdeal:
 
     def basis_elements(self) -> tuple[FieldElement, ...]:
         """Module generators of the ideal over Z (exact field elements)."""
-        f = self.field
-        d = Fraction(1, self.den)
-        if f.degree == 1:
-            return (f.element(self.hnf[0] * d),)
-        a, b, c = self.hnf
-        return (f.element(a * d), f.element(b * d, c * d))
+        rows = self.int_rows()[: self.field.degree]
+        return tuple(FieldElement(self.field, r, self.den) for r in rows)
 
     def norm(self) -> Fraction:
         if self.is_zero():
@@ -492,10 +507,7 @@ class FractionalIdeal:
         return f"Ideal(den={self.den}, basis={self.hnf})"
 
     def to_json(self) -> dict:
-        if self.field.degree == 1:
-            return {"den": self.den, "basis": [[self.hnf[0], 0], [0, 0]]}
-        a, b, c = self.hnf
-        return {"den": self.den, "basis": [[a, 0], [b, c]]}
+        return {"den": self.den, "basis": [list(r) for r in self.int_rows()]}
 
     # arithmetic ---------------------------------------------------------------
 
@@ -540,11 +552,7 @@ class FractionalIdeal:
         return _ideal_from_rows(self.field, den, rows)
 
     def conjugate(self) -> "FractionalIdeal":
-        if self.field.degree == 1:
-            return self
-        t = self.field.omega_trace
-        # conj(u + v*w) = (u + t*v) - v*w
-        rows = [(u + t * v, -v) for (u, v) in self.int_rows()]
+        rows = [_conj_row(self.field, r) for r in self.int_rows()]
         return _ideal_from_rows(self.field, self.den, rows)
 
     def inverse(self) -> "FractionalIdeal":
@@ -565,14 +573,14 @@ class FractionalIdeal:
     def contains(self, e: FieldElement) -> bool:
         if e.field != self.field:
             raise ValueError("element of a different field")
-        return self._row_coords(*_element_row(e)) is not None
+        return self._row_coords(*e.row, e.den) is not None
 
     def contains_ideal(self, other: "FractionalIdeal") -> bool:
         return all(self._row_coords(u, v, other.den) is not None for (u, v) in other.int_rows())
 
     def element_coords(self, e: FieldElement) -> tuple[int, ...]:
         """Coordinates of e in the ideal's Z-basis; raises if e not a member."""
-        co = self._row_coords(*_element_row(e))
+        co = self._row_coords(*e.row, e.den)
         if co is None:
             raise ValueError("element not in ideal")
         return co
@@ -610,12 +618,6 @@ def _canonicalize(field: Field, den: int, hnf: tuple[int, ...]) -> tuple[int, tu
     return den // g, (a // g, b // g, c // g)
 
 
-def _element_row(e: FieldElement) -> tuple[int, int, int]:
-    """(u, v, d) with e = (u + v*w)/d and d > 0."""
-    d = e.x.denominator * e.y.denominator // math.gcd(e.x.denominator, e.y.denominator)
-    return (int(e.x * d), int(e.y * d), d)
-
-
 def _ideal_from_rows(field: Field, den: int, rows: Iterable[tuple[int, int]]) -> FractionalIdeal:
     """The ideal spanned over Z by the nonzero rows (u + v*w)/den."""
     if field.degree == 1:
@@ -642,14 +644,11 @@ def ideal_from_elements(field: Field, elems: Iterable[FieldElement]) -> Fraction
     elems = [e for e in elems if not e.is_zero()]
     if not elems:
         return _zero_ideal(field)
-    den = 1
-    for e in elems:
-        for fr in (e.x, e.y):
-            den = den * fr.denominator // math.gcd(den, fr.denominator)
+    den = math.lcm(*(e.den for e in elems))
     rows = []
     for e in elems:
         # e and e*w span e*O over Z
-        p = (int(e.x * den), int(e.y * den))
+        p = (e.row[0] * (den // e.den), e.row[1] * (den // e.den))
         rows.append(p)
         if field.degree == 2:
             rows.append(_mul_coords(field, p, (0, 1)))
@@ -661,8 +660,8 @@ def ideal_from_json(field: Field, obj: dict) -> FractionalIdeal:
     den = int(obj["den"])
     if field.degree == 1:
         return FractionalIdeal(field, den, (int(rows[0][0]),))
-    elems = [field.element(Fraction(r[0], den), Fraction(r[1], den)) for r in rows]
-    return ideal_from_elements(field, elems)
+    return ideal_from_elements(field, [FieldElement(field, (int(r[0]), int(r[1])), den)
+                                       for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +712,7 @@ class QuotientModule:
     def element(self, i: int, j: int) -> FieldElement:
         """The element of L with coordinates (i, j)."""
         (u1, v1), (u2, v2) = self.L.int_rows()
-        den = self.L.den
-        return self.field.element(Fraction(i * u1 + j * u2, den), Fraction(i * v1 + j * v2, den))
+        return FieldElement(self.field, (i * u1 + j * u2, i * v1 + j * v2), self.L.den)
 
 
 # ---------------------------------------------------------------------------
@@ -885,17 +883,15 @@ def _fundamental_unit_by_continued_fraction(field: Field) -> FieldElement:
     q_prev, q_prev2 = 0, 1  # q_{-1}, q_{-2}
     for a in cycle:
         q_prev, q_prev2 = a * q_prev + q_prev2, q_prev
-    # unit = q_{m-1} * beta + q_{m-2}
-    t = field.omega_trace
-    sqrt_delta = field.element(Fraction(-t), Fraction(2))  # 2w - t = sqrt(disc)
-    beta = (field.element(P0) + sqrt_delta) / field.element(Q0)
-    eps = beta * q_prev + field.element(q_prev2)
+    # unit = q_{m-1} * beta + q_{m-2}, with sqrt(disc) = 2w - t
+    u = (P0 - field.omega_trace) * q_prev + Q0 * q_prev2
+    eps = FieldElement(field, (u, 2 * q_prev), Q0)
     if not (eps.is_integral() and abs(eps.norm()) == 1):
         raise InvariantViolation("continued fraction did not yield a unit")
     if eps.sign_at(0) < 0:
         eps = -eps
     if eps.embeddings()[0] < 1:
-        inv = eps.conjugate() * Fraction(int(eps.norm()))  # 1/eps up to sign
+        inv = eps.conjugate() * eps.norm()  # 1/eps up to sign
         eps = inv if inv.sign_at(0) > 0 else -inv
     if not eps.embeddings()[0] > 1:
         raise InvariantViolation("fundamental unit is not > 1 at the first place")
@@ -925,16 +921,14 @@ def find_generator(M: FractionalIdeal) -> Optional[FieldElement]:
     if p is None:
         return None
     p = _canonical_row(field, p)
-    x0, y0 = int(field.fundamental_unit.x), int(field.fundamental_unit.y)
-    eps_inv = (field.unit_norm * (x0 + field.omega_trace * y0), -field.unit_norm * y0)
-    cands = [q for r in (p, _mul_coords(field, p, (x0, y0)), _mul_coords(field, p, eps_inv))
+    cands = [q for r in (p, *(_mul_coords(field, p, e) for e in _unit_rows(field)))
              for q in (r, (-r[0], -r[1])) if q[1] >= 0]
     x, y = min(cands, key=lambda q: (q[1], _row_norm(field, q) < 0,
                                      2 * q[0] + field.omega_trace * q[1] < 0))
     a, _, c = M.hnf
     if abs(_row_norm(field, (x, y))) != a * c or M._row_coords(x, y, 1) is None:
         raise InvariantViolation(f"the rho-walk element {(x, y)} does not generate {M}")
-    return field.element(x, y)
+    return FieldElement(field, (x, y))
 
 
 def totally_positive_adjust(g: FieldElement) -> Optional[FieldElement]:
@@ -971,12 +965,6 @@ def principal_totally_positive_generator(I: FractionalIdeal) -> Optional[FieldEl
     if g is None:
         return None
     return g / I.den
-
-
-def _row_norm(field: Field, p: tuple[int, int]) -> int:
-    """N(x + y*w) on integer coordinates."""
-    x, y = p
-    return x * x + field.omega_trace * x * y + field.omega_norm * y * y
 
 
 def _rho_walk(M: FractionalIdeal, generator: bool = False):
@@ -1155,10 +1143,9 @@ def class_group(field: Field, narrow: bool = False) -> ClassGroupDescription:
 
 def _abs_embedding_cmp(field: Field, p: tuple[int, int]) -> int:
     """Exact sign of |e_1| - |e_2| for e = x + y*w on integer coordinates."""
-    # e = (A + B*sqrt(D))/2 or A + B*sqrt(D), and e_1^2 - e_2^2 has the sign of A*B
-    x, y = p
-    prod = ((2 * x + y) if field.omega_trace else x) * y
-    return (prod > 0) - (prod < 0)
+    # e_1^2 - e_2^2 is a positive multiple of A*B*sqrt(D)
+    A, B = _sqrtD_row(field, p)
+    return (A * B > 0) - (A * B < 0)
 
 
 def canonical_associate(e: FieldElement) -> FieldElement:
@@ -1173,17 +1160,20 @@ def canonical_associate(e: FieldElement) -> FieldElement:
     if e.is_zero():
         return e
     if field.degree == 1:
-        return e if e.x > 0 else -e
-    u, v, d = _element_row(e)
-    x, y = _canonical_row(field, (u, v))
-    return field.element(Fraction(x, d), Fraction(y, d))
+        return e if e.row[0] > 0 else -e
+    return FieldElement(field, _canonical_row(field, e.row), e.den)
+
+
+def _unit_rows(field: Field) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Integer rows of eps0 and eps0^(-1) = N(eps0) * conj(eps0)."""
+    eps = field.fundamental_unit.row
+    u, v = _conj_row(field, eps)
+    return eps, (field.unit_norm * u, field.unit_norm * v)
 
 
 def _canonical_row(field: Field, p: tuple[int, int]) -> tuple[int, int]:
     """canonical_associate on the integer row of a nonzero element."""
-    x0, y0 = int(field.fundamental_unit.x), int(field.fundamental_unit.y)
-    N, t = field.unit_norm, field.omega_trace
-    eps, eps_inv = (x0, y0), (N * (x0 + t * y0), -N * y0)
+    eps, eps_inv = _unit_rows(field)
     while _abs_embedding_cmp(field, p) < 0:
         p = _mul_coords(field, p, eps)
     while True:
@@ -1192,11 +1182,8 @@ def _canonical_row(field: Field, p: tuple[int, int]) -> tuple[int, int]:
             break
         p = q
     # now A*B >= 0, so the first embedding has the sign of A, or of B when A = 0
-    x, y = p
-    A = (2 * x + y) if field.omega_trace else x
-    if A < 0 or (A == 0 and y < 0):
-        p = (-x, -y)
-    return p
+    A, B = _sqrtD_row(field, p)
+    return (-p[0], -p[1]) if A < 0 or (A == 0 and B < 0) else p
 
 
 def elements_of_norm(field: Field, n: int) -> list[FieldElement]:
@@ -1219,7 +1206,7 @@ def elements_of_norm(field: Field, n: int) -> list[FieldElement]:
                           generator=True)
             if p is not None:
                 rows.add(_canonical_row(field, p))
-    return [field.element(x, y) for x, y in sorted(rows)]
+    return [FieldElement(field, p) for p in sorted(rows)]
 
 
 def narrow_square_witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement]]:

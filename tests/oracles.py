@@ -142,6 +142,86 @@ def _trace_over(D: int, p: tuple, q: tuple) -> Fraction:
     return Fraction(2 * num[0] + t * num[1]) / norm
 
 
+# --- field elements as Fraction pairs (x, y) ~ x + y*w ----------------------
+
+
+def frac_mul(field, p: tuple, q: tuple) -> tuple:
+    """(x1 + y1 w)(x2 + y2 w) with w^2 = t*w - n; over Q only x1*x2."""
+    if field.degree == 1:
+        return (p[0] * q[0], Fraction(0))
+    return _qmul(field.D, p, q)
+
+
+def frac_conj(field, p: tuple) -> tuple:
+    """conj(x + y*w) = (x + t*y) - y*w; the identity over Q."""
+    if field.degree == 1:
+        return p
+    t, _ = _ring(field.D)
+    return (p[0] + t * p[1], -p[1])
+
+
+def frac_norm(field, p: tuple) -> Fraction:
+    """x over Q, x*conj(x) over Q(sqrt D)."""
+    if field.degree == 1:
+        return p[0]
+    return frac_mul(field, p, frac_conj(field, p))[0]
+
+
+def frac_trace(field, p: tuple) -> Fraction:
+    """x over Q, x + conj(x) over Q(sqrt D)."""
+    if field.degree == 1:
+        return p[0]
+    return p[0] + frac_conj(field, p)[0]
+
+
+def frac_div(field, p: tuple, q: tuple) -> tuple:
+    """p/q = p * conj(q) / N(q) over Q(sqrt D)."""
+    if field.degree == 1:
+        return (p[0] / q[0], Fraction(0))
+    num, nrm = frac_mul(field, p, frac_conj(field, q)), frac_norm(field, q)
+    return (num[0] / nrm, num[1] / nrm)
+
+
+def frac_pow(field, p: tuple, k: int) -> tuple:
+    """p**k by repeated multiplication; k < 0 through 1/p."""
+    if k < 0:
+        return frac_pow(field, frac_div(field, (Fraction(1), Fraction(0)), p), -k)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = frac_mul(field, out, p)
+    return out
+
+
+def frac_sqrtD(field, p: tuple) -> tuple:
+    """(a, b) with x + y*w = a + b*sqrt(D); (x, 0) over Q."""
+    x, y = p
+    if field.degree == 1:
+        return (x, Fraction(0))
+    return (x + y / 2, y / 2) if field.D % 4 == 1 else (x, y)
+
+
+def frac_sign(field, p: tuple, j: int) -> int:
+    """Sign of the j-th embedding a +- b*sqrt(D), comparing a^2 with b^2*D."""
+    a, b = frac_sqrtD(field, p)
+    if j == 1:
+        b = -b
+    if a >= 0 and b >= 0 or a <= 0 and b <= 0:
+        s = a + b
+    else:
+        s = a if a * a > b * b * field.D else b
+    return (s > 0) - (s < 0)
+
+
+def frac_embeddings(field, p: tuple) -> tuple:
+    """The real embeddings as floats, x + y*w_j with w_j from math.sqrt(D)."""
+    x, y = float(p[0]), float(p[1])
+    if field.degree == 1:
+        return (x,)
+    r = math.sqrt(field.D)
+    ws = ((1 + r) / 2, (1 - r) / 2) if field.D % 4 == 1 else (r, -r)
+    return tuple(x + y * w for w in ws)
+
+
 def kloosterman_brute(D: int, r, a_ideal, rp, c, c_ideal) -> tuple[complex, int]:
     """KS(r, a; r', a; c, c_frak) over Q(sqrt D) by raw enumeration, and its unit count.
 
@@ -263,7 +343,7 @@ def unit_power_scan(g, window: int = 8):
 
 def _abs_embedding_cmp(e) -> int:
     """Sign of |e_1| - |e_2|: e_1^2 - e_2^2 = 4ab*sqrt(D) for e = a + b*sqrt(D)."""
-    a, b = e._sqrtD_coords()
+    a, b = frac_sqrtD(e.field, (e.x, e.y))
     return (a * b > 0) - (a * b < 0)
 
 
@@ -401,6 +481,35 @@ def kronecker(disc: int, p: int) -> int:
     if p == 2:
         return 1 if disc % 8 in (1, 7) else -1
     return 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
+
+
+def prime_discriminants(disc: int) -> list[int]:
+    """The prime discriminants d_1, ..., d_t with disc = d_1 * ... * d_t for a
+    fundamental discriminant: p* = +-p = 1 mod 4 for each odd p | disc, and
+    -4, 8 or -8 for what is left."""
+    out, odd, p = [], abs(disc), 3
+    while odd % 2 == 0:
+        odd //= 2
+    while odd > 1:
+        if p * p > odd:
+            p = odd
+        if odd % p == 0:
+            out.append(p if p % 4 == 1 else -p)
+            odd //= p
+        p += 2
+    rest = disc // math.prod(out)
+    assert rest in (1, -4, 8, -8) and math.prod(out) * rest == disc, (disc, out)
+    return out + [rest] * (rest != 1)
+
+
+def in_principal_genus(disc: int, p: int) -> bool:
+    """Whether a prime ideal of norm p (split or ramified) is a square in the
+    narrow class group: every genus character chi_i(P) = (d_i / p), or
+    (disc/d_i / p) when p | d_i, is 1 (Gauss; Cox, Primes of the Form
+    x^2 + ny^2, 3.B).  Inert primes (p) are principal with a totally positive
+    generator, so always squares."""
+    return all(kronecker(disc // d if d % p == 0 else d, p) == 1
+               for d in prime_discriminants(disc))
 
 
 def euler_product_sieved(D, e: float, X: int, skip=()) -> float:

@@ -178,7 +178,7 @@ def test_criterion_07_descent_data_sweep():
                 for P in factor_rational_prime(field, p).primes:
                     for ell in (1, 2):
                         try:
-                            dd = descent_data(P, ell, field)
+                            dd = descent_data(P, ell)
                         except NotNarrowSquare:
                             assert narrow_square_witness(P) is None
                             blocked += 1

@@ -122,6 +122,47 @@ def test_fetch_fixture_mode():
     assert rep["requests"] == 0
 
 
+_GOOD_LINE = ('{"ap":{"2":-2},"degree":1,"field":"rational","label":"11.2.a.a",'
+              '"level_norm":11,"weight":2}')
+
+
+@pytest.mark.parametrize("bad_line, named", [
+    ('{"ap": {"2": -2}, "degree": 1,', "file"),  # not JSON
+    ('[1, 2, 3]', "file"),  # a JSON list
+    (_GOOD_LINE.replace('"degree":1', '"degree":"one"'), "file"),  # no integer degree
+    # a prime of norm 0 is found when the record is parsed, so the label is named
+    (_GOOD_LINE.replace('{"2":-2}', '{"2":{"ap":1,"norm":0}}'), "record"),
+], ids=["not-json", "json-list", "degree-not-int", "norm-zero"])
+def test_fetch_malformed_fixture_line_is_a_schema_error(tmp_path, bad_line, named):
+    path = tmp_path / "forms.jsonl"
+    path.write_text(_GOOD_LINE + "\n" + bad_line + "\n")
+    code, out = run_command(["fetch", "--fixture-dir", str(tmp_path), "--level-max", "20",
+                             "--prime", "2"])
+    assert code == 1
+    err = json.loads(out.decode())["error"]
+    assert err["code"] == "SchemaError"
+    assert (str(path) if named == "file" else "record 11.2.a.a") in err["message"]
+
+
+def test_fetch_unreadable_fixture_file_is_an_invalid_parameter(tmp_path):
+    (tmp_path / "forms.jsonl").mkdir()
+    code, out = run_command(["fetch", "--fixture-dir", str(tmp_path)])
+    assert code == 1
+    assert json.loads(out.decode())["error"]["code"] == "InvalidParameter"
+
+
+def test_fetch_corrupt_cache_file_is_a_schema_error(tmp_path, monkeypatch):
+    monkeypatch.setenv(datasource.CACHE_ENV_VAR, str(tmp_path))
+    query = datasource.Query(degree=1, level_min=1, level_max=1, weight_min=2, weight_max=26)
+    path = tmp_path / (query.key() + ".jsonl")
+    path.write_text(_GOOD_LINE + "\n" + '{"label": "truncated", "ap"\n')
+    code, out = run_command(["fetch", "--mode", "cache_only"])
+    assert code == 1
+    err = json.loads(out.decode())["error"]
+    assert err["code"] == "SchemaError"
+    assert str(path) in err["message"]
+
+
 # sha256 of the stdout of kloosterman commands, recorded from the exact
 # Fraction implementation of the sums; the integer engine reproduces every
 # float bit for bit, so the bytes must not move

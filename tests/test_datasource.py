@@ -126,6 +126,17 @@ def test_schema_error_names_field():
     assert "bad eigenvalue" in str(err.value)
 
 
+def test_wrongly_typed_record_is_a_schema_error():
+    good = {"label": "x", "degree": 1, "field": "rational", "weight": 2, "level_norm": 11,
+            "ap": {"2": -2}}
+    assert parse_record_json(good)[0].eigenvalues == {"2": (-2, 2)}
+    for bad in ([good], dict(good, degree="one"), dict(good, ap=[1, 2]),
+                dict(good, ap={"2": {"coeffs": ["a", 1], "norm": 2}}),
+                dict(good, ap={"0": 1}), dict(good, ap={"2": {"ap": 1, "norm": -4}})):
+        with pytest.raises(SchemaError):
+            parse_record_json(bad)
+
+
 # --- datasets ------------------------------------------------------------------
 
 

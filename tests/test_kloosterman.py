@@ -11,6 +11,7 @@ import pytest
 
 from heckedist.errors import (
     EnumerationTooLarge,
+    InvalidParameter,
     InvariantViolation,
     ModulusZero,
     PreconditionViolation,
@@ -187,6 +188,17 @@ def test_twist_character_validation():
         TwistCharacter("table", {(1,): 2.0})
     with pytest.raises(ValueError):
         TwistCharacter.legendre(8)
+
+
+def test_legendre_twist_needs_an_odd_prime():
+    # a composite modulus would give a table with entries at non-units that is
+    # no character (legendre(9) has values at 3 and 6)
+    for p in (-3, 0, 1, 2, 9, 15, 21, 25):
+        with pytest.raises(InvalidParameter):
+            TwistCharacter.legendre(p)
+    for p in (3, 5, 7, 11):
+        chi = TwistCharacter.legendre(p)
+        assert chi.verify_multiplicative(residue_unit_group(OQ, Q.element(p), OQ))
 
 
 def test_legendre_twist_is_multiplicative():

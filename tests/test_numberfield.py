@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -46,8 +47,18 @@ from oracles import (
     abelian_invariants_by_quotients,
     canonical_associate_walk,
     elements_of_norm_scan,
+    frac_conj,
+    frac_div,
+    frac_embeddings,
+    frac_mul,
+    frac_norm,
+    frac_pow,
+    frac_sign,
+    frac_trace,
     generator_scan,
+    in_principal_genus,
     norm_form_rows,
+    prime_discriminants,
     smallest_unit_gt_one,
     trace_dual_module,
     unit_power_scan,
@@ -124,6 +135,48 @@ def test_element_arithmetic_exact():
     assert a.conjugate().conjugate() == a
     assert (a * b).norm() == a.norm() * b.norm()
     assert (a + b).trace() == a.trace() + b.trace()
+
+
+_REF_FIELDS = [Q, F2, F3, F5, make_field(13)]
+_rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_REF_FIELDS), st.data())
+def test_element_arithmetic_matches_fraction_reference(F, data):
+    w_coord = _rational if F.degree == 2 else st.just(Fraction(0))
+    p, q = ((data.draw(_rational), data.draw(w_coord)) for _ in range(2))
+    a, b = F.element(*p), F.element(*q)
+    k = data.draw(st.integers(-3, 4))
+
+    def coords(e):
+        return (e.x, e.y)
+
+    assert coords(a + b) == (p[0] + q[0], p[1] + q[1])
+    assert coords(a - b) == (p[0] - q[0], p[1] - q[1])
+    assert coords(a * b) == frac_mul(F, p, q)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert coords(a / b) == frac_div(F, p, q)
+    if k >= 0 or not a.is_zero():
+        assert coords(a**k) == frac_pow(F, p, k)
+    assert coords(a.conjugate()) == frac_conj(F, p)
+    assert a.norm() == frac_norm(F, p) and a.trace() == frac_trace(F, p)
+    assert [a.sign_at(j) for j in (0, 1)] == [frac_sign(F, p, j) for j in (0, 1)]
+    assert a.is_totally_positive() == all(frac_sign(F, p, j) > 0 for j in range(F.degree))
+    assert a.embeddings() == frac_embeddings(F, p)  # bit-identical floats
+    # stored as an integer row over a positive denominator, in lowest terms
+    for e in (a, b, a + b, a * b, a.conjugate(), -a):
+        (u, v), den = e.row, e.den
+        assert den > 0 and math.gcd(u, v, den) == 1
+    # equal values, reached two ways, are equal and hash alike
+    c = (a * b) / b if not b.is_zero() else a + b - b
+    assert c == a and hash(c) == hash(a)
+    if p[1] == 0:
+        assert a == p[0] and hash(a) == hash(p[0])
+    assert F.element(2) == 2 and hash(F.element(2)) == hash(2)
 
 
 def test_element_json_roundtrip():
@@ -361,6 +414,20 @@ def test_narrow_square_witness_exactness():
             b, eta = w
             assert eta.is_totally_positive()
             assert P * b * b == ideal_from_elements(field, [eta])
+    # against the genus characters, which use neither rho nor the class keys:
+    # every prime above p <= 50, for every squarefree D < 150
+    count = 0
+    for D in range(2, 150):
+        if not is_squarefree(D):
+            continue
+        F = make_field(D)
+        for p in nf.rational_primes_upto(50):
+            fac = factor_rational_prime(F, p)
+            for P in fac.primes:
+                square = fac.tag == "inert" or in_principal_genus(F.disc, p)
+                assert (narrow_square_witness(P) is not None) == square, (D, p, P)
+                count += 1
+    assert count == 1941
 
 
 # --- census cross-check -------------------------------------------------------
@@ -386,6 +453,13 @@ def test_narrow_two_rank_matches_genus_theory():
         assert desc.cyclic_factors == (2, 2), (D, desc.cyclic_factors)
     # contrast: a cyclic case of the same order
     assert class_group(make_field(82)).cyclic_factors == (4,)
+    # in general Cl+ has t - 1 even invariant factors, t the number of prime
+    # discriminants of disc (an oracle that uses neither rho nor the keys)
+    for D in range(2, 400):
+        if is_squarefree(D):
+            F = make_field(D)
+            even = sum(1 for f in class_group(F, narrow=True).cyclic_factors if f % 2 == 0)
+            assert even == len(prime_discriminants(F.disc)) - 1, D
 
 
 def test_cyclic_factor_structure_consistent():
