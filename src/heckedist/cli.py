@@ -279,10 +279,11 @@ def cmd_hecke(args) -> dict:
         val = heckealg.hecke_power_eigenvalue(lam, args.ell)
         return {"lambda": str(lam), "ell": args.ell, "value": float(val)}
     f = parse_field(args.D)
-    if args.prime_index < 0:
-        raise InvalidParameter(f"prime index must be >= 0, got {args.prime_index}")
     fac = nf.factor_rational_prime(f, args.p)
-    P = fac.primes[min(args.prime_index, len(fac.primes) - 1)]
+    if not 0 <= args.prime_index < len(fac.primes):
+        raise InvalidParameter(f"prime index must be in [0, {len(fac.primes)}) for the "
+                               f"primes above {args.p}, got {args.prime_index}")
+    P = fac.primes[args.prime_index]
     if args.action == "cosets":
         reps = heckealg.coset_reps(P, args.ell)
         return {

@@ -114,22 +114,26 @@ class DescentData:
     b_shifts: tuple[FieldElement, ...]
 
     def verify(self) -> bool:
-        """Exact check of every membership/valuation invariant."""
+        """Exact check of every membership/valuation invariant; raises InvariantViolation."""
         P, ell = self.prime, self.ell
-        assert self.eta.is_totally_positive()
+        if not self.eta.is_totally_positive():
+            raise InvariantViolation("eta is not totally positive")
         f = P.field
-        assert P * self.b_ideal * self.b_ideal == ideal_from_elements(f, [self.eta])
+        if P * self.b_ideal * self.b_ideal != ideal_from_elements(f, [self.eta]):
+            raise InvariantViolation("P * b^2 != (eta)")
         vb = ideal_valuation(self.b_ideal, P)
         for s, (a_s, bt_s) in enumerate(zip(self.a_elems, self.b_shifts)):
             target = (P**s) * (self.b_ideal**ell)
-            assert target.contains(a_s), f"a_{s} not in P^s b^ell"
-            assert ideal_valuation(a_s, P) == s + ell * vb, f"a_{s} has wrong valuation"
-            assert bt_s.is_integral(), f"b~_{s} not integral"
+            if not target.contains(a_s):
+                raise InvariantViolation(f"a_{s} not in P^s b^ell")
+            if ideal_valuation(a_s, P) != s + ell * vb:
+                raise InvariantViolation(f"a_{s} has wrong valuation")
+            if not bt_s.is_integral():
+                raise InvariantViolation(f"b~_{s} not integral")
             if ell % 2 == 0 and 2 * s == ell:
                 u = a_s * a_s / self.eta**ell
-                assert u.is_unit() and u.is_totally_positive(), (
-                    "midpoint element is not a totally positive unit"
-                )
+                if not (u.is_unit() and u.is_totally_positive()):
+                    raise InvariantViolation("midpoint element is not a totally positive unit")
         return True
 
 

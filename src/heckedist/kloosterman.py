@@ -194,14 +194,14 @@ def residue_unit_group(
     field = a_ideal.field
     if c.is_zero():
         raise ModulusZero("modulus element c must be nonzero")
-    if not c_ideal.inverse().contains(c):
+    c_inv = c_ideal.inverse()
+    if not c_inv.contains(c):
         raise PreconditionViolation("c not in c_frak^(-1)")
-    c_principal = ideal_from_elements(field, [c])
-    modulus = c_principal * c_ideal
+    modulus = c_ideal * c
     if not modulus.is_integral():
         raise PreconditionViolation("modulus (c)*c_frak is not integral")
-    L = a_ideal * c_ideal.inverse()
-    Q = QuotientModule(L, a_ideal * c_principal)
+    L = a_ideal * c_inv
+    Q = QuotientModule(L, L * modulus)  # L * modulus = a*(c)
     if Q.index > cap:
         raise EnumerationTooLarge(f"{Q.index} residues exceeds cap {cap}")
     Linv = a_ideal.inverse() * c_ideal
@@ -259,7 +259,7 @@ class TwistCharacter:
     def _lookup(self, group: ResidueUnitGroup, co) -> list[complex]:
         # tables are defined on the O/(c)*c_frak coordinates; this requires
         # the residue module to be the ring of integers itself
-        if group.a_ideal * group.c_ideal.inverse() != group.field.unit_ideal():
+        if group.quotient.L != group.field.unit_ideal():
             raise PreconditionViolation(
                 "explicit twist tables need a*c_frak^(-1) = O (module = O/(c)c_frak)"
             )
@@ -388,7 +388,7 @@ def weil_check(
         parts.append(
             ideal_from_elements(field, [rp]) * c_ideal * c_ideal * a_ideal.inverse() * d
         )
-    modulus = ideal_from_elements(field, [c]) * c_ideal
+    modulus = group.modulus if group is not None else c_ideal * c
     parts.append(modulus)
     g = parts[0]
     for q in parts[1:]:

@@ -108,8 +108,8 @@ class Field:
     """Q (degree 1) or a real quadratic field Q(sqrt(D)) (degree 2).
 
     For degree 2 the integral basis is (1, w); w satisfies
-    w^2 = t*w - n with t = Tr(w), n = N(w).  The fundamental unit is
-    constructed from the continued fraction of (disc mod 2 + sqrt(disc))/2.
+    w^2 = t*w - n with t = Tr(w), n = N(w).  The fundamental unit eps0 > 1 at
+    the first place is read off the principal rho-cycle (`_fundamental_unit`).
     """
 
     def __init__(self, degree: int, D: Optional[int]):
@@ -133,7 +133,7 @@ class Field:
             self.disc = 4 * D
             self.omega_trace = 0
             self.omega_norm = -D
-        self.fundamental_unit = _fundamental_unit_by_continued_fraction(self)
+        self.fundamental_unit = _fundamental_unit(self)
         self.unit_norm = int(self.fundamental_unit.norm())
 
     # basic constructors ----------------------------------------------------
@@ -856,49 +856,6 @@ def different_ideal(field: Field) -> FractionalIdeal:
 
 
 # ---------------------------------------------------------------------------
-# Fundamental unit (continued fraction of (disc mod 2 + sqrt(disc))/2)
-
-
-def _fundamental_unit_by_continued_fraction(field: Field) -> FieldElement:
-    Delta = field.disc
-    sq = math.isqrt(Delta)
-    P, Q = Delta % 2, 2
-    states: list[tuple[int, int]] = []
-    quots: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(states)
-        states.append((P, Q))
-        if Q <= 0:
-            raise InvariantViolation("continued fraction reached a nonpositive denominator")
-        a = (P + sq) // Q
-        quots.append(a)
-        P1 = a * Q - P
-        Q1 = (Delta - P1 * P1) // Q
-        P, Q = P1, Q1
-    k0 = seen[(P, Q)]
-    cycle = quots[k0:]
-    P0, Q0 = states[k0]
-    # beta = (P0 + sqrt(Delta))/Q0; one period gives the fundamental automorphism
-    q_prev, q_prev2 = 0, 1  # q_{-1}, q_{-2}
-    for a in cycle:
-        q_prev, q_prev2 = a * q_prev + q_prev2, q_prev
-    # unit = q_{m-1} * beta + q_{m-2}, with sqrt(disc) = 2w - t
-    u = (P0 - field.omega_trace) * q_prev + Q0 * q_prev2
-    eps = FieldElement(field, (u, 2 * q_prev), Q0)
-    if not (eps.is_integral() and abs(eps.norm()) == 1):
-        raise InvariantViolation("continued fraction did not yield a unit")
-    if eps.sign_at(0) < 0:
-        eps = -eps
-    if eps.embeddings()[0] < 1:
-        inv = eps.conjugate() * eps.norm()  # 1/eps up to sign
-        eps = inv if inv.sign_at(0) > 0 else -inv
-    if not eps.embeddings()[0] > 1:
-        raise InvariantViolation("fundamental unit is not > 1 at the first place")
-    return eps
-
-
-# ---------------------------------------------------------------------------
 # Generators, principality, class groups
 
 
@@ -984,20 +941,24 @@ def _rho_walk(M: FractionalIdeal, generator: bool = False):
     num/den generates M.  A principal M meets such a form within one cycle
     (Shanks's infrastructure; Lenstra 1982; Cohen, GTM 138, 5.7).
     """
-    field, Delta, t = M.field, M.field.disc, M.field.omega_trace
+    field, t = M.field, M.field.omega_trace
     a, b, c = M.hnf
     A, B = a // c, b // c
     nrm = _row_norm(field, (B, 1))
     if nrm % A:
         raise InvariantViolation("module basis is not an ideal")
-    f = (A, 2 * B + t, nrm // A)
-    num, den = (c, 0), 1
+    return _walk_from(field, (A, 2 * B + t, nrm // A), (c, 0), 1, generator)
+
+
+def _walk_from(field: Field, f: Form, num: tuple[int, int], den: int, generator: bool):
+    """The loop of `_rho_walk`, started at the form f with M = (num/den) * (module of f)."""
+    Delta, t = field.disc, field.omega_trace
     cycle: list[Form] = []
     steps = 0
     while not cycle or f != cycle[0]:
         if generator and abs(f[0]) == 1:
             if num[0] % den or num[1] % den:
-                raise InvariantViolation(f"the rho-walk of {M} ends in a non-integral element")
+                raise InvariantViolation(f"the rho-walk ends in a non-integral element at {f}")
             return (num[0] // den, num[1] // den)
         if is_reduced(f, Delta):
             # a reduced form has 0 < b < sqrt(Delta) and 0 < |a| < sqrt(Delta),
@@ -1015,6 +976,32 @@ def _rho_walk(M: FractionalIdeal, generator: bool = False):
     if generator:
         return None
     return min(g for g in cycle if g[0] > 0)
+
+
+def _fundamental_unit(field: Field) -> FieldElement:
+    """eps0 > 1 at the first place, read off the principal rho-cycle.
+
+    The principal form has module O.  One rho-step from it carries
+    O = (theta/e) * I_1, and the walk goes on to the next form with |a| = 1,
+    whose module is O again, so the element it carries is a unit.  O is met
+    once per period of the cycle, so that unit is +-eps0^(+-1); exact
+    comparisons of the embeddings fix the direction and the sign.
+    """
+    Delta, t = field.disc, field.omega_trace
+    P = principal_form(Delta)
+    p = _walk_from(field, rho(P, Delta), ((P[1] - t) // 2, 1), P[2], generator=True)
+    if p is None or abs(_row_norm(field, p)) != 1:
+        raise InvariantViolation(f"the principal rho-cycle of {field} carries no unit")
+    if _abs_embedding_cmp(field, p) < 0:
+        n = _row_norm(field, p)  # eps^(-1) = N(eps) * conj(eps)
+        u, v = _conj_row(field, p)
+        p = (n * u, n * v)
+    eps = FieldElement(field, p)
+    if eps.sign_at(0) < 0:
+        eps = -eps
+    if _abs_embedding_cmp(field, p) <= 0:
+        raise InvariantViolation("fundamental unit is not > 1 at the first place")
+    return eps
 
 
 def _class_key(M: FractionalIdeal, narrow: bool) -> Form:
@@ -1123,21 +1110,18 @@ def _abelian_invariants(table: list[list[int]]) -> list[int]:
 
 
 def class_group(field: Field, narrow: bool = False) -> ClassGroupDescription:
+    """The wide or narrow class group; the first call builds and caches both."""
     key = ("class_group", narrow)
     if key not in field._cache:
-        for variant in (False, True):
-            if ("struct", variant) not in field._cache:
-                field._cache[("struct", variant)] = _class_structure(field, variant)
-        h, _f0, _r0 = field._cache[("struct", False)]
-        hp, _f1, _r1 = field._cache[("struct", True)]
-        fac, reps = (_f1, _r1) if narrow else (_f0, _r0)
-        field._cache[key] = ClassGroupDescription(
-            order=h,
-            narrow_order=hp,
-            cyclic_factors=fac,
-            representatives=reps,
-            narrow=narrow,
-        )
+        (h, f0, r0), (hp, f1, r1) = (_class_structure(field, v) for v in (False, True))
+        for variant, fac, reps in ((False, f0, r0), (True, f1, r1)):
+            field._cache[("class_group", variant)] = ClassGroupDescription(
+                order=h,
+                narrow_order=hp,
+                cyclic_factors=fac,
+                representatives=reps,
+                narrow=variant,
+            )
     return field._cache[key]
 
 

@@ -2,13 +2,13 @@
 
 Everything here is deliberately primitive: exact integer power series for
 the classical level-one eigenforms, affine point counting for the level-11
-elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a smallest-unit
-search, the Pell-type y-scan for principal generators and elements of a
-given norm, invariant factors by recursive quotients, unit-power scans in
-Fraction arithmetic, the trace-dual module from the trace pairing, a sieved
-Euler product, x-measure CDFs by adaptive quadrature and by Serre's series,
-the per-sample loop of the spectral sampler, and synthetic datasets built
-and read one DataPoint at a time.
+elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a
+smallest-unit search, the continued-fraction fundamental unit, the Pell-type
+y-scan for principal generators and elements of a given norm, invariant
+factors by recursive quotients, unit-power scans in Fraction arithmetic, the
+trace-dual module from the trace pairing, a sieved Euler product, x-measure
+CDFs by adaptive quadrature and by Serre's series, the per-sample loop of the
+spectral sampler, and synthetic datasets built and read one DataPoint at a time.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
@@ -299,6 +299,53 @@ def smallest_unit_gt_one(field):
         if found:
             return min(found, key=lambda e: e.embeddings()[0])
         y += 1
+
+
+# --- fundamental unit by the continued fraction of (disc mod 2 + sqrt(disc))/2
+
+
+def fundamental_unit_by_continued_fraction(field):
+    """One period of the continued fraction gives the fundamental automorphism;
+    the direction is fixed with float embeddings, so large units overflow."""
+    from heckedist.errors import InvariantViolation
+    from heckedist.numberfield import FieldElement
+
+    Delta = field.disc
+    sq = math.isqrt(Delta)
+    P, Q = Delta % 2, 2
+    states: list[tuple[int, int]] = []
+    quots: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(states)
+        states.append((P, Q))
+        if Q <= 0:
+            raise InvariantViolation("continued fraction reached a nonpositive denominator")
+        a = (P + sq) // Q
+        quots.append(a)
+        P1 = a * Q - P
+        Q1 = (Delta - P1 * P1) // Q
+        P, Q = P1, Q1
+    k0 = seen[(P, Q)]
+    cycle = quots[k0:]
+    P0, Q0 = states[k0]
+    # beta = (P0 + sqrt(Delta))/Q0; one period gives the fundamental automorphism
+    q_prev, q_prev2 = 0, 1  # q_{-1}, q_{-2}
+    for a in cycle:
+        q_prev, q_prev2 = a * q_prev + q_prev2, q_prev
+    # unit = q_{m-1} * beta + q_{m-2}, with sqrt(disc) = 2w - t
+    u = (P0 - field.omega_trace) * q_prev + Q0 * q_prev2
+    eps = FieldElement(field, (u, 2 * q_prev), Q0)
+    if not (eps.is_integral() and abs(eps.norm()) == 1):
+        raise InvariantViolation("continued fraction did not yield a unit")
+    if eps.sign_at(0) < 0:
+        eps = -eps
+    if eps.embeddings()[0] < 1:
+        inv = eps.conjugate() * eps.norm()  # 1/eps up to sign
+        eps = inv if inv.sign_at(0) > 0 else -inv
+    if not eps.embeddings()[0] > 1:
+        raise InvariantViolation("fundamental unit is not > 1 at the first place")
+    return eps
 
 
 # --- the inverse different from the trace pairing ---------------------------

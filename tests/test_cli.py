@@ -69,6 +69,13 @@ def test_field_subcommand():
     assert rep["h"] == 1
 
 
+def test_field_with_a_unit_past_float_range():
+    # eps0 of Q(sqrt 67846) has 313-digit coordinates; no float compares them
+    rep = _json_out(["field", "--D", "67846"])
+    assert rep["fundamental_unit_norm"] == 1
+    assert len(rep["fundamental_unit"]["y"]) > 308
+
+
 def test_ideal_subcommand():
     rep = _json_out(["ideal", "--D", "10", "--op", "factor", "--p", "3"])
     assert rep["type"] == "split"
@@ -241,6 +248,8 @@ def test_numberfield_stdout_is_byte_identical(monkeypatch):
     ["bound", "kloosterman", "--places", "X:1:1"],
     ["field", "--D", "abc"],
     ["ideal", "--D", "5", "--op", "norm", "--gens", "1/0"],
+    # Q(sqrt 5) has one prime above 11 with index 1, none with index 2
+    ["hecke", "cosets", "--D", "5", "--p", "11", "--ell", "1", "--prime-index", "2"],
     # non-finite float parameters
     ["kloosterman", "classical", "--c", "3", "--eps", "nan"],
     ["kloosterman", "twisted", "--D", "5", "--c-elem", "3", "--eps", "inf"],

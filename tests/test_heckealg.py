@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import heckedist
 from heckedist.errors import (
     DivisibilityViolation,
     EnumerationTooLarge,
@@ -133,6 +137,32 @@ def test_descent_invariants_verified_odd_power():
     dd = descent_data(P7, 3)
     assert dd.verify()
     assert len(dd.a_elems) == 4
+
+
+# eta of the wrong sign: verify raises before it reaches the a_s (not even elements)
+_CORRUPT_DESCENT_DATA = """
+import dataclasses
+from heckedist.errors import InvariantViolation
+from heckedist.heckealg import descent_data
+from heckedist.numberfield import factor_rational_prime, make_field
+
+P = factor_rational_prime(make_field(5), 11).primes[0]
+dd = descent_data(P, 1)
+try:
+    dataclasses.replace(dd, eta=-dd.eta, a_elems=(1, 1)).verify()
+except InvariantViolation as exc:
+    print("raised", exc)
+"""
+
+
+def test_corrupted_descent_data_raises_under_optimize():
+    src = os.path.dirname(os.path.dirname(heckedist.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # the leading "assert False" only passes when -O strips asserts
+    proc = subprocess.run([sys.executable, "-O", "-c", "assert False\n" + _CORRUPT_DESCENT_DATA],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised eta is not totally positive")
 
 
 def test_descent_with_nonprincipal_witness_ideal():

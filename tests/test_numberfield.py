@@ -55,6 +55,7 @@ from oracles import (
     frac_pow,
     frac_sign,
     frac_trace,
+    fundamental_unit_by_continued_fraction,
     generator_scan,
     in_principal_genus,
     norm_form_rows,
@@ -109,6 +110,25 @@ def test_fundamental_unit_minimality_all_D_up_to_100():
         assert F.fundamental_unit == smallest_unit_gt_one(F), D
         assert abs(F.fundamental_unit.norm()) == 1
         assert F.fundamental_unit.embeddings()[0] > 1
+
+
+def test_fundamental_unit_matches_the_continued_fraction_below_3000():
+    for D in range(2, 3000):
+        if is_squarefree(D):
+            F = make_field(D)
+            assert F.fundamental_unit == fundamental_unit_by_continued_fraction(F), D
+
+
+@pytest.mark.parametrize("D", [67846, 1234577])
+def test_fundamental_unit_past_float_range(D):
+    F = make_field(D)
+    eps = F.fundamental_unit
+    assert eps.is_integral() and abs(eps.norm()) == 1 == abs(F.unit_norm)
+    # eps0 > 1 at the first place, by exact signs
+    assert eps.sign_at(0) > 0 and (eps - 1).sign_at(0) > 0
+    # the float embeddings of the continued-fraction oracle overflow here
+    with pytest.raises(OverflowError):
+        fundamental_unit_by_continued_fraction(F)
 
 
 # --- element maps -----------------------------------------------------------
