@@ -181,57 +181,46 @@ def cmd_ideal(args) -> dict:
     rhs = nf.ideal_from_elements(f, [parse_element(f, g) for g in args.rhs.split(";")])
     if args.op == "product":
         return {"product": (lhs * rhs).to_json()}
-    if args.op == "sum":
-        return {"sum": (lhs + rhs).to_json()}
-    raise UnsupportedFormat(f"unknown ideal op {args.op}")
+    return {"sum": (lhs + rhs).to_json()}
 
 
 def cmd_kloosterman(args) -> dict:
-    if args.mode == "classical":
-        Q = nf.make_field("rational")
-        O = Q.unit_ideal()
-        chk = kloosterman.weil_check(
-            Q.element(args.m), O, Q.element(args.n), Q.element(args.c), O, eps=args.eps
-        )
-        return {
-            "value_re": chk.value.real,
-            "value_im": chk.value.imag,
-            "weil_rhs": chk.rhs,
-            "ratio": chk.ratio,
-        }
-    if args.mode == "twisted":
+    if args.mode == "sweep":
         f = parse_field(args.D)
-        O = f.unit_ideal()
-        c = parse_element(f, args.c_elem)
-        r = parse_element(f, args.r)
-        rp = parse_element(f, args.rp)
-        chk = kloosterman.weil_check(r, O, rp, c, O, eps=args.eps)
+        if f.degree == 1:
+            rows = kloosterman.classical_weil_sweep(args.c_max, args.m, args.n, eps=args.eps)
+        else:
+            rows = kloosterman.quadratic_weil_sweep(f, args.norm_max, args.m, args.n, eps=args.eps)
         return {
-            "value_re": chk.value.real,
-            "value_im": chk.value.imag,
-            "modulus_norm": chk.modulus_norm,
-            "weil_rhs": chk.rhs,
-            "ratio": chk.ratio,
+            "rows": [
+                {
+                    "c": r.c_label,
+                    "c_norm": r.c_norm,
+                    "ks_abs": r.ks_abs,
+                    "weil_rhs": r.weil_rhs,
+                    "ratio": r.ratio,
+                }
+                for r in rows
+            ],
+            "max_ratio": max((r.ratio for r in rows), default=0.0),
         }
-    # sweep
-    if args.D in ("rational", "1", "q", "Q"):
-        rows = kloosterman.classical_weil_sweep(args.c_max, args.m, args.n, eps=args.eps)
+    if args.mode == "classical":
+        f = nf.make_field("rational")
+        c, r, rp = (f.element(v) for v in (args.c, args.m, args.n))
     else:
-        rows = kloosterman.quadratic_weil_sweep(parse_field(args.D), args.norm_max,
-                                                args.m, args.n, eps=args.eps)
-    return {
-        "rows": [
-            {
-                "c": r.c_label,
-                "c_norm": r.c_norm,
-                "ks_abs": r.ks_abs,
-                "weil_rhs": r.weil_rhs,
-                "ratio": r.ratio,
-            }
-            for r in rows
-        ],
-        "max_ratio": max((r.ratio for r in rows), default=0.0),
+        f = parse_field(args.D)
+        c, r, rp = (parse_element(f, text) for text in (args.c_elem, args.r, args.rp))
+    O = f.unit_ideal()
+    chk = kloosterman.weil_check(r, O, rp, c, O, eps=args.eps)
+    out = {
+        "value_re": chk.value.real,
+        "value_im": chk.value.imag,
+        "weil_rhs": chk.rhs,
+        "ratio": chk.ratio,
     }
+    if args.mode == "twisted":
+        out["modulus_norm"] = chk.modulus_norm
+    return out
 
 
 def _measure_spec(args) -> measures.MeasureSpec:
@@ -314,12 +303,10 @@ def cmd_hecke(args) -> dict:
         r = parse_element(f, args.r)
         rp = parse_element(f, args.rp)
         return {"delta_tilde": heckealg.delta_tilde(r, rp)}
-    if args.action == "relation":
-        ok = heckealg.verify_coefficient_relation(
-            parse_number(args.lam), args.p, args.ell, parse_number(args.r, int)
-        )
-        return {"holds": bool(ok)}
-    raise UnsupportedFormat(f"unknown hecke action {args.action}")
+    ok = heckealg.verify_coefficient_relation(
+        parse_number(args.lam), args.p, args.ell, parse_number(args.r, int)
+    )
+    return {"holds": bool(ok)}
 
 
 def _bound_params(args) -> bounds_mod.BoundParams:
@@ -357,7 +344,7 @@ def cmd_bound(args) -> dict:
         out["tail_bound"] = res.tail_bound
         out["rational_truncated"] = res.rational_truncated
         out["cutoff"] = res.cutoff
-    elif args.what == "envelope":
+    else:
         f = parse_field(args.D)
         r = parse_element(f, args.r)
         rp = parse_element(f, args.rp)
@@ -365,12 +352,12 @@ def cmd_bound(args) -> dict:
         out["envelope"] = bounds_mod.bessel_envelope(
             params, r.embeddings(), rp.embeddings(), c.embeddings(), args.gamma_scalar
         )
-    else:
-        raise UnsupportedFormat(f"unknown bound target {args.what}")
     return out
 
 
-def cmd_fetch(args, cfg: dict) -> dict:
+def _records(args) -> tuple[list, datasource.DataClient]:
+    """The query flags' records and the client that fetched them; offline
+    (`fetch --offline` or the `offline` config key) turns network into cache_only."""
     q = datasource.Query(
         degree=args.degree,
         level_min=args.level_min,
@@ -379,13 +366,17 @@ def cmd_fetch(args, cfg: dict) -> dict:
         weight_max=args.weight_max,
     )
     mode = args.mode
-    if (args.offline or cfg.get("offline") == "1") and mode == "network":
+    if mode == "network" and (getattr(args, "offline", False) or args.cfg.get("offline") == "1"):
         mode = "cache_only"
     client = datasource.DataClient(
-        cache_dir=cfg.get("cache_dir") or None,
-        fixture_dir=args.fixture_dir or cfg.get("fixture_dir") or None,
+        cache_dir=args.cfg.get("cache_dir") or None,
+        fixture_dir=getattr(args, "fixture_dir", "") or args.cfg.get("fixture_dir") or None,
     )
-    records = client.fetch_records(q, mode=mode)
+    return client.fetch_records(q, mode=mode), client
+
+
+def cmd_fetch(args) -> dict:
+    records, client = _records(args)
     rows = []
     for rec in records:
         row = {
@@ -400,31 +391,12 @@ def cmd_fetch(args, cfg: dict) -> dict:
     return {"rows": rows, "count": len(records), "requests": client.request_count}
 
 
-def cmd_test_dist(args, cfg: dict) -> dict:
+def cmd_test_dist(args) -> dict:
     if args.synthetic:
-        f = parse_field(args.D)
-        box = None
-        if args.box:
-            places = []
-            for part in args.box.split(";"):
-                lo, hi = parse_interval(part)
-                places.append(measures.PlaceBox(lo, hi, "Q+", args.xi))
-            box = measures.SpectralBox(tuple(places))
-        ds = equidist.synthesize_dataset(f, args.prime, args.ord, box, args.n, args.seed)
+        ds = equidist.synthesize_dataset(nf.make_field("rational"), args.prime, args.ord, None,
+                                         args.n, args.seed)
     else:
-        q = datasource.Query(
-            degree=args.degree,
-            level_min=args.level_min,
-            level_max=args.level_max,
-            weight_min=args.weight_min,
-            weight_max=args.weight_max,
-        )
-        client = datasource.DataClient(
-            cache_dir=cfg.get("cache_dir") or None,
-            fixture_dir=cfg.get("fixture_dir") or None,
-        )
-        records = client.fetch_records(q, mode=args.mode)
-        ds = datasource.to_dataset(records, args.prime, ord=args.ord)
+        ds = datasource.to_dataset(_records(args)[0], args.prime, ord=args.ord)
     lo, hi = parse_interval(args.interval)
     report = equidist.equidist_report(
         ds, (lo, hi), args.ord, ell_max=args.ell_max,
@@ -453,10 +425,33 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", default="json", choices=["json", "csv", "plot-data"])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("field", help="field invariants: discriminant, unit, class data")
+    def command(name, handler, help, parents=()):
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(handler=handler)
+        return p
+
+    # flag groups shared by two commands each
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("tag")
+    spec.add_argument("--p", type=int, default=2)
+    spec.add_argument("--ord", type=int, default=0)
+    spec.add_argument("--xi", type=int, default=0)
+    spec.add_argument("--A", type=float, default=2.5)
+    spec.add_argument("--literal-middle", action="store_true", dest="literal_middle")
+
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--mode", default="fixture", choices=["fixture", "cache_only", "network"])
+    query.add_argument("--degree", type=int, default=1)
+    query.add_argument("--level-min", dest="level_min", type=int, default=1)
+    query.add_argument("--level-max", dest="level_max", type=int, default=1)
+    query.add_argument("--weight-min", dest="weight_min", type=int, default=2)
+    query.add_argument("--weight-max", dest="weight_max", type=int, default=26)
+
+    p = command("field", cmd_field, "field invariants: discriminant, unit, class data")
     p.add_argument("--D", required=True, help='radicand or "rational"')
 
-    p = sub.add_parser("ideal", help="ideal arithmetic: product/inverse/norm/sum/membership/factor")
+    p = command("ideal", cmd_ideal,
+                "ideal arithmetic: product/inverse/norm/sum/membership/factor")
     p.add_argument("--D", required=True)
     p.add_argument("--op", required=True,
                    choices=["product", "inverse", "norm", "sum", "membership", "factor"])
@@ -465,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elem", default="0")
     p.add_argument("--p", type=int, default=2, help="rational prime for --op factor")
 
-    p = sub.add_parser("kloosterman", help="exponential sums over unit residues and Weil ratios")
+    p = command("kloosterman", cmd_kloosterman,
+                "exponential sums over unit residues and Weil ratios")
     p.add_argument("mode", choices=["classical", "twisted", "sweep"])
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
@@ -478,39 +474,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-max", dest="c_max", type=int, default=100)
     p.add_argument("--norm-max", dest="norm_max", type=int, default=100)
 
-    p = sub.add_parser("measure", help="density / interval mass of a measure")
-    p.add_argument("tag")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--ord", type=int, default=0)
-    p.add_argument("--xi", type=int, default=0)
-    p.add_argument("--A", type=float, default=2.5)
-    p.add_argument("--literal-middle", action="store_true", dest="literal_middle")
+    p = command("measure", cmd_measure, "density / interval mass of a measure", [spec])
     p.add_argument("--interval", default="")
     p.add_argument("--density-at", dest="density_at", type=float)
     p.add_argument("--moment", type=int)
 
-    p = sub.add_parser("sample", help="seeded inverse-CDF samples from an x-measure")
-    p.add_argument("tag")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--ord", type=int, default=0)
-    p.add_argument("--xi", type=int, default=0)
-    p.add_argument("--A", type=float, default=2.5)
-    p.add_argument("--literal-middle", action="store_true", dest="literal_middle")
+    p = command("sample", cmd_sample, "seeded inverse-CDF samples from an x-measure", [spec])
     p.add_argument("-n", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("hecke", help="eigenvalue transport, cosets, descent data")
+    p = command("hecke", cmd_hecke, "eigenvalue transport, cosets, descent data")
     p.add_argument("action", choices=["power", "cosets", "descent", "delta", "relation"])
     p.add_argument("--lambda", dest="lam", default="0")
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--D", default="rational")
-    p.add_argument("--field", dest="D_alias", default=None, help="alias for --D")
+    p.add_argument("--D", "--field", dest="D", default="rational")
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--prime-index", dest="prime_index", type=int, default=0)
     p.add_argument("--r", default="1")
     p.add_argument("--rp", default="1")
 
-    p = sub.add_parser("bound", help="tail-estimate evaluation with all intermediate factors")
+    p = command("bound", cmd_bound, "tail-estimate evaluation with all intermediate factors")
     p.add_argument("what", choices=["kloosterman", "euler", "envelope"])
     p.add_argument("--tau", type=float, default=0.3)
     p.add_argument("--eps", type=float, default=0.01)
@@ -525,42 +508,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-elem", dest="c_elem", default="1")
     p.add_argument("--gamma-scalar", dest="gamma_scalar", type=float, default=1.0)
 
-    p = sub.add_parser("fetch", help="eigenvalue ingestion (fixture/cache/network)")
-    p.add_argument("--mode", default="fixture", choices=["fixture", "cache_only", "network"])
+    p = command("fetch", cmd_fetch, "eigenvalue ingestion (fixture/cache/network)", [query])
     p.add_argument("--offline", action="store_true",
                    help="never touch the network (network mode degrades to cache)")
     p.add_argument("--fixture-dir", dest="fixture_dir", default="")
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--level-min", dest="level_min", type=int, default=1)
-    p.add_argument("--level-max", dest="level_max", type=int, default=1)
-    p.add_argument("--weight-min", dest="weight_min", type=int, default=2)
-    p.add_argument("--weight-max", dest="weight_max", type=int, default=26)
     p.add_argument("--prime", default="")
 
-    p = sub.add_parser("test-dist", help="equidistribution report for a dataset")
+    p = command("test-dist", cmd_test_dist, "equidistribution report for a dataset", [query])
     p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--D", default="rational")
     p.add_argument("--prime", default="2")
     p.add_argument("--ord", type=int, default=0)
-    p.add_argument("--xi", type=int, default=0)
     p.add_argument("-n", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--interval", default="-2,2")
     p.add_argument("--ell-max", dest="ell_max", type=int, default=10)
     p.add_argument("--ks-threshold", dest="ks_threshold", type=float, default=0.02)
-    p.add_argument("--box", default="", help='lambda intervals "lo,hi;lo,hi"')
     p.add_argument("--plot", action="store_true")
-    p.add_argument("--mode", default="fixture", choices=["fixture", "cache_only", "network"])
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--level-min", dest="level_min", type=int, default=1)
-    p.add_argument("--level-max", dest="level_max", type=int, default=1)
-    p.add_argument("--weight-min", dest="weight_min", type=int, default=2)
-    p.add_argument("--weight-max", dest="weight_max", type=int, default=26)
 
     return ap
 
 
-_PAIR_FLAGS = {"--interval", "--box"}
+_PAIR_FLAGS = {"--interval"}
 
 
 def _merge_pair_flags(argv: list[str]) -> list[str]:
@@ -590,30 +558,9 @@ def run_command(argv: list[str]) -> tuple[int, bytes]:
         args = ap.parse_args(_merge_pair_flags(argv))
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0, b"")
-    if getattr(args, "D_alias", None):
-        args.D = args.D_alias
     try:
-        cfg = load_config(args.config)
-        if args.command == "field":
-            report = cmd_field(args)
-        elif args.command == "ideal":
-            report = cmd_ideal(args)
-        elif args.command == "kloosterman":
-            report = cmd_kloosterman(args)
-        elif args.command == "measure":
-            report = cmd_measure(args)
-        elif args.command == "sample":
-            report = cmd_sample(args)
-        elif args.command == "hecke":
-            report = cmd_hecke(args)
-        elif args.command == "bound":
-            report = cmd_bound(args)
-        elif args.command == "fetch":
-            report = cmd_fetch(args, cfg)
-        elif args.command == "test-dist":
-            report = cmd_test_dist(args, cfg)
-        else:
-            return (2, b"unknown command\n")
+        cfg = args.cfg = load_config(args.config)
+        report = args.handler(args)
     except HeckedistError as exc:
         return _error(exc)
     except OverflowError as exc:

@@ -390,10 +390,6 @@ class DataClient:
         return records
 
 
-def fetch_records(query: Query, mode: str = "fixture", **client_kwargs) -> list[EigenvalueRecord]:
-    return DataClient(**client_kwargs).fetch_records(query, mode)
-
-
 # ---------------------------------------------------------------------------
 # Dataset assembly
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     EnumerationTooLarge,
+    HeckedistError,
     InvalidParameter,
     InvariantViolation,
     ModulusZero,
@@ -316,6 +317,15 @@ def _phase_numerators(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement
     return p, den
 
 
+def _check_twists(r: FieldElement, a_ideal: FractionalIdeal, rp: FieldElement,
+                  c_ideal: FractionalIdeal):
+    dinv = different_ideal(a_ideal.field).inverse()
+    if not r.is_zero() and not (a_ideal.inverse() * dinv).contains(r):
+        raise PreconditionViolation("r not in a^(-1) d^(-1)")
+    if not rp.is_zero() and not (a_ideal * dinv * c_ideal.inverse() ** 2).contains(rp):
+        raise PreconditionViolation("r' not in a d^(-1) c_frak^(-2)")
+
+
 def ks_twisted(
     r: FieldElement,
     a_ideal: FractionalIdeal,
@@ -326,13 +336,8 @@ def ks_twisted(
     group: Optional[ResidueUnitGroup] = None,
 ) -> complex:
     """The twisted Kloosterman sum; classical S(r, r'; c) over Q, trivial chi."""
-    field = a_ideal.field
     chi = chi or TwistCharacter.trivial()
-    dinv = different_ideal(field).inverse()
-    if not r.is_zero() and not (a_ideal.inverse() * dinv).contains(r):
-        raise PreconditionViolation("r not in a^(-1) d^(-1)")
-    if not rp.is_zero() and not (a_ideal * dinv * c_ideal.inverse() ** 2).contains(rp):
-        raise PreconditionViolation("r' not in a d^(-1) c_frak^(-2)")
+    _check_twists(r, a_ideal, rp, c_ideal)
     if group is None:
         group = residue_unit_group(a_ideal, c, c_ideal)
     phases, den = _phase_numerators(group, r, rp, c)
@@ -379,6 +384,13 @@ def weil_check(
     if not math.isfinite(eps):
         raise InvalidParameter(f"eps must be finite, got {eps}")
     field = a_ideal.field
+    if group is None:
+        try:
+            group = residue_unit_group(a_ideal, c, c_ideal)
+        except HeckedistError:
+            # a twist outside its ideal is reported first, as ks_twisted does
+            _check_twists(r, a_ideal, rp, c_ideal)
+            raise
     ks = ks_twisted(r, a_ideal, rp, c, c_ideal, chi=chi, group=group)
     d = different_ideal(field)
     parts = []
@@ -388,7 +400,7 @@ def weil_check(
         parts.append(
             ideal_from_elements(field, [rp]) * c_ideal * c_ideal * a_ideal.inverse() * d
         )
-    modulus = group.modulus if group is not None else c_ideal * c
+    modulus = group.modulus
     parts.append(modulus)
     g = parts[0]
     for q in parts[1:]:

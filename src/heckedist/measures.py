@@ -20,7 +20,7 @@ substitution u = sqrt(lambda - 1/4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -310,16 +310,23 @@ def _spectral_u_integrand(spec_xi: int) -> Callable:
     return coth_part
 
 
-def _abs_sqrt_antideriv(lam: float) -> float:
-    """Antiderivative of |lambda - 1/4|^(-1/2)."""
-    if lam >= 0.25:
-        return 2.0 * math.sqrt(lam - 0.25)
-    return -2.0 * math.sqrt(0.25 - lam)
+def _abs_sqrt_antideriv(lam):
+    """Antiderivative of |lambda - 1/4|^(-1/2), elementwise."""
+    return np.where(lam >= 0.25, 2.0 * np.sqrt(np.clip(lam - 0.25, 0.0, None)),
+                    -2.0 * np.sqrt(np.clip(0.25 - lam, 0.0, None)))
 
 
 def _cont_lower(spec: MeasureSpec) -> float:
     """Lower end of a spectral measure's continuous part: 0 for v1 with xi = 0, else 1/4."""
     return 0.0 if spec.tag == "v1" and spec.xi == 0 else 0.25
+
+
+def _v1_cont_mass(spec: MeasureSpec, low: float, high):
+    """v1's continuous mass of [low, high], elementwise in high: the weighted
+    middle term |lambda - 1/4|^(-1/2)/2 up to 5/4, then 1/2 d lambda."""
+    lo = max(low, _cont_lower(spec))
+    anti = _abs_sqrt_antideriv(np.minimum(high, 1.25)) - _abs_sqrt_antideriv(lo)
+    return 0.5 * np.clip(anti, 0.0, None) + 0.5 * np.clip(high - max(low, 1.25), 0.0, None)
 
 
 def _interval_mass(spec: MeasureSpec, low: float, high: float) -> float:
@@ -332,19 +339,15 @@ def _interval_mass(spec: MeasureSpec, low: float, high: float) -> float:
         cont = _sqrt_sub_integral(spec.xi, low, high)
         return cont + sum(w for _, w in _spectral_atoms(spec, low, high))
     if spec.tag == "v1":
-        top = 0.5 * max(0.0, high - max(low, 1.25))
-        lower = _cont_lower(spec)
         if spec.literal_middle:
             # paper-verbatim variant: the middle term carries no test function,
-            # so it contributes a constant and the set function is not additive
-            mid = 0.5 * (_abs_sqrt_antideriv(1.25) - _abs_sqrt_antideriv(lower))
+            # so it contributes a constant and the set function is not additive;
+            # only the part of [low, high] above 5/4 counts
+            cont = (_v1_cont_mass(spec, max(low, 1.25), high)
+                    + _v1_cont_mass(spec, _cont_lower(spec), 1.25))
         else:
-            m_lo, m_hi = max(low, lower), min(high, 1.25)
-            mid = 0.0
-            if m_hi > m_lo:
-                mid = 0.5 * (_abs_sqrt_antideriv(m_hi) - _abs_sqrt_antideriv(m_lo))
-        atoms = sum(w for _, w in _spectral_atoms(spec, low, high))
-        return top + mid + atoms
+            cont = _v1_cont_mass(spec, low, high)
+        return float(cont) + sum(w for _, w in _spectral_atoms(spec, low, high))
     if spec.tag in _TILDE_TAGS:
         return sum(w for _, w in _tilde_atoms(spec, low, high))
     raise AssertionError(spec.tag)
@@ -355,9 +358,7 @@ def mass(spec: MeasureSpec, region: Union[Interval, SpectralBox]) -> float:
     if isinstance(region, SpectralBox):
         out = 1.0
         for pl in region.places:
-            pspec = MeasureSpec(spec.tag, p=spec.p, ord=spec.ord, xi=pl.xi,
-                                A=spec.A, literal_middle=spec.literal_middle)
-            out *= _interval_mass(pspec, pl.low, pl.high)
+            out *= _interval_mass(replace(spec, xi=pl.xi), pl.low, pl.high)
         return out
     low, high = region
     return _interval_mass(spec, float(low), float(high))
@@ -495,16 +496,7 @@ def _spectral_cont_grid(spec: MeasureSpec, lo_c: float, hi: float):
     """(lambda grid, normalized cumulative continuous mass) over [lo_c, hi]."""
     if spec.tag == "v1":
         gx = np.linspace(lo_c, hi, 1025)
-        lower = _cont_lower(spec)
-        anti = np.where(
-            gx >= 0.25, 2.0 * np.sqrt(np.clip(gx - 0.25, 0, None)),
-            -2.0 * np.sqrt(np.clip(0.25 - gx, 0, None)),
-        )
-        base = _abs_sqrt_antideriv(max(lo_c, lower))
-        mid = 0.5 * (np.minimum(anti, _abs_sqrt_antideriv(1.25)) - base)
-        mid = np.clip(mid, 0.0, None)
-        top = 0.5 * np.clip(gx - max(lo_c, 1.25), 0.0, None)
-        gm = mid + top
+        gm = _v1_cont_mass(spec, lo_c, gx)
     else:
         # plancherel: cumulative GL8 segments in the u-coordinate
         u1, u2 = math.sqrt(max(lo_c, 0.25) - 0.25), math.sqrt(hi - 0.25)

@@ -847,8 +847,9 @@ def ideal_valuation(arg, P: FractionalIdeal) -> int:
 # Different
 
 
+@lru_cache(maxsize=None)
 def different_ideal(field: Field) -> FractionalIdeal:
-    """The different; its trace-dual inverse satisfies S(x*O) in Z."""
+    """The different; its trace-dual inverse satisfies S(x*O) in Z (cached per field)."""
     if field.degree == 1:
         return field.unit_ideal()
     t = field.omega_trace

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,9 @@ def test_usage_error_exit_code_2():
     assert code == 2
     code, _ = run_command(["measure"])  # missing tag
     assert code == 2
+    # test-dist flags that changed no output are gone
+    for extra in (["--D", "5"], ["--xi", "1"], ["--box", "0.3,2;0.5,3"]):
+        assert run_command(["test-dist", "--synthetic", "-n", "50", *extra])[0] == 2, extra
 
 
 def test_domain_error_exit_code_1_with_stable_code():
@@ -308,6 +312,35 @@ def test_test_dist_fixture_mode():
     assert rep["n"] == 7  # the bundled classical corpus at p = 2
     assert 0.0 <= rep["ks"] <= 1.0
     assert rep["total_weight"] == 7.0
+
+
+@pytest.mark.parametrize("command", ["fetch", "test-dist"])
+def test_offline_config_key_keeps_network_mode_off_the_wire(tmp_path, monkeypatch, command):
+    def no_request(self, url, params):
+        pytest.fail(f"{command} --mode network sent a request with offline=1 in its config")
+
+    monkeypatch.setattr(datasource.DataClient, "_http_get", no_request)
+    monkeypatch.delenv(datasource.OFFLINE_ENV_VAR, raising=False)
+    monkeypatch.setenv(datasource.CACHE_ENV_VAR, str(tmp_path))
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text("offline=1\n")
+    code, out = run_command(["--config", str(cfg), command, "--mode", "network"])
+    assert code == 1
+    assert json.loads(out.decode())["error"]["code"] == "CacheMiss"
+
+
+def test_readme_cli_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("heckedist ")]
+    assert len(commands) >= 15
+    for argv in commands:
+        code, out = run_command(argv)
+        assert code == 0, argv
+        fmt = argv[1] if argv[0] == "--format" else "json"
+        assert _output_parses(fmt, out.decode()), argv
 
 
 def test_config_file_changes_hash(tmp_path):

@@ -162,6 +162,21 @@ def test_precondition_membership_named():
     assert "r not in" in str(err.value)
 
 
+def test_weil_check_checks_the_twists_before_the_modulus():
+    # a twist outside its ideal is a precondition fault even when the modulus
+    # is zero or too large to enumerate, in weil_check as in ks_twisted
+    half = F5.element(0.5)
+    for r, rp in ((half, F5.one()), (F5.one(), half)):
+        for c in (F5.zero(), F5.element(10**7)):
+            for fn in (ks_twisted, weil_check):
+                with pytest.raises(PreconditionViolation):
+                    fn(r, O5, rp, c, O5)
+    with pytest.raises(ModulusZero):
+        weil_check(F5.one(), O5, F5.one(), F5.zero(), O5)
+    with pytest.raises(EnumerationTooLarge):
+        weil_check(F5.one(), O5, F5.one(), F5.element(10**7), O5)
+
+
 def test_r_in_inverse_different_is_accepted():
     dinv = different_ideal(F5).inverse()
     r = dinv.basis_elements()[1]  # genuinely fractional
