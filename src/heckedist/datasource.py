@@ -301,9 +301,7 @@ class DataClient:
                     raise NetworkError(f"server error {resp.status_code}")
                 resp.raise_for_status()
                 return resp.json()
-            except NetworkError as exc:
-                last_exc = exc
-            except Exception as exc:  # connection errors, bad JSON
+            except Exception as exc:  # server errors, connection errors, bad JSON
                 last_exc = exc
             time.sleep(delay)
             delay *= 2

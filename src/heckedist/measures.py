@@ -7,8 +7,12 @@ and the polynomial multiples Phi(ord) = (sum_{l<=ord} X_{2l}) mu_inf.
 
 Spectral measures on the Casimir axis: the even/odd spectral-density pair
 with continuous part tanh/coth(pi*sqrt(lambda - 1/4)) on [1/4, inf) plus
-discrete-series atoms (b-1) at b/2*(1 - b/2), the comparison measure v1,
-and their discrete counterparts in the nu-coordinate.
+discrete-series atoms 2*beta at 1/4 - beta^2, the comparison measure v1
+(atoms beta), and their discrete counterparts in the nu-coordinate.  The
+atoms in an interval are one progression beta = s + k; the atom masses of
+plancherel, v1 and tilde_pl are exact closed forms, and sampling and
+tilde_v1's mass, which enumerate the atoms, stop at ATOM_CAP of them.
+Every mass is a float: an empty tilde interval has mass 0.0.
 
 The x-measures have exact CDFs in the angle t = arccos(-x/2), which runs
 from 0 at x = -2 to pi at x = 2; their samplers invert those CDFs by
@@ -21,11 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
+    EnumerationTooLarge,
     InvalidParameter,
     InvariantViolation,
     NoDensity,
@@ -38,6 +44,8 @@ Interval = tuple[float, float]
 
 # tolerance on the Ramanujan bound |lambda| <= 2 for normalized eigenvalues
 RAMANUJAN_SLACK = 1e-6
+
+ATOM_CAP = 10**6  # most atoms that sampling and tilde_v1's mass enumerate
 
 # ---------------------------------------------------------------------------
 # Chebyshev polynomials X_l, orthonormal for the semicircle measure
@@ -242,42 +250,44 @@ def _angle_density(spec: MeasureSpec, t):
 # Atoms of the spectral measures
 
 
-def _spectral_atoms(spec: MeasureSpec, low: float, high: float):
-    """(position, weight) atoms with low <= position < high, descending."""
-    if spec.tag == "plancherel":
-        b = 2 if spec.xi == 0 else 3
-        while True:
-            lam = b / 2.0 * (1.0 - b / 2.0)
-            if lam < low:
-                return
-            if lam < high:
-                yield (lam, float(b - 1))
-            b += 2
-    elif spec.tag == "v1":
-        beta = 0.5 if spec.xi == 0 else 1.0
-        while True:
-            lam = 0.25 - beta * beta
-            if lam < low:
-                return
-            if lam < high:
-                yield (lam, beta)
-            beta += 1.0
-    else:
-        raise AssertionError(spec.tag)
+def _atom_range(spec: MeasureSpec, low: float, high: float) -> tuple[float, int, int]:
+    """(s, k0, k1): the atoms in [low, high) sit at beta = s + k for k0 <= k < k1.
+
+    plancherel and v1 have them at lambda = 1/4 - beta^2 (k >= 0), where
+    lambda < x is (2s + 2k)^2 > 1 - 4x in integers; the nu-forms at nu = beta.
+    """
+    s = 0.5 if spec.xi == 0 else 1.0 if spec.tag in _SPECTRAL_TAGS else 0.0
+    if spec.tag in _TILDE_TAGS:  # tilde_v1 has beta > 0 only
+        k0, k1 = (math.ceil(Fraction(x) - Fraction(s)) for x in (low, high))
+        return s, max(k0, 0 if s else 1) if spec.tag == "tilde_v1" else k0, k1
+    # the least k >= 0 with lambda < x: 2s + 2k > isqrt(floor(1 - 4x)), of the parity of 2s
+    k0, k1 = (max(0, (math.isqrt(max(math.floor(1 - 4 * Fraction(x)), 0)) + 2 - int(2 * s)) // 2)
+              for x in (high, low))
+    return s, k0, k1
 
 
-def _tilde_atoms(spec: MeasureSpec, low: float, high: float):
-    shift = 0.5 if spec.xi == 0 else 0.0
-    k0 = math.ceil(low - shift)
-    k = k0
-    while k + shift < high:
-        beta = k + shift
-        if beta != 0.0:
-            if spec.tag == "tilde_pl":
-                yield (beta, abs(beta))
-            elif beta > 0:  # tilde_v1 lives on the positive nu-axis
-                yield (beta, beta ** (-spec.A))
-        k += 1
+def _atoms(spec: MeasureSpec, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
+    """Position and weight arrays of the atoms in [low, high), beta ascending."""
+    s, k0, k1 = _atom_range(spec, low, high)
+    if k1 - k0 > ATOM_CAP:
+        raise EnumerationTooLarge(f"[{low}, {high}) holds more than {ATOM_CAP} atoms")
+    beta = (k0 + s) + np.arange(k1 - k0, dtype=float)
+    if spec.tag == "tilde_v1":  # Python's float pow: numpy's can differ in the last bit
+        return beta, np.array([b ** (-spec.A) for b in beta.tolist()])
+    if spec.tag == "tilde_pl":  # with xi = 1 this keeps nu = 0, of weight 0
+        return beta, np.abs(beta)
+    return 0.25 - beta * beta, 2.0 * beta if spec.tag == "plancherel" else beta
+
+
+def _atom_mass(spec: MeasureSpec, low: float, high: float) -> float:
+    """Total atom weight in [low, high): weights 2 beta, beta and |beta| in closed form."""
+    if spec.tag == "tilde_v1":
+        return sum(_atoms(spec, low, high)[1].tolist(), 0.0)
+    s, k0, k1 = _atom_range(spec, low, high)
+    # 2 * sum(s + k for a <= k < b) = (b - a)(2s + a + b - 1), split at beta = 0
+    pos, neg = (max(b - a, 0) * (int(2 * s) + a + b - 1)
+                for a, b in ((max(k0, 0), k1), (k0, min(k1, 0))))
+    return (pos - neg) / (1 if spec.tag == "plancherel" else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +345,18 @@ def _interval_mass(spec: MeasureSpec, low: float, high: float) -> float:
         return 0.0
     if spec.tag in _X_TAGS:
         return max(0.0, cdf(spec, high) - cdf(spec, low))
+    cont = 0.0  # the nu-forms have atoms only
     if spec.tag == "plancherel":
         cont = _sqrt_sub_integral(spec.xi, low, high)
-        return cont + sum(w for _, w in _spectral_atoms(spec, low, high))
-    if spec.tag == "v1":
-        if spec.literal_middle:
-            # paper-verbatim variant: the middle term carries no test function,
-            # so it contributes a constant and the set function is not additive;
-            # only the part of [low, high] above 5/4 counts
-            cont = (_v1_cont_mass(spec, max(low, 1.25), high)
-                    + _v1_cont_mass(spec, _cont_lower(spec), 1.25))
-        else:
-            cont = _v1_cont_mass(spec, low, high)
-        return float(cont) + sum(w for _, w in _spectral_atoms(spec, low, high))
-    if spec.tag in _TILDE_TAGS:
-        return sum(w for _, w in _tilde_atoms(spec, low, high))
-    raise AssertionError(spec.tag)
+    elif spec.tag == "v1" and spec.literal_middle:
+        # paper-verbatim variant: the middle term carries no test function,
+        # so it contributes a constant and the set function is not additive;
+        # only the part of [low, high] above 5/4 counts
+        cont = (_v1_cont_mass(spec, max(low, 1.25), high)
+                + _v1_cont_mass(spec, _cont_lower(spec), 1.25))
+    elif spec.tag == "v1":
+        cont = _v1_cont_mass(spec, low, high)
+    return float(cont) + _atom_mass(spec, low, high)
 
 
 def mass(spec: MeasureSpec, region: Union[Interval, SpectralBox]) -> float:
@@ -374,8 +380,6 @@ def tilde_singleton(xi: Sequence[int], b: Sequence[int], measure: str = "pl",
 
     Exact over the rationals when measure == "pl".
     """
-    from fractions import Fraction
-
     if len(xi) != len(b):
         raise InvalidParameter("parity vector and weight vector differ in length")
     out: Union[Fraction, float] = Fraction(1)
@@ -523,10 +527,8 @@ def sample_spectral(spec: MeasureSpec, low: float, high: float, n: int,
     total = _interval_mass(spec, low, high)
     if total <= 0.0:
         raise ZeroMassRegion(f"no spectral mass in [{low}, {high})")
-    atoms = list(_spectral_atoms(spec, low, high)) if spec.tag in _SPECTRAL_TAGS else list(
-        _tilde_atoms(spec, low, high)
-    )
-    atom_w = sum(w for _, w in atoms)
+    pos, weight = _atoms(spec, low, high)
+    atom_w = sum(weight.tolist())
     cont = total - atom_w
     grid, lower = None, _cont_lower(spec)
     if cont > 1e-12 * total and high > lower:
@@ -534,9 +536,9 @@ def sample_spectral(spec: MeasureSpec, low: float, high: float, n: int,
     u = rng.random(n) * total
     # u falls on the first atom whose running weight exceeds it, else on the
     # continuous part; cumsum adds the weights in the order of a running sum
-    k = np.searchsorted(np.cumsum([w for _, w in atoms]), u, side="right")
-    out = np.array([pos for pos, _ in atoms] + [0.0])[k]
-    cont_hit = k == len(atoms)
+    k = np.searchsorted(np.cumsum(weight), u, side="right")
+    out = np.append(pos, 0.0)[k]
+    cont_hit = k == pos.size
     if cont_hit.any():
         v = np.clip((u[cont_hit] - atom_w) / max(cont, 1e-300), 0.0, 1.0)
         gx, gcdf = grid

@@ -7,8 +7,9 @@ smallest-unit search, the continued-fraction fundamental unit, the Pell-type
 y-scan for principal generators and elements of a given norm, invariant
 factors by recursive quotients, unit-power scans in Fraction arithmetic, the
 trace-dual module from the trace pairing, a sieved Euler product, x-measure
-CDFs by adaptive quadrature and by Serre's series, the per-sample loop of the
-spectral sampler, and synthetic datasets built and read one DataPoint at a time.
+CDFs by adaptive quadrature and by Serre's series, the spectral atoms walked one
+at a time, the per-sample loop of the spectral sampler, and synthetic datasets
+built and read one DataPoint at a time.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
@@ -673,25 +674,70 @@ def padic_cdf_serre(p: int, x: float) -> float:
     return total
 
 
+# --- spectral atoms, one at a time ------------------------------------------
+
+
+def _spectral_atoms(spec, low: float, high: float):
+    """(position, weight) atoms with low <= position < high, descending."""
+    if spec.tag == "plancherel":
+        b = 2 if spec.xi == 0 else 3
+        while True:
+            lam = b / 2.0 * (1.0 - b / 2.0)
+            if lam < low:
+                return
+            if lam < high:
+                yield (lam, float(b - 1))
+            b += 2
+    elif spec.tag == "v1":
+        beta = 0.5 if spec.xi == 0 else 1.0
+        while True:
+            lam = 0.25 - beta * beta
+            if lam < low:
+                return
+            if lam < high:
+                yield (lam, beta)
+            beta += 1.0
+    else:
+        raise AssertionError(spec.tag)
+
+
+def _tilde_atoms(spec, low: float, high: float):
+    shift = 0.5 if spec.xi == 0 else 0.0
+    k0 = math.ceil(low - shift)
+    k = k0
+    while k + shift < high:
+        beta = k + shift
+        if beta != 0.0:
+            if spec.tag == "tilde_pl":
+                yield (beta, abs(beta))
+            elif beta > 0:  # tilde_v1 lives on the positive nu-axis
+                yield (beta, beta ** (-spec.A))
+        k += 1
+
+
+def atoms_loop(spec, low: float, high: float) -> list[tuple[float, float]]:
+    """The (position, weight) atoms in [low, high), found by walking them one by one."""
+    if spec.tag in ("plancherel", "v1"):
+        return list(_spectral_atoms(spec, low, high))
+    return list(_tilde_atoms(spec, low, high))
+
+
 # --- the spectral sampler, one sample at a time -----------------------------
 
 
 def sample_spectral_loop(spec, low: float, high: float, n: int, rng):
     """The per-sample loop that `measures.sample_spectral` vectorises.
 
-    It takes the atoms, the masses and the continuous-part grid from the
-    library and draws one u at a time: a running sum over the atoms, then a
-    scalar interpolation on the grid.
+    It walks the atoms itself, takes the masses and the continuous-part grid
+    from the library and draws one u at a time: a running sum over the atoms,
+    then a scalar interpolation on the grid.
     """
     import numpy as np
 
     from heckedist import measures
 
     total = measures._interval_mass(spec, low, high)
-    if spec.tag in ("plancherel", "v1"):
-        atoms = list(measures._spectral_atoms(spec, low, high))
-    else:
-        atoms = list(measures._tilde_atoms(spec, low, high))
+    atoms = atoms_loop(spec, low, high)
     atom_w = sum(w for _, w in atoms)
     cont = total - atom_w
     # the continuous part starts at 0 for v1 with xi = 0 and at 1/4 otherwise

@@ -351,15 +351,41 @@ def test_config_file_changes_hash(tmp_path):
     assert rep1["meta"]["config_hash"] != rep2["meta"]["config_hash"]
 
 
-def test_cli_import_loads_no_scipy():
-    # importing scipy.interpolate alone cost about 0.6 s of every CLI start-up
+def _run_python(*args, **kwargs):
+    """A fresh interpreter that imports the package from this source tree."""
     src = str(Path(heckedist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120,
+                          **kwargs)
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.interpolate alone cost about 0.6 s of every CLI start-up
     code = "import sys, heckedist.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = _run_python("-c", code, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["measure", "v1", "--xi", "0", "--interval=-1e308,1e308"], 0),
+    (["measure", "tilde-pl", "--xi", "0", "--interval=-1e9,1e9"], 0),
+    (["measure", "tilde-v1", "--xi", "0", "--interval=0,1e9"], 1),
+])
+def test_wide_measure_intervals_finish(argv, code):
+    # each of these once walked its atoms one by one, for minutes to hours
+    proc = _run_python("-m", "heckedist.cli", *argv)
+    assert proc.returncode == code, proc.stderr.decode()
+    rep = json.loads(proc.stdout.decode())
+    if argv[1] == "tilde-pl":
+        assert rep["mass"] == 1e18
+    if code == 1:
+        assert rep["error"]["code"] == "EnumerationTooLarge"
+
+
+def test_empty_tilde_interval_mass_prints_as_a_float():
+    code, out = run_command(["measure", "tilde-pl", "--xi", "0", "--interval", "3.6,3.9"])
+    assert code == 0 and b'"mass":0.0,' in out
 
 
 # --- argv fuzz: the README contract for any subcommand, flags and values -----
@@ -368,6 +394,8 @@ _JUNK = ["", "abc", "1/0", "1,2", "-2,2", "1,2;3,4", ",", ";", "nan", "inf", "-i
          "0.5", "-1", "x:y", "Q+:1:1", "2,1", "a,b"]
 _SMALL = st.integers(-2, 8).map(str)
 _ANY = st.one_of(_SMALL, st.sampled_from(_JUNK))
+# measure intervals also span the wide ranges whose atoms once took minutes to walk
+_INTERVAL = st.one_of(_ANY, st.sampled_from(["-1e308,1e308", "-1e9,1e9", "0,1e9"]))
 _FIELD = st.sampled_from(["rational", "q", "2", "5", "10", "13", "0", "1", "4", "-5", "abc"])
 _FLAG = None  # a flag without a value
 
@@ -390,7 +418,7 @@ _ARGV = {
     "measure": ([_choice("sato-tate", "padic", "phi", "plancherel", "v1", "tilde-pl",
                          "tilde-v1")],
                 {"--p": _SMALL, "--ord": _SMALL, "--xi": _SMALL, "--A": _ANY,
-                 "--literal-middle": _FLAG, "--interval": _ANY, "--density-at": _ANY,
+                 "--literal-middle": _FLAG, "--interval": _INTERVAL, "--density-at": _ANY,
                  "--moment": _SMALL}),
     "sample": ([_choice("sato-tate", "padic", "phi", "plancherel", "v1")],
                {"--p": _SMALL, "--ord": _SMALL, "--xi": _SMALL, "--A": _ANY, "-n": _ANY,
@@ -407,10 +435,10 @@ _ARGV = {
                    "--fixture-dir": st.sampled_from(["", "no-such-dir"]), "--degree": _SMALL,
                    "--level-min": _SMALL, "--level-max": st.sampled_from(["1", "11", "100", "x"]),
                    "--weight-min": _SMALL, "--weight-max": _SMALL, "--prime": _ANY}),
-    "test-dist": ([], {"--synthetic": _FLAG, "--D": _FIELD, "--prime": _ANY, "--ord": _SMALL,
-                       "--xi": _SMALL, "-n": st.integers(-2, 300).map(str), "--seed": _SMALL,
+    "test-dist": ([], {"--synthetic": _FLAG, "--prime": _ANY, "--ord": _SMALL,
+                       "-n": st.integers(-2, 300).map(str), "--seed": _SMALL,
                        "--interval": _ANY, "--ell-max": _SMALL, "--ks-threshold": _ANY,
-                       "--box": _ANY, "--plot": _FLAG,
+                       "--plot": _FLAG,
                        "--mode": _choice("fixture", "cache_only", "network"),
                        "--level-max": st.sampled_from(["1", "11", "100"])}),
 }

@@ -6,6 +6,7 @@ import pytest
 
 from heckedist import measures
 from heckedist.errors import (
+    EnumerationTooLarge,
     InvalidParameter,
     InvariantViolation,
     NoDensity,
@@ -138,6 +139,10 @@ def test_half_open_atom_convention_and_additivity():
     v10 = MeasureSpec.v1(0)
     a, b, c = -2.3, 0.7, 1.9
     assert abs(mass(v10, (a, b)) + mass(v10, (b, c)) - mass(v10, (a, c))) < 1e-10
+    # the atom nu = -1/2 lies below the float just above -1/2
+    tpl0, x = MeasureSpec.tilde_pl(0), float(np.nextafter(-0.5, 1.0))
+    assert mass(tpl0, (x, 0.5)) == 0.0
+    assert mass(tpl0, (-0.5, x)) + mass(tpl0, (x, 1.0)) == mass(tpl0, (-0.5, 1.0)) == 1.0
 
 
 def test_v1_atom_at_zero_has_mass_half():
@@ -178,6 +183,62 @@ def test_tilde_masses():
     a = 2.5
     expect = 1.0 + 2.0 ** (-a) + 3.0 ** (-a)
     assert abs(mass(MeasureSpec.tilde_v1(1, A=a), (0, 4)) - expect) < 1e-12
+    for spec in (MeasureSpec.tilde_pl(0), MeasureSpec.tilde_v1(1)):
+        empty = mass(spec, (3.6, 3.9))
+        assert empty == 0.0 and isinstance(empty, float)
+
+
+_ATOM_SPECS = [MeasureSpec.plancherel(0), MeasureSpec.plancherel(1), MeasureSpec.v1(0),
+               MeasureSpec.v1(1), MeasureSpec.tilde_pl(0), MeasureSpec.tilde_pl(1)] + [
+    MeasureSpec.tilde_v1(xi, A) for xi in (0, 1) for A in (2.5, 3.0, 2.01)]
+
+
+def _atom_endpoints(spec):
+    """Atom positions and their float neighbours on both sides."""
+    if spec.tag in ("plancherel", "v1"):
+        s = 0.5 if spec.xi == 0 else 1.0
+        pts = [0.25 - (s + k) ** 2 for k in range(8)]
+    else:
+        s = 0.5 if spec.xi == 0 else 0.0
+        pts = [s + k for k in range(-5, 6)]
+    return [q for p in pts for q in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+
+
+def test_atom_table_and_masses_equal_the_per_atom_walk():
+    rng = np.random.default_rng(17)
+    for spec in _ATOM_SPECS:
+        ends = [float(x) for x in _atom_endpoints(spec)]
+        pairs = [(lo, hi) for lo in ends for hi in ends if lo < hi]
+        pairs += [tuple(sorted(rng.uniform(-70.0, 70.0, 2))) for _ in range(300)]
+        for lo, hi in pairs:
+            if spec.tag == "tilde_pl" and spec.xi == 0 and lo == np.nextafter(-0.5, 1.0):
+                continue  # the walk rounds low - 1/2 up to -1 here; see the additivity test
+            ref = oracles.atoms_loop(spec, lo, hi)
+            pos, weight = measures._atoms(spec, lo, hi)
+            keep = weight != 0.0  # tilde_pl with xi = 1 lists nu = 0 with weight 0
+            assert pos[~keep].tolist() in ([], [0.0]), (spec, lo, hi)
+            assert pos[keep].tolist() == [p for p, _ in ref], (spec, lo, hi)
+            assert weight[keep].tolist() == [w for _, w in ref], (spec, lo, hi)
+            ref_mass = sum((w for _, w in ref), 0.0)
+            assert measures._atom_mass(spec, lo, hi) == ref_mass, (spec, lo, hi)
+            if spec.tag in ("tilde_pl", "tilde_v1"):
+                assert mass(spec, (lo, hi)) == ref_mass, (spec, lo, hi)
+
+
+def test_sampler_never_draws_the_weightless_atom():
+    spec = MeasureSpec.tilde_pl(1)
+    pos, weight = measures._atoms(spec, -2.5, 2.5)
+    assert pos.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    assert weight.tolist() == [2.0, 1.0, 0.0, 1.0, 2.0]
+    xs = sample_spectral(spec, -2.5, 2.5, 20_000, np.random.default_rng(4))
+    assert set(xs.tolist()) == {-2.0, -1.0, 1.0, 2.0}
+
+
+def test_wide_intervals_sum_atoms_in_closed_form():
+    # 2e7 atoms, summed in closed form; sampling would have to list 2e9
+    assert mass(MeasureSpec.tilde_pl(0), (-1e7, 1e7)) == 1e14
+    with pytest.raises(EnumerationTooLarge):
+        sample_spectral(MeasureSpec.tilde_pl(0), -1e9, 1e9, 10, np.random.default_rng(0))
 
 
 # --- singletons ----------------------------------------------------------------
