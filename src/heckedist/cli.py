@@ -141,8 +141,8 @@ def cmd_field(args) -> dict:
     f = parse_field(args.D)
     out = {"degree": f.degree, "discriminant": f.disc}
     if f.degree == 2:
-        cg = f.class_group()
-        cg_n = f.class_group(narrow=True)
+        cg = nf.class_group(f)
+        cg_n = nf.class_group(f, narrow=True)
         out.update(
             {
                 "radicand": f.D,
@@ -187,10 +187,8 @@ def cmd_ideal(args) -> dict:
 def cmd_kloosterman(args) -> dict:
     if args.mode == "sweep":
         f = parse_field(args.D)
-        if f.degree == 1:
-            rows = kloosterman.classical_weil_sweep(args.c_max, args.m, args.n, eps=args.eps)
-        else:
-            rows = kloosterman.quadratic_weil_sweep(f, args.norm_max, args.m, args.n, eps=args.eps)
+        bound = args.c_max if f.degree == 1 else args.norm_max
+        rows = kloosterman.quadratic_weil_sweep(f, bound, args.m, args.n, eps=args.eps)
         return {
             "rows": [
                 {

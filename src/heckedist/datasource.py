@@ -26,7 +26,6 @@ from .errors import (
     NetworkError,
     RamanujanViolation,
     SchemaError,
-    TotalWeightZero,
 )
 from .equidist import DataPoint, Dataset
 from .measures import RAMANUJAN_SLACK, MeasureSpec
@@ -404,7 +403,5 @@ def to_dataset(
         lam = normalize(rec, prime_key)
         w = 1.0 if weights == "unit" else rec.weight_factor
         pts.append(DataPoint(rec.label, lam, w))
-    if pts and sum(p.weight for p in pts) <= 0:
-        raise TotalWeightZero("provided weights sum to zero")
     meta = (("prime", str(prime_key)), ("ord", ord), ("weights", weights))
     return Dataset.from_points(pts, MeasureSpec.phi(ord), meta)

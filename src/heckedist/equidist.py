@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, TotalWeightZero, ZeroMassRegion
 from . import measures
-from .measures import RAMANUJAN_SLACK, MeasureSpec, SpectralBox, chebyshev_eval
+from .measures import RAMANUJAN_SLACK, MeasureSpec, SpectralBox, chebyshev_eval, phi_moment
+from .numberfield import class_group
 
 Z_THRESHOLD = 3.0  # largest moment |z| an equidist_report passes
 
@@ -183,7 +184,7 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
         vals = chebyshev_eval(ell, lams)
         S = float(np.dot(ws, vals))
         M = S / W
-        expected = 0.0 if (ell % 2 or ell > 2 * ord) else 1.0
+        expected = phi_moment(ord, ell)
         n = len(ds)
         if n > 1:
             denom = W - ws
@@ -292,7 +293,7 @@ def equidist_report(
     }
     if field is not None and box is not None:
         d = field.degree
-        h = field.class_group().order
+        h = class_group(field).order
         const = (2**d) * math.sqrt(field.disc) / (math.pi**d * h)
         pl_mass = measures.mass(MeasureSpec.plancherel(0), box)
         report["main_term_constant"] = const

@@ -7,14 +7,19 @@ x*x^(-1) = 1 mod (c)*c_frak, and e(y) = exp(2 pi i y).  Over Q with the
 trivial twist this is the classical sum S(r, r'; c).
 
 Residues are integer coordinates over the Z-bases of the two modules, held
-in numpy int64 arrays and made canonical by numberfield.QuotientModule.  The units are the residues outside P*L for every
-prime P dividing the modulus.  Inverses come from one inverse found by an
-exact scan and square-and-multiply in O/modulus, and every pair is checked
-against x*x^(-1) = 1 before it is used.  The exponent is linear in the
-coordinates, so each term's phase is an integer numerator modulo one common
-denominator, reduced exactly before any exponential is taken; the terms are
-then accumulated in unit order with Kahan compensation.  An int64 product
-that could overflow raises EnumerationTooLarge instead of wrapping.
+in numpy int64 arrays and made canonical by numberfield.QuotientModule.  The
+units are the residues outside P*L for every prime P dividing the modulus.
+Inverses come from one inverse found by an exact scan and numberfield's
+square-and-multiply in O/modulus, and every pair is checked against
+x*x^(-1) = 1 before it is used.  The exponent is linear in the coordinates,
+so each term's phase is an integer numerator modulo one common denominator,
+reduced exactly before any exponential is taken; the terms are then
+accumulated in unit order with Kahan compensation.  An int64 product that
+could overflow raises EnumerationTooLarge instead of wrapping.
+
+Q is the degree-1 case of one path: ks_twisted and weil_check share one sum
+core, and both Weil sweeps are one loop over elements_of_norm.  Only the
+vectorised classical_weil_table has its own sum.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import numpy as np
 
 from .errors import (
     EnumerationTooLarge,
-    HeckedistError,
     InvalidParameter,
     InvariantViolation,
     ModulusZero,
@@ -41,11 +45,12 @@ from .numberfield import (
     QuotientModule,
     different_ideal,
     elements_of_norm,
-    factor_rational_prime,
     ideal_from_elements,
     is_rational_prime,
     make_field,
+    _factor_prime,
     _mul_coords,
+    _power,
     _rational_factorization,
 )
 
@@ -89,7 +94,7 @@ class ResidueUnitGroup:
 def _distinct_prime_divisors(field: Field, I: FractionalIdeal) -> list[FractionalIdeal]:
     out = []
     for p in sorted(_rational_factorization(int(I.norm()))):
-        for P in factor_rational_prime(field, p).primes:
+        for P in _factor_prime(field, p).primes:
             if P.contains_ideal(I):
                 out.append(P)
     return out
@@ -115,14 +120,7 @@ def _pow_mod(field: Field, base, e: int, mod: QuotientModule):
             return ((p[0] * q[0]) % a, p[1])
         return mod.reduce(_mul_coords(field, p, q))
 
-    out = (np.full_like(base[0], 1 % a), np.zeros_like(base[1]))
-    while e:
-        if e & 1:
-            out = mul(out, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return out
+    return _power(base, e, mul, (np.full_like(base[0], 1 % a), np.zeros_like(base[1])))
 
 
 def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, mod: QuotientModule,
@@ -219,27 +217,18 @@ def residue_unit_group(
 
 
 class TwistCharacter:
-    """Character of the unit residues mod (c)*c_frak: trivial or a value table.
+    """Character of the unit residues mod (c)*c_frak: a value table, or trivial without one.
 
-    Explicit tables are keyed by the canonical residue coordinates of the
-    quotient O/(c)*c_frak and are validated for |value| = 1.  Quadratic
-    residue (Legendre) twists over Q are provided as a constructor.
+    Tables are keyed by the canonical residue coordinates of the quotient
+    O/(c)*c_frak and are validated for |value| = 1.  Quadratic residue
+    (Legendre) twists over Q are provided as a constructor.
     """
 
-    def __init__(self, kind: str, table: Optional[dict] = None, label: str = ""):
-        if kind not in ("trivial", "table"):
-            raise InvalidParameter(f"unknown character kind {kind!r}")
-        self.kind = kind
-        self.table = table or {}
-        self.label = label or kind
-        if kind == "table":
-            for k, v in self.table.items():
-                if abs(abs(complex(v)) - 1.0) > 1e-12:
-                    raise InvalidParameter(f"character value at {k} is not unimodular")
-
-    @staticmethod
-    def trivial() -> "TwistCharacter":
-        return TwistCharacter("trivial")
+    def __init__(self, table: Optional[dict] = None):
+        self.table = table
+        for k, v in (table or {}).items():
+            if abs(abs(complex(v)) - 1.0) > 1e-12:
+                raise InvalidParameter(f"character value at {k} is not unimodular")
 
     @staticmethod
     def legendre(p: int) -> "TwistCharacter":
@@ -249,11 +238,11 @@ class TwistCharacter:
         table = {}
         for x in range(1, p):
             table[(x,)] = complex(1.0 if pow(x, (p - 1) // 2, p) == 1 else -1.0)
-        return TwistCharacter("table", table, label=f"legendre({p})")
+        return TwistCharacter(table)
 
     def values(self, group: ResidueUnitGroup) -> list[complex]:
         """chi(x) for the units x of the group, in their order."""
-        if self.kind == "trivial":
+        if self.table is None:
             return [1.0 + 0.0j] * len(group)
         return self._lookup(group, (group.units[:, 0], group.units[:, 1]))
 
@@ -275,7 +264,7 @@ class TwistCharacter:
 
     def verify_multiplicative(self, group: ResidueUnitGroup, tol: float = 1e-12) -> bool:
         """chi(xy) = chi(x) chi(y) over all unit pairs of the group."""
-        if self.kind == "trivial":
+        if self.table is None:
             return True
         chi = np.array(self.values(group))
         # the residue module is O here, so unit coordinates are O-coordinates
@@ -326,6 +315,18 @@ def _check_twists(r: FieldElement, a_ideal: FractionalIdeal, rp: FieldElement,
         raise PreconditionViolation("r' not in a d^(-1) c_frak^(-2)")
 
 
+def _twisted_sum(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement,
+                 c: FieldElement, chi: Optional[TwistCharacter]) -> complex:
+    """The sum over the units of a group, for twists already checked."""
+    phases, den = _phase_numerators(group, r, rp, c)
+    acc, comp = 0.0 + 0.0j, 0.0 + 0.0j
+    for p, v in zip(phases.tolist(), (chi or TwistCharacter()).values(group)):
+        # p/den is the exact phase in [0, 1), rounded once to a float
+        term = cmath.exp(2j * math.pi * (p / den)) * v.conjugate()
+        acc, comp = _kahan_add(acc, comp, term)
+    return acc
+
+
 def ks_twisted(
     r: FieldElement,
     a_ideal: FractionalIdeal,
@@ -336,17 +337,8 @@ def ks_twisted(
     group: Optional[ResidueUnitGroup] = None,
 ) -> complex:
     """The twisted Kloosterman sum; classical S(r, r'; c) over Q, trivial chi."""
-    chi = chi or TwistCharacter.trivial()
     _check_twists(r, a_ideal, rp, c_ideal)
-    if group is None:
-        group = residue_unit_group(a_ideal, c, c_ideal)
-    phases, den = _phase_numerators(group, r, rp, c)
-    acc, comp = 0.0 + 0.0j, 0.0 + 0.0j
-    for p, v in zip(phases.tolist(), chi.values(group)):
-        # p/den is the exact phase in [0, 1), rounded once to a float
-        term = cmath.exp(2j * math.pi * (p / den)) * v.conjugate()
-        acc, comp = _kahan_add(acc, comp, term)
-    return acc
+    return _twisted_sum(group or residue_unit_group(a_ideal, c, c_ideal), r, rp, c, chi)
 
 
 def ks_classical(m: int, n: int, c: int, chi: Optional[TwistCharacter] = None) -> complex:
@@ -384,14 +376,9 @@ def weil_check(
     if not math.isfinite(eps):
         raise InvalidParameter(f"eps must be finite, got {eps}")
     field = a_ideal.field
-    if group is None:
-        try:
-            group = residue_unit_group(a_ideal, c, c_ideal)
-        except HeckedistError:
-            # a twist outside its ideal is reported first, as ks_twisted does
-            _check_twists(r, a_ideal, rp, c_ideal)
-            raise
-    ks = ks_twisted(r, a_ideal, rp, c, c_ideal, chi=chi, group=group)
+    _check_twists(r, a_ideal, rp, c_ideal)
+    group = group or residue_unit_group(a_ideal, c, c_ideal)
+    ks = _twisted_sum(group, r, rp, c, chi)
     d = different_ideal(field)
     parts = []
     if not r.is_zero():
@@ -453,35 +440,31 @@ def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
             yield (c, m, n, value)
 
 
+def _weil_sweep(field: Field, bound: int, r: int, rp: int, eps: float) -> list[SweepRow]:
+    """Weil rows for the canonical moduli c with |N(c)| <= bound, a = c_frak = O, trivial chi.
+
+    Over Q the moduli are c = 1, ..., bound, labelled `c`; over Q(sqrt(D))
+    they are labelled `x+yw`.
+    """
+    O = field.unit_ideal()
+    r_el, rp_el = field.element(r), field.element(rp)
+    rows = []
+    for n in range(1, bound + 1):
+        for c in elements_of_norm(field, n):
+            chk = weil_check(r_el, O, rp_el, c, O, eps=eps)
+            label = str(c.x) if field.degree == 1 else f"{c.x}+{c.y}w"
+            rows.append(SweepRow(label, float(abs(c.norm())), chk.ks_abs,
+                                 abs(chk.value.imag), chk.rhs, chk.ratio))
+    return rows
+
+
 def classical_weil_sweep(c_max: int, m: int = 1, n: int = 1,
                          eps: float = 0.0) -> list[SweepRow]:
     """Classical sums S(m, n; c) for c <= c_max with Weil-bound ratios."""
-    Q = make_field("rational")
-    O = Q.unit_ideal()
-    rows = []
-    for c in range(1, c_max + 1):
-        chk = weil_check(Q.element(m), O, Q.element(n), Q.element(c), O, eps=eps)
-        rows.append(SweepRow(str(c), float(c), chk.ks_abs, abs(chk.value.imag), chk.rhs,
-                             chk.ratio))
-    return rows
+    return _weil_sweep(make_field("rational"), c_max, m, n, eps)
 
 
 def quadratic_weil_sweep(field: Field, norm_max: int, r_val: int = 1,
                          rp_val: int = 1, eps: float = 0.0) -> list[SweepRow]:
-    """Twisted sums over a real quadratic field for modulus norms <= norm_max.
-
-    The modulus c runs over canonical associates with |N(c)| <= norm_max,
-    a = c_frak = O and the trivial twist; rows report |KS|, the Weil right
-    side and their ratio.
-    """
-    O = field.unit_ideal()
-    r = field.element(r_val)
-    rp = field.element(rp_val)
-    rows = []
-    for n in range(1, norm_max + 1):
-        for c in elements_of_norm(field, n):
-            chk = weil_check(r, O, rp, c, O, eps=eps)
-            label = f"{c.x}+{c.y}w"
-            rows.append(SweepRow(label, float(abs(c.norm())), chk.ks_abs,
-                                 abs(chk.value.imag), chk.rhs, chk.ratio))
-    return rows
+    """Twisted sums over Q or a real quadratic field for modulus norms <= norm_max."""
+    return _weil_sweep(field, norm_max, r_val, rp_val, eps)

@@ -287,7 +287,10 @@ def _atom_mass(spec: MeasureSpec, low: float, high: float) -> float:
     # 2 * sum(s + k for a <= k < b) = (b - a)(2s + a + b - 1), split at beta = 0
     pos, neg = (max(b - a, 0) * (int(2 * s) + a + b - 1)
                 for a, b in ((max(k0, 0), k1), (k0, min(k1, 0))))
-    return (pos - neg) / (1 if spec.tag == "plancherel" else 2)
+    try:
+        return (pos - neg) / (1 if spec.tag == "plancherel" else 2)
+    except OverflowError:  # the exact sum is beyond float range: round it as IEEE does
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ rows (u, v) ~ u + v*w over a positive denominator.  An element is one row
 over its denominator in lowest terms, (u + v*w)/den; a fractional ideal is
 a Hermite-reduced 2-row module basis over its least denominator.  So
 equality is a structural comparison, and products, norms, conjugates and
-signs of elements and ideals alike come from the same row helpers.
+signs of elements and ideals alike come from the same row helpers; powers of
+both, and kloosterman's powers mod an ideal, from one square-and-multiply.
 Ideal classes are keyed by cycles of reduced binary quadratic forms, and
 principal generators are read off the same rho-walk.  Everything is
 immutable and exact; floating point appears only in `embeddings`.
@@ -15,6 +16,7 @@ immutable and exact; floating point appears only in `embeddings`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +49,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _power(base, k: int, mul, one):
+    """base**k for k >= 0 by square-and-multiply under the product `mul`."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
 
 
 def is_squarefree(n: int) -> bool:
@@ -197,11 +211,6 @@ class Field:
     def __hash__(self):
         return hash((self.degree, self.D))
 
-    # cached expensive invariants ----------------------------------------------
-
-    def class_group(self, narrow: bool = False) -> "ClassGroupDescription":
-        return class_group(self, narrow)
-
 
 @lru_cache(maxsize=None)
 def make_field(D) -> Field:
@@ -291,16 +300,8 @@ class FieldElement:
         return self._coerce(other) / self
 
     def __pow__(self, k: int):
-        if k < 0:
-            return (self.field.one() / self) ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        base = self.field.one() / self if k < 0 else self
+        return _power(base, abs(k), operator.mul, self.field.one())
 
     def __eq__(self, other):
         try:
@@ -527,16 +528,8 @@ class FractionalIdeal:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.unit_ideal()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        base = self.inverse() if k < 0 else self
+        return _power(base, abs(k), operator.mul, self.field.unit_ideal())
 
     def __add__(self, other):
         """Ideal sum = gcd."""
@@ -727,15 +720,8 @@ class PrimeFactorization:
     residue_degrees: tuple[int, ...]
 
 
-def prime_splitting_type(field: Field, p: int) -> str:
-    """Splitting tag of p without constructing ideals (fast path)."""
-    if not is_rational_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    return _splitting_type(field, p)
-
-
 def _splitting_type(field: Field, p: int) -> str:
-    """prime_splitting_type for a p already known to be prime (from a sieve)."""
+    """Splitting tag of a p already known to be prime, without constructing ideals."""
     if field.degree == 1:
         return "inert"
     if field.disc % p == 0:

@@ -151,6 +151,8 @@ def test_moment_all_lambda_two():
     rows = moment_test(ds, 0, 6)
     for row in rows:
         assert row.value == row.ell + 1  # X_l(2) = l + 1
+    with pytest.raises(InvalidParameter):  # Phi(ord) needs ord >= 0, as in phi_moment
+        moment_test(ds, -1, 6)
 
 
 def test_moment_zero_is_one_exactly():

@@ -18,6 +18,7 @@ from heckedist.errors import (
 )
 from heckedist.kloosterman import (
     TwistCharacter,
+    classical_weil_sweep,
     classical_weil_table,
     ks_classical,
     ks_twisted,
@@ -200,7 +201,7 @@ def test_legendre_twist_matches_direct():
 
 def test_twist_character_validation():
     with pytest.raises(ValueError):
-        TwistCharacter("table", {(1,): 2.0})
+        TwistCharacter({(1,): 2.0})
     with pytest.raises(ValueError):
         TwistCharacter.legendre(8)
 
@@ -223,7 +224,7 @@ def test_legendre_twist_is_multiplicative():
     # a corrupted table is detected
     bad_table = dict(chi.table)
     bad_table[(2,)] = -bad_table[(2,)]
-    bad = TwistCharacter("table", bad_table)
+    bad = TwistCharacter(bad_table)
     assert not bad.verify_multiplicative(g)
 
 
@@ -313,6 +314,12 @@ def test_quadratic_split_modulus_factors():
     v6 = ks_twisted(F5.one(), O5, F5.one(), F5.element(6), O5)
     # S(1,1;6) over Q(sqrt5) with 6 = 2*3 both inert: the sum is real
     assert abs(v6.imag) < 1e-9
+
+
+def test_weil_sweep_over_Q_is_the_classical_sweep():
+    # one sweep serves Q and Q(sqrt(D)); over Q the rows are labelled by c
+    for m, n in ((1, 1), (2, 3)):
+        assert quadratic_weil_sweep(Q, 60, m, n) == classical_weil_sweep(60, m, n)
 
 
 def test_quadratic_sweep_real_and_bounded():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heckedist import measures
+from heckedist.cli import run_command
 from heckedist.errors import (
     EnumerationTooLarge,
     InvalidParameter,
@@ -239,6 +240,14 @@ def test_wide_intervals_sum_atoms_in_closed_form():
     assert mass(MeasureSpec.tilde_pl(0), (-1e7, 1e7)) == 1e14
     with pytest.raises(EnumerationTooLarge):
         sample_spectral(MeasureSpec.tilde_pl(0), -1e9, 1e9, 10, np.random.default_rng(0))
+
+
+def test_atom_sums_beyond_float_range_are_inf():
+    # the exact atom sum overflows a float and rounds to inf, as the continuous part does
+    for spec in (MeasureSpec.tilde_pl(0), MeasureSpec.tilde_pl(1), MeasureSpec.plancherel(0)):
+        assert mass(spec, (-1e308, 1e308)) == math.inf, spec
+    code, out = run_command(["measure", "tilde-pl", "--xi", "0", "--interval=-1e308,1e308"])
+    assert code == 0 and b'"mass":Infinity' in out, out
 
 
 # --- singletons ----------------------------------------------------------------

@@ -39,7 +39,6 @@ from heckedist.numberfield import (
     make_field,
     narrow_square_witness,
     prime_ideals_of_norm_upto,
-    prime_splitting_type,
     principal_totally_positive_generator,
     totally_positive_adjust,
 )
@@ -258,6 +257,16 @@ def test_inverse_of_fractional_ideal():
     A = F10.ideal(F10.element(Fraction(3, 7)), F10.element(0, Fraction(1, 2)))
     assert A * A.inverse() == F10.unit_ideal()
     assert A.inverse().norm() == 1 / A.norm()
+    # A**k against repeated products of A or of its inverse
+    for F in (Q, F5, F10):
+        y = Fraction(1, 2) if F.degree == 2 else 0
+        for I in (F.ideal(F.element(Fraction(3, 7), y)), F.ideal(6),
+                  factor_rational_prime(F, 3).primes[0]):
+            for k in range(-3, 6):
+                want = F.unit_ideal()
+                for _ in range(abs(k)):
+                    want = want * (I if k > 0 else I.inverse())
+                assert I**k == want, (F, I, k)
 
 
 def test_ideal_json_roundtrip():
@@ -703,10 +712,10 @@ def test_find_generator_needs_an_integral_ideal():
 
 def test_prime_splitting_type_still_checks_primality():
     with pytest.raises(NotPrime):
-        prime_splitting_type(F5, 9)
+        factor_rational_prime(F5, 9)
     with pytest.raises(NotPrime):
         factor_rational_prime(F5, 1)
-    assert prime_splitting_type(F5, 11) == "split"
+    assert factor_rational_prime(F5, 11).tag == "split"
 
 
 # each patch breaks one identity the class-group and splitting code relies on
