@@ -7,19 +7,24 @@ x*x^(-1) = 1 mod (c)*c_frak, and e(y) = exp(2 pi i y).  Over Q with the
 trivial twist this is the classical sum S(r, r'; c).
 
 Residues are integer coordinates over the Z-bases of the two modules, held
-in numpy int64 arrays and made canonical by numberfield.QuotientModule.  The
-units are the residues outside P*L for every prime P dividing the modulus.
-Inverses come from one inverse found by an exact scan and numberfield's
-square-and-multiply in O/modulus, and every pair is checked against
-x*x^(-1) = 1 before it is used.  The exponent is linear in the coordinates,
-so each term's phase is an integer numerator modulo one common denominator,
-reduced exactly before any exponential is taken; the terms are then
-accumulated in unit order with Kahan compensation.  An int64 product that
-could overflow raises EnumerationTooLarge instead of wrapping.
+in numpy int64 arrays and made canonical by numberfield.QuotientModule.
+Over Q(sqrt(D)) the units are the residues outside P*L for every prime P
+dividing the modulus; inverses come from one inverse found by an exact scan
+and numberfield's square-and-multiply in O/modulus.  Over Q both modules
+have one basis element, and their product is 1, so the coordinates are the
+units x of Z/N, N = N(modulus), with inverses x^(phi(N)-1) mod N: one Z/N
+enumeration that residue_unit_group and classical_weil_table share.  Every
+pair is checked against x*x^(-1) = 1 before it is used.  The exponent is
+linear in the coordinates, so each term's phase is an integer numerator
+modulo one common denominator, reduced exactly before any exponential is
+taken; the terms are then accumulated in unit order with Kahan
+compensation.  An int64 product that could overflow raises
+EnumerationTooLarge instead of wrapping.
 
 Q is the degree-1 case of one path: ks_twisted and weil_check share one sum
-core, and both Weil sweeps are one loop over elements_of_norm.  Only the
-vectorised classical_weil_table has its own sum.
+core, and both Weil sweeps are one loop over elements_of_norm that builds
+the twists' gcd ideals once.  Only the vectorised classical_weil_table has
+its own sum.
 """
 
 from __future__ import annotations
@@ -113,25 +118,43 @@ def _check_int64(bound: int):
 
 def _pow_mod(field: Field, base, e: int, mod: QuotientModule):
     """base**e in O/modulus by square-and-multiply, reducing after every product."""
-    a = mod.shape[0]
-
-    def mul(p, q):
-        if field.degree == 1:  # O/modulus is Z/a, and the w-coordinate stays 0
-            return ((p[0] * q[0]) % a, p[1])
-        return mod.reduce(_mul_coords(field, p, q))
-
-    return _power(base, e, mul, (np.full_like(base[0], 1 % a), np.zeros_like(base[1])))
+    return _power(base, e, lambda p, q: mod.reduce(_mul_coords(field, p, q)),
+                  (np.full_like(base[0], 1 % mod.shape[0]), np.zeros_like(base[1])))
 
 
-def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, mod: QuotientModule,
-                 primes: list[FractionalIdeal]) -> tuple[np.ndarray, np.ndarray]:
+def _units_mod(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units x of Z/N in increasing order and their inverses x^(phi(N)-1) mod N.
+
+    Z/1 has the one unit 0, its own inverse.  Every pair is checked against
+    x * x^(-1) = 1 mod N.
+    """
+    _check_int64(N * N)  # bounds every product below
+    keep = np.ones(N, dtype=bool)
+    for p in _rational_factorization(N):
+        keep[::p] = False
+    x = np.flatnonzero(keep).astype(np.int64)
+    y = _power(x, len(x) - 1, lambda p, q: p * q % N, np.full_like(x, 1 % N))
+    if not np.all(x * y % N == 1 % N):
+        raise InvariantViolation("inverse congruence x * x^(-1) = 1 failed")
+    return x, y
+
+
+def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule,
+                 mod: QuotientModule) -> tuple[np.ndarray, np.ndarray]:
     """Units of quo = L/L*modulus and their inverses in quo_inv = L^(-1)/L^(-1)*modulus.
 
     mod is O/modulus.  Returns two (phi, 2) int64 arrays of coordinates over
-    the Z-bases of L and L^(-1); `primes` are the prime ideals dividing the
-    modulus.
+    the Z-bases of L and L^(-1).
     """
     field, L, Linv = quo.field, quo.L, quo_inv.L
+    if field.degree == 1:
+        # L = (q) and L^(-1) = (1/q): the coordinate of x^(-1) is the inverse
+        # of that of x in Z/N(modulus) once the two basis elements multiply to 1
+        if L.hnf[0] * Linv.hnf[0] != L.den * Linv.den:
+            raise InvariantViolation("the Z-bases of L and L^(-1) do not multiply to 1")
+        x, y = _units_mod(quo.index)
+        zero = np.zeros_like(x)
+        return np.stack((x, zero), axis=1), np.stack((y, zero), axis=1)
     # every intermediate below is at most this many times N(modulus)^2
     _check_int64((abs(field.omega_norm) + abs(field.omega_trace) + 4) * quo.index**2)
     one = mod.reduce((1, 0))
@@ -141,7 +164,7 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, mod: QuotientModu
     a1, c1 = quo.shape
     i, j = np.divmod(np.arange(a1 * c1, dtype=np.int64), c1)
     keep = np.ones(len(i), dtype=bool)
-    for P in primes:
+    for P in _distinct_prime_divisors(field, mod.Lsub):
         keep &= ~QuotientModule(L, P * L).contains((i, j))
     x = (i[keep], j[keep])
     phi = len(x[0])
@@ -171,10 +194,7 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, mod: QuotientModu
 
     # x^(-1) = y0 * u^(phi-1) with u = x*y0 a unit of O/modulus, u^phi = 1
     s, t = _pow_mod(field, _combine(xf, y0, mod), phi - 1, mod)
-    if field.degree == 1:
-        yw = (0, 0)  # t is always 0 over Q
-    else:
-        yw = quo_inv.reduce(Linv.element_coords(quo_inv.element(*y0) * field.omega()))
+    yw = quo_inv.reduce(Linv.element_coords(quo_inv.element(*y0) * field.omega()))
     y = quo_inv.reduce((s * y0[0] + t * yw[0], s * y0[1] + t * yw[1]))
 
     check = _combine(xf, y, mod)
@@ -205,8 +225,7 @@ def residue_unit_group(
         raise EnumerationTooLarge(f"{Q.index} residues exceeds cap {cap}")
     Linv = a_ideal.inverse() * c_ideal
     Qinv = QuotientModule(Linv, Linv * modulus)
-    units, inverses = _unit_coords(Q, Qinv, QuotientModule(field.unit_ideal(), modulus),
-                                   _distinct_prime_divisors(field, modulus))
+    units, inverses = _unit_coords(Q, Qinv, QuotientModule(field.unit_ideal(), modulus))
     units.setflags(write=False)
     inverses.setflags(write=False)
     return ResidueUnitGroup(field, a_ideal, c, c_ideal, modulus, units, inverses, Q, Qinv)
@@ -362,6 +381,40 @@ class WeilCheck:
     value: complex  # the sum itself
 
 
+def _weil_parts(r: FieldElement, a_ideal: FractionalIdeal, rp: FieldElement,
+                c_ideal: FractionalIdeal, eps: float) -> list[FractionalIdeal]:
+    """Check eps and the twists; the gcd parts (r)*a*d and (r')*c_frak^2*a^(-1)*d.
+
+    A zero twist contributes no part.  The parts do not depend on the
+    modulus, so a sweep builds them once.
+    """
+    if not math.isfinite(eps):
+        raise InvalidParameter(f"eps must be finite, got {eps}")
+    _check_twists(r, a_ideal, rp, c_ideal)
+    field = a_ideal.field
+    d = different_ideal(field)
+    parts = []
+    if not r.is_zero():
+        parts.append(ideal_from_elements(field, [r]) * a_ideal * d)
+    if not rp.is_zero():
+        parts.append(
+            ideal_from_elements(field, [rp]) * c_ideal * c_ideal * a_ideal.inverse() * d
+        )
+    return parts
+
+
+def _weil_row(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement, c: FieldElement,
+              chi: Optional[TwistCharacter], eps: float,
+              parts: list[FractionalIdeal]) -> WeilCheck:
+    """weil_check on a group, for the gcd parts `_weil_parts` returned."""
+    ks = _twisted_sum(group, r, rp, c, chi)
+    gcd_norm = float(sum(parts, group.modulus).norm())
+    mod_norm = float(group.modulus.norm())
+    rhs = math.sqrt(gcd_norm) * mod_norm ** (0.5 + eps)
+    ks_abs = abs(ks)
+    return WeilCheck(ks_abs, rhs, ks_abs / rhs, gcd_norm, mod_norm, ks)
+
+
 def weil_check(
     r: FieldElement,
     a_ideal: FractionalIdeal,
@@ -373,30 +426,9 @@ def weil_check(
     group: Optional[ResidueUnitGroup] = None,
 ) -> WeilCheck:
     """|KS| against N(gcd(r a d, r' c_frak^2 a^(-1) d, c c_frak))^(1/2) N(c c_frak)^(1/2+eps)."""
-    if not math.isfinite(eps):
-        raise InvalidParameter(f"eps must be finite, got {eps}")
-    field = a_ideal.field
-    _check_twists(r, a_ideal, rp, c_ideal)
+    parts = _weil_parts(r, a_ideal, rp, c_ideal, eps)
     group = group or residue_unit_group(a_ideal, c, c_ideal)
-    ks = _twisted_sum(group, r, rp, c, chi)
-    d = different_ideal(field)
-    parts = []
-    if not r.is_zero():
-        parts.append(ideal_from_elements(field, [r]) * a_ideal * d)
-    if not rp.is_zero():
-        parts.append(
-            ideal_from_elements(field, [rp]) * c_ideal * c_ideal * a_ideal.inverse() * d
-        )
-    modulus = group.modulus
-    parts.append(modulus)
-    g = parts[0]
-    for q in parts[1:]:
-        g = g + q
-    gcd_norm = float(g.norm())
-    mod_norm = float(modulus.norm())
-    rhs = math.sqrt(gcd_norm) * mod_norm ** (0.5 + eps)
-    ks_abs = abs(ks)
-    return WeilCheck(ks_abs, rhs, ks_abs / rhs, gcd_norm, mod_norm, ks)
+    return _weil_row(group, r, rp, c, chi, eps, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -416,27 +448,23 @@ class SweepRow:
 def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
     """S(m, n; c) for all m <= m_max, n <= n_max, c <= c_max, vectorized.
 
-    High-volume path for sweeps: one unit/inverse enumeration per modulus
-    (the degree-1 case of the residue engine), then one cosine-table
-    lookup for all (m, n) together.  The sums are real, so only the real part is accumulated;
-    the general ks_twisted path cross-checks a subsample of these values
-    in the test suite.
+    High-volume path for sweeps: per modulus, the one Z/c unit enumeration
+    that residue_unit_group also uses over Q, then one cosine-table lookup
+    for all (m, n) together.  The sums are real, so only the real part is
+    accumulated; the general ks_twisted path cross-checks a subsample of
+    these values in the test suite.
 
     Yields (c, m, n, value) with value = S(m, n; c) as a float.
     """
-    Q = make_field("rational")
-    O = Q.unit_ideal()
+    ms = np.arange(1, m_max + 1, dtype=np.int64)[:, None]
+    ns = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
     mn = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
-    ms, ns = (np.array(col, dtype=np.int64) for col in zip(*mn))
     for c in range(1, c_max + 1):
-        modulus = FractionalIdeal(Q, 1, (c,))
-        quo = QuotientModule(O, modulus)
-        primes = [FractionalIdeal(Q, 1, (p,)) for p in sorted(_rational_factorization(c))]
-        units, inverses = _unit_coords(quo, quo, quo, primes)
-        cos_table = np.cos(2.0 * np.pi * np.arange(c) / c)
-        # row (m, n) holds the phase indices (m*x + n*x^(-1)) mod c
-        idx = (ms[:, None] * units[:, 0] + ns[:, None] * inverses[:, 0]) % c
-        for (m, n), value in zip(mn, cos_table[idx].sum(axis=1).tolist()):
+        x, x_inv = _units_mod(c)
+        # (m*x mod c) + (n*x^(-1) mod c) < 2c indexes the table tiled twice
+        cos_table = np.tile(np.cos(2.0 * np.pi * np.arange(c) / c), 2)
+        idx = (ms * x % c)[:, None, :] + (ns * x_inv % c)[None, :, :]
+        for (m, n), value in zip(mn, cos_table[idx].sum(axis=2).ravel().tolist()):
             yield (c, m, n, value)
 
 
@@ -448,10 +476,11 @@ def _weil_sweep(field: Field, bound: int, r: int, rp: int, eps: float) -> list[S
     """
     O = field.unit_ideal()
     r_el, rp_el = field.element(r), field.element(rp)
+    parts = _weil_parts(r_el, O, rp_el, O, eps)
     rows = []
     for n in range(1, bound + 1):
         for c in elements_of_norm(field, n):
-            chk = weil_check(r_el, O, rp_el, c, O, eps=eps)
+            chk = _weil_row(residue_unit_group(O, c, O), r_el, rp_el, c, None, eps, parts)
             label = str(c.x) if field.degree == 1 else f"{c.x}+{c.y}w"
             rows.append(SweepRow(label, float(abs(c.norm())), chk.ks_abs,
                                  abs(chk.value.imag), chk.rhs, chk.ratio))

@@ -736,11 +736,18 @@ def factor_rational_prime(field: Field, p: int) -> PrimeFactorization:
     """Factor (p) into prime ideals via roots of x^2 - t x + n mod p."""
     if not is_rational_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return _factor_prime(field, p)
+    return _split_prime(field, p)  # afresh, so every call rechecks the roots
 
 
 def _factor_prime(field: Field, p: int) -> PrimeFactorization:
-    """factor_rational_prime for a p already known to be prime."""
+    """factor_rational_prime for a p already known to be prime, memoised per field."""
+    key = ("factor_prime", p)
+    if key not in field._cache:
+        field._cache[key] = _split_prime(field, p)
+    return field._cache[key]
+
+
+def _split_prime(field: Field, p: int) -> PrimeFactorization:
     tag = _splitting_type(field, p)
     if field.degree == 1:
         return PrimeFactorization(p, "inert", (field.ideal(p),), (1,))

@@ -81,6 +81,25 @@ def test_inverse_pairing_verified_exactly():
         assert modulus.contains(x * y - F5.one())
 
 
+def test_unit_group_over_Q_is_the_units_of_Z_mod_N():
+    # over Q, for any a and c_frak, the units are the ascending units of
+    # Z/N(modulus) and each inverse is its partner's inverse in [0, N)
+    for a in (1, 2, 3, 6):
+        for k in (1, 2, 5):
+            cf = Q.ideal(Q.one() / Q.element(k))  # c_frak^(-1) = (k)
+            for c in range(k, 40, k):
+                g = residue_unit_group(Q.ideal(a), Q.element(c), cf)
+                N = c // k
+                x, y = g.units[:, 0], g.inverses[:, 0]
+                # gcd(0, 1) = 1: Z/1 has the one unit 0
+                assert x.tolist() == [u for u in range(N) if math.gcd(u, N) == 1]
+                assert not g.units[:, 1].any() and not g.inverses[:, 1].any()
+                assert ((0 <= y) & (y < N)).all()
+                assert (x * y % N == 1 % N).all(), (a, k, c)
+                for u, v in g.elements():
+                    assert g.modulus.contains(u * v - Q.one())
+
+
 def test_modulus_zero_and_cap():
     with pytest.raises(ModulusZero):
         residue_unit_group(OQ, Q.element(0), OQ)
@@ -121,9 +140,13 @@ def test_realness_with_trivial_twist():
 
 
 def test_weil_table_matches_direct():
-    got = {(c, m, n): v for c, m, n, v in classical_weil_table(40, 3, 3)}
-    for (c, m, n), v in got.items():
-        assert abs(v - kloosterman_direct(m, n, c).real) < 1e-9
+    # a non-square (m_max, n_max) makes a swapped m/n axis read wrong values
+    for shape in ((40, 3, 3), (30, 2, 4)):
+        got = {(c, m, n): v for c, m, n, v in classical_weil_table(*shape)}
+        c_max, m_max, n_max = shape
+        assert len(got) == c_max * m_max * n_max
+        for (c, m, n), v in got.items():
+            assert abs(v - kloosterman_direct(m, n, c).real) < 1e-9
 
 
 def _shift_by_submodule(coords, sub_hnf, k0):
@@ -376,33 +399,50 @@ import heckedist.kloosterman as K
 from heckedist.errors import InvariantViolation
 from heckedist.numberfield import make_field
 
-real = K._pow_mod
+real_pow_mod, real_power = K._pow_mod, K._power
 
 
-def corrupt(field, base, e, mod):
-    s, t = real(field, base, e, mod)
+def corrupt_pow_mod(field, base, e, mod):
+    s, t = real_pow_mod(field, base, e, mod)
     s = s.copy()
     s[0] = (s[0] + 1) % mod.shape[0]  # moves the first inverse off its coset
     return s, t
 
 
-K._pow_mod = corrupt
-F = make_field(5)
-try:
-    K.residue_unit_group(F.unit_ideal(), F.element(3, 1), F.unit_ideal())
-except InvariantViolation as exc:
-    print("raised", exc)
+def corrupt_power(base, k, mul, one):
+    y = real_power(base, k, mul, one).copy()
+    y[0] += 1  # the inverse of the unit 1 of Z/N becomes 2
+    return y
+
+
+F, Q = make_field(5), make_field("rational")
+# Q(sqrt5) through the residue engine; Q, in a group and in the table, through Z/N
+runs = (
+    ("_pow_mod", corrupt_pow_mod,
+     lambda: K.residue_unit_group(F.unit_ideal(), F.element(3, 1), F.unit_ideal())),
+    ("_power", corrupt_power, lambda: K.residue_unit_group(Q.ideal(2), Q.element(7), Q.unit_ideal())),
+    ("_power", corrupt_power, lambda: list(K.classical_weil_table(7, 1, 1))),
+)
+for name, corrupt, run in runs:
+    setattr(K, name, corrupt)
+    try:
+        run()
+    except InvariantViolation as exc:
+        print("raised", exc)
 """
+_RAISED = ["raised inverse congruence x * x^(-1) = 1 failed"] * 3
 
 
 def test_corrupted_inverse_raises(monkeypatch):
     import heckedist.kloosterman as K
 
-    monkeypatch.setattr(K, "_pow_mod", K._pow_mod)  # restored after the script patches it
+    # restored after the script patches them
+    monkeypatch.setattr(K, "_pow_mod", K._pow_mod)
+    monkeypatch.setattr(K, "_power", K._power)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(_CORRUPT_ONE_INVERSE, {})
-    assert out.getvalue().startswith("raised inverse congruence")
+    assert out.getvalue().splitlines() == _RAISED
 
 
 def test_corrupted_inverse_raises_under_optimize():
@@ -414,4 +454,4 @@ def test_corrupted_inverse_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", "assert False\n" + _CORRUPT_ONE_INVERSE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised inverse congruence")
+    assert proc.stdout.splitlines() == _RAISED
