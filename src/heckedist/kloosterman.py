@@ -8,13 +8,17 @@ trivial twist this is the classical sum S(r, r'; c).
 
 Residues are integer coordinates over the Z-bases of the two modules, held
 in numpy int64 arrays and made canonical by numberfield.QuotientModule.
-Over Q(sqrt(D)) the units are the residues outside P*L for every prime P
-dividing the modulus; inverses come from one inverse found by an exact scan
-and numberfield's square-and-multiply in O/modulus.  Over Q both modules
-have one basis element, and their product is 1, so the coordinates are the
-units x of Z/N, N = N(modulus), with inverses x^(phi(N)-1) mod N: one Z/N
-enumeration that residue_unit_group and classical_weil_table share.  Every
-pair is checked against x*x^(-1) = 1 before it is used.  The exponent is
+The modulus picks one of two paths.  When O/modulus and both modules are
+cyclic of order N = N(modulus), generated by their first basis elements e_1
+and f_1 (always over Q; over O for every modulus of prime norm), the units
+are i*e_1 for the units i of Z/N, from the one Z/N enumeration that
+classical_weil_table shares, and their inverses are j*f_1 with
+j = i^(-1) * g^(-1) mod N, g = e_1*f_1 mod modulus; i*i^(-1) = 1 mod N is
+checked for every pair and gcd(g, N) = 1 once.  Otherwise the units are the
+residues outside P*L for every prime P dividing the modulus, inverses come
+from one inverse found by an exact scan and numberfield's square-and-multiply
+in O/modulus, and x*x^(-1) = 1 in O/modulus is checked for every pair.
+Every check raises InvariantViolation, also under python -O.  The exponent is
 linear in the coordinates, so each term's phase is an integer numerator
 modulo one common denominator, reduced exactly before any exponential is
 taken; the terms are then accumulated in unit order with Kahan
@@ -74,7 +78,8 @@ class ResidueUnitGroup:
     Row k of `units` holds the coordinates (i, j) of x over the Z-basis of
     L, canonical for `quotient`; row k of `inverses` holds those of x^(-1)
     over the Z-basis of L^(-1) = a^(-1)*c_frak, reduced for
-    `inverse_quotient`.  Over Q the second coordinate is always 0.
+    `inverse_quotient`.  When both quotients are cyclic (always over Q) the
+    second coordinate is 0.
     """
 
     field: Field
@@ -147,12 +152,26 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule,
     the Z-bases of L and L^(-1).
     """
     field, L, Linv = quo.field, quo.L, quo_inv.L
-    if field.degree == 1:
-        # L = (q) and L^(-1) = (1/q): the coordinate of x^(-1) is the inverse
-        # of that of x in Z/N(modulus) once the two basis elements multiply to 1
-        if L.hnf[0] * Linv.hnf[0] != L.den * Linv.den:
-            raise InvariantViolation("the Z-bases of L and L^(-1) do not multiply to 1")
-        x, y = _units_mod(quo.index)
+    den = L.den * Linv.den
+
+    def product(e, f):
+        # e * f for basis rows e of L and f of L^(-1) lies in L*L^(-1) = O
+        u, v = _mul_coords(field, e, f)
+        if u % den or v % den:
+            raise InvariantViolation("L * L^(-1) is not the ring of integers")
+        return mod.reduce((u // den, v // den))
+
+    if mod.shape[1] == quo.shape[1] == quo_inv.shape[1] == 1:
+        # O/modulus = Z/N, and e_1, f_1 generate L/L*modulus and
+        # L^(-1)/L^(-1)*modulus: the units are i*e_1 for the units i of Z/N,
+        # with inverses j*f_1, j = i^(-1) * g^(-1) for g = e_1*f_1 mod modulus
+        N = mod.index
+        g = product(L.int_rows()[0], Linv.int_rows()[0])[0]
+        if math.gcd(g, N) != 1:
+            raise InvariantViolation("e_1 * f_1 is not a unit modulo the modulus")
+        x, y = _units_mod(N)
+        if g != 1:  # g = 1 over Q
+            y = y * pow(g, -1, N) % N
         zero = np.zeros_like(x)
         return np.stack((x, zero), axis=1), np.stack((y, zero), axis=1)
     # every intermediate below is at most this many times N(modulus)^2
@@ -169,17 +188,7 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule,
     x = (i[keep], j[keep])
     phi = len(x[0])
 
-    # products e_m * f_n of the two Z-bases lie in L*L^(-1) = O
-    den = L.den * Linv.den
-    prod = []
-    for f in Linv.int_rows():
-        row = []
-        for e in L.int_rows():
-            u, v = _mul_coords(field, e, f)
-            if u % den or v % den:
-                raise InvariantViolation("L * L^(-1) is not the ring of integers")
-            row.append(mod.reduce((u // den, v // den)))
-        prod.append(row)
+    prod = [[product(e, f) for e in L.int_rows()] for f in Linv.int_rows()]
     # x * f_n for every unit x; then x * y = sum over n of y_n * (x * f_n)
     xf = [_combine(p, x, mod) for p in prod]
 
@@ -361,7 +370,7 @@ def ks_twisted(
 
 
 def ks_classical(m: int, n: int, c: int, chi: Optional[TwistCharacter] = None) -> complex:
-    """S(m, n; c) over Q through the general machinery."""
+    """S(m, n; c) over Q through ks_twisted, whose residue group is the cyclic case Z/|c|."""
     Q = make_field("rational")
     O = Q.unit_ideal()
     return ks_twisted(Q.element(m), O, Q.element(n), Q.element(c), O, chi=chi)

@@ -134,6 +134,25 @@ def _lattice_reduce(hnf: tuple, X: int, Y: int) -> tuple[int, int]:
     return ((X - q * b) % a, Y - q * c)
 
 
+def residue_inverse(D: int, a: tuple, c: tuple) -> tuple[int, int]:
+    """An integral z = (x, y) ~ x + y*w of Q(sqrt D) with a*z = 1 mod (c), for a unit a mod (c).
+
+    Searches the residues 0 <= x, y < |N(c)|, which meet every class of
+    O/(c) since N(c) lies in (c); a*z - 1 lies in (c) when both
+    coordinates of (a*z - 1) * conj(c) are multiples of N(c).
+    """
+    t, _ = _ring(D)
+    conj = (c[0] + t * c[1], -c[1])
+    n = abs(_qmul(D, c, conj)[0])
+    for x in range(n):
+        for y in range(n):
+            u, v = _qmul(D, a, (x, y))
+            u, v = _qmul(D, (u - 1, v), conj)
+            if u % n == 0 and v % n == 0:
+                return x, y
+    raise ValueError(f"{a} is not a unit modulo {c}")
+
+
 def _trace_over(D: int, p: tuple, q: tuple) -> Fraction:
     """Tr(p/q) for p, q in (1, w)-coordinates with rational entries."""
     t, _ = _ring(D)

@@ -27,6 +27,7 @@ from heckedist.kloosterman import (
     weil_check,
 )
 from heckedist.numberfield import (
+    QuotientModule,
     different_ideal,
     elements_of_norm,
     factor_rational_prime,
@@ -34,7 +35,7 @@ from heckedist.numberfield import (
     make_field,
     prime_ideals_of_norm_upto,
 )
-from oracles import kloosterman_brute, kloosterman_direct
+from oracles import kloosterman_brute, kloosterman_direct, residue_inverse
 
 Q = make_field("rational")
 OQ = Q.unit_ideal()
@@ -98,6 +99,39 @@ def test_unit_group_over_Q_is_the_units_of_Z_mod_N():
                 assert (x * y % N == 1 % N).all(), (a, k, c)
                 for u, v in g.elements():
                     assert g.modulus.contains(u * v - Q.one())
+
+
+def _is_cyclic(g):
+    """Whether O/modulus and both modules of the group have shape (N, 1)."""
+    mod = QuotientModule(g.field.unit_ideal(), g.modulus)
+    return mod.shape[1] == g.quotient.shape[1] == g.inverse_quotient.shape[1] == 1
+
+
+def test_cyclic_unit_groups_over_quadratic_fields_are_the_units_of_Z_mod_N():
+    # when O/modulus and both modules are cyclic, the units are i*e_1 for the
+    # ascending units i of Z/N and the inverses j*f_1 have j in [0, N), as
+    # over Q, for any a and c_frak
+    seen = set()
+    for D in (2, 5, 10, 13):
+        F = make_field(D)
+        O = F.unit_ideal()
+        P2, P3 = (factor_rational_prime(F, p).primes[0] for p in (2, 3))
+        for a in (O, P2, P3):
+            for cf in (O, P2):
+                for c in _admissible_moduli(F, cf, bound=30):
+                    g = residue_unit_group(a, c, cf)
+                    if not _is_cyclic(g):
+                        continue
+                    N = g.quotient.index
+                    x, y = g.units[:, 0], g.inverses[:, 0]
+                    assert x.tolist() == [u for u in range(N) if math.gcd(u, N) == 1]
+                    assert not g.units[:, 1].any() and not g.inverses[:, 1].any()
+                    assert ((0 <= y) & (y < N)).all()
+                    for u, v in g.elements():
+                        assert g.modulus.contains(u * v - F.one()), (D, c)
+                    seen.add((a != O, cf != O, N == 1))
+    # a != O, c_frak != O and the unit modulus each take the cyclic path
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= seen
 
 
 def test_modulus_zero_and_cap():
@@ -329,11 +363,69 @@ def test_quadratic_inert_modulus_against_raw_enumeration():
     assert abs(got - total) < 1e-9
 
 
+def _row(c):
+    return int(c.x), int(c.y)
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 10, 13])
+def test_quadratic_sums_against_classical_identities(D):
+    # (1) a primitive c (no rational integer > 1 divides it) has O/(c) = Z/N,
+    #     N = |N(c)|, and Tr(r*x/c) = x*Tr(r*conj(c))/N(c) for x in Z, so
+    #     KS_F(r, r'; c) = S(r*Tr(c), r'*Tr(c); N), also for N(c) < 0 since
+    #     S(-m, -n; N) = S(m, n; N); a unit c gives 1
+    # (2) Hasse-Davenport at an inert p not dividing r*r':
+    #     KS_F(r, r'; p) = 2p - S(r, r'; p)^2
+    F = make_field(D)
+    O = F.unit_ideal()
+    signs = set()
+    for n in range(1, 120):
+        for c in elements_of_norm(F, n):
+            if math.gcd(*_row(c)) != 1:
+                continue
+            g = residue_unit_group(O, c, O)
+            tr = int(c.trace())
+            for r, rp in ((1, 1), (2, 3), (1, 0)):
+                got = ks_twisted(F.element(r), O, F.element(rp), c, O, group=g)
+                want = kloosterman_direct(r * tr, rp * tr, n)
+                assert abs(got - want) < 1e-9, (D, c, r, rp)
+            signs.add(c.norm() < 0)
+    assert D != 3 or True in signs  # Q(sqrt3) has no unit of norm -1
+    inert = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+             if factor_rational_prime(F, p).tag == "inert"]
+    assert inert
+    for p in inert:
+        g = residue_unit_group(O, F.element(p), O)
+        for r, rp in ((1, 1), (2, 3), (1, 5), (3, 4)):
+            if r * rp % p:
+                got = ks_twisted(F.element(r), O, F.element(rp), F.element(p), O, group=g)
+                assert abs(got - (2 * p - kloosterman_direct(r, rp, p) ** 2)) < 1e-9, (D, p, r, rp)
+
+
 def test_quadratic_split_modulus_factors():
-    # multiplicativity across coprime moduli: for c = c1*c2 with (c1, c2)
-    # coprime, |KS(1,1;c)| = |KS(u1, u1; c1)| * |KS(u2, u2; c2)| for suitable
-    # unit twists; here just cross-check against an independent full product
-    # over the CRT decomposition for a rational example in the field
+    # twisted multiplicativity across coprime moduli: with c1*c1b = 1 mod (c2)
+    # and c2*c2b = 1 mod (c1),
+    # KS(r, r'; c1*c2) = KS(r*c2b, r'*c2b; c1) * KS(r*c1b, r'*c1b; c2);
+    # the factors mix cyclic and non-cyclic residue groups
+    kinds = set()
+    for D in (2, 5, 13):
+        F = make_field(D)
+        O = F.unit_ideal()
+        moduli = [c for n in range(2, 76) for c in elements_of_norm(F, n)]
+        groups = {c: residue_unit_group(O, c, O) for c in moduli}
+        for i, c1 in enumerate(moduli):
+            for c2 in moduli[i + 1:]:
+                if abs((c1 * c2).norm()) > 150 or ideal_from_elements(F, [c1, c2]) != O:
+                    continue
+                c1b = F.element(*residue_inverse(D, _row(c1), _row(c2)))
+                c2b = F.element(*residue_inverse(D, _row(c2), _row(c1)))
+                for m, n in ((1, 1), (2, 3)):
+                    r, rp = F.element(m), F.element(n)
+                    got = ks_twisted(r, O, rp, c1 * c2, O)
+                    want = (ks_twisted(r * c2b, O, rp * c2b, c1, O, group=groups[c1])
+                            * ks_twisted(r * c1b, O, rp * c1b, c2, O, group=groups[c2]))
+                    assert abs(got - want) < 1e-9, (D, c1, c2)
+                kinds |= {_is_cyclic(groups[c1]), _is_cyclic(groups[c2])}
+    assert kinds == {True, False}
     v6 = ks_twisted(F5.one(), O5, F5.one(), F5.element(6), O5)
     # S(1,1;6) over Q(sqrt5) with 6 = 2*3 both inert: the sum is real
     assert abs(v6.imag) < 1e-9
@@ -415,30 +507,40 @@ def corrupt_power(base, k, mul, one):
     return y
 
 
+def corrupt_mul_coords(field, p, q):
+    return 0, 0  # e_1 * f_1 = 0 is no unit mod the modulus
+
+
 F, Q = make_field(5), make_field("rational")
-# Q(sqrt5) through the residue engine; Q, in a group and in the table, through Z/N
+O = F.unit_ideal()
+# c = 3 is inert in Q(sqrt5), so O/(3) is not cyclic and takes the general
+# path; c = 3 + w has norm 11, and Q, in a group and in the table, is cyclic
 runs = (
-    ("_pow_mod", corrupt_pow_mod,
-     lambda: K.residue_unit_group(F.unit_ideal(), F.element(3, 1), F.unit_ideal())),
+    ("_pow_mod", corrupt_pow_mod, lambda: K.residue_unit_group(O, F.element(3), O)),
+    ("_power", corrupt_power, lambda: K.residue_unit_group(O, F.element(3, 1), O)),
     ("_power", corrupt_power, lambda: K.residue_unit_group(Q.ideal(2), Q.element(7), Q.unit_ideal())),
     ("_power", corrupt_power, lambda: list(K.classical_weil_table(7, 1, 1))),
+    ("_mul_coords", corrupt_mul_coords, lambda: K.residue_unit_group(O, F.element(3, 1), O)),
 )
 for name, corrupt, run in runs:
+    real = getattr(K, name)
     setattr(K, name, corrupt)
     try:
         run()
     except InvariantViolation as exc:
         print("raised", exc)
+    setattr(K, name, real)
 """
-_RAISED = ["raised inverse congruence x * x^(-1) = 1 failed"] * 3
+_RAISED = (["raised inverse congruence x * x^(-1) = 1 failed"] * 4
+           + ["raised e_1 * f_1 is not a unit modulo the modulus"])
 
 
 def test_corrupted_inverse_raises(monkeypatch):
     import heckedist.kloosterman as K
 
     # restored after the script patches them
-    monkeypatch.setattr(K, "_pow_mod", K._pow_mod)
-    monkeypatch.setattr(K, "_power", K._power)
+    for name in ("_pow_mod", "_power", "_mul_coords"):
+        monkeypatch.setattr(K, name, getattr(K, name))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(_CORRUPT_ONE_INVERSE, {})
