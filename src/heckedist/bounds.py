@@ -14,8 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DivergentExponent, InvalidParameter, InvariantViolation, ModulusZero
-from .numberfield import Field, _splitting_type, rational_primes_upto
+from .errors import (
+    DivergentExponent,
+    EnumerationTooLarge,
+    InvalidParameter,
+    InvariantViolation,
+    ModulusZero,
+)
+from .numberfield import Field, _splitting_types, rational_primes_upto
+
+SIEVE_CAP = 10**8  # largest cutoff X whose primes euler_product_tail sieves
 
 
 @dataclass(frozen=True)
@@ -161,11 +169,15 @@ def euler_product_tail(params: BoundParams, field: Field, X: int,
     """prod over prime ideals of norm <= X of 1/(1 - N^e), with a tail bound.
 
     e = eps - 1/2 - 2 tau (1 - eps) must be < -1, else DivergentExponent.
-    Primes dividing the level are skipped.  The rational-prime product at
-    the same exponent is reported for comparison.
+    `level_norms` holds rational primes p: each drops the rational factor of
+    p and every prime-ideal factor above p.  The rational-prime product at
+    the same exponent is reported for comparison.  X above SIEVE_CAP raises
+    EnumerationTooLarge before anything is sieved.
     """
     if X < 2:
         raise InvalidParameter(f"X must be >= 2, got {X}")
+    if X > SIEVE_CAP:
+        raise EnumerationTooLarge(f"X = {X} exceeds the sieve cap {SIEVE_CAP}")
     if not params.converges:
         raise DivergentExponent(
             f"exponent {params.euler_exponent:.4f} is not < -1; "
@@ -173,23 +185,23 @@ def euler_product_tail(params: BoundParams, field: Field, X: int,
         )
     e = params.euler_exponent
     skip = set(level_norms)
-    prod = 1.0
-    rational = 1.0
-    for p in rational_primes_upto(X):
-        if p in skip:
-            continue
-        rational *= 1.0 / (1.0 - float(p) ** e)
-        if field.degree == 1:
-            prod = rational
-            continue
-        tag = _splitting_type(field, p)  # p comes from the sieve
-        if tag == "split":
-            prod *= (1.0 / (1.0 - float(p) ** e)) ** 2
-        elif tag == "ramified":
-            prod *= 1.0 / (1.0 - float(p) ** e)
-        else:
-            if p * p <= X:
-                prod *= 1.0 / (1.0 - float(p * p) ** e)
+    primes = [p for p in rational_primes_upto(X) if p not in skip]
+    # Python's float pow per prime (numpy's may differ in the last bit), and
+    # each product one left fold in prime order
+    f = [1.0 / (1.0 - float(p) ** e) for p in primes]
+    rational = math.prod(f, start=1.0)
+    if field.degree == 1:
+        prod = rational
+    else:
+        factors = []
+        for p, fp, tag in zip(primes, f, _splitting_types(field, primes)):
+            if tag == "split":
+                factors.append(fp**2)
+            elif tag == "ramified":
+                factors.append(fp)
+            elif p * p <= X:
+                factors.append(1.0 / (1.0 - float(p * p) ** e))
+        prod = math.prod(factors, start=1.0)
     mult = 1 if field.degree == 1 else 2
     tail = math.expm1(_tail_log_bound(e, X, mult))
     rational_tail = math.expm1(_tail_log_bound(e, X, 1))

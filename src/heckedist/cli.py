@@ -11,6 +11,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import HeckedistError, InvalidParameter, UnsupportedFormat
+from .errors import EnumerationTooLarge, HeckedistError, InvalidParameter, UnsupportedFormat
 from . import bounds as bounds_mod
 from . import datasource, equidist, heckealg, kloosterman, measures
 from . import numberfield as nf
@@ -410,6 +411,7 @@ def cmd_test_dist(args) -> dict:
 # Parser
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heckedist",
@@ -564,6 +566,9 @@ def run_command(argv: list[str]) -> tuple[int, bytes]:
     except OverflowError as exc:
         # a parameter so large that a float result overflows
         return _error(InvalidParameter(f"parameter out of float range: {exc}"))
+    except MemoryError as exc:
+        # an input so large that its arrays or lists do not fit in memory
+        return _error(EnumerationTooLarge(f"out of memory: {str(exc) or 'MemoryError'}"))
     if isinstance(report, dict):
         report.setdefault("meta", {})
         report["meta"].update(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, TotalWeightZero, ZeroMassRegion
 from . import measures
-from .measures import RAMANUJAN_SLACK, MeasureSpec, SpectralBox, chebyshev_eval, phi_moment
+from .measures import RAMANUJAN_SLACK, MeasureSpec, SpectralBox, phi_moment
 from .numberfield import class_group
 
 Z_THRESHOLD = 3.0  # largest moment |z| an equidist_report passes
@@ -179,16 +179,20 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
     lams = ds.lambdas()
     ws = ds.weights()
     W = float(np.sum(ws))
+    n = len(ds)
+    denom = W - ws
+    loo_denom = np.where(denom > 0, denom, np.nan)
     out = []
+    # X_ell(lams) by chebyshev_eval's recurrence, one step per ell
+    prev, vals = None, lams * 0 + 1
     for ell in range(ell_max + 1):
-        vals = chebyshev_eval(ell, lams)
+        if ell:
+            prev, vals = vals, (lams if ell == 1 else lams * vals - prev)
         S = float(np.dot(ws, vals))
         M = S / W
         expected = phi_moment(ord, ell)
-        n = len(ds)
         if n > 1:
-            denom = W - ws
-            loo = (S - ws * vals) / np.where(denom > 0, denom, np.nan)
+            loo = (S - ws * vals) / loo_denom
             loo = np.where(np.isfinite(loo), loo, M)
             se = math.sqrt(max((n - 1) / n * float(np.sum((loo - np.mean(loo)) ** 2)), 0.0))
         else:

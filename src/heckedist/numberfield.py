@@ -22,6 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from .errors import (
     DegreeUnsupported,
     InvalidParameter,
@@ -74,12 +76,12 @@ def is_rational_prime(p: int) -> bool:
 def rational_primes_upto(bound: int) -> list[int]:
     if bound < 2:
         return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
-    return [p for p in range(2, bound + 1) if sieve[p]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
 
 
 def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
@@ -730,6 +732,24 @@ def _splitting_type(field: Field, p: int) -> str:
         # disc odd here, so D = 1 mod 4; split iff D = 1 mod 8
         return "split" if field.D % 8 == 1 else "inert"
     return "split" if pow(field.disc, (p - 1) // 2, p) == 1 else "inert"
+
+
+def _splitting_types(field: Field, primes: Iterable[int]) -> list[str]:
+    """_splitting_type of each prime, computed once per residue class mod |disc|.
+
+    A prime's tag is the Kronecker symbol (disc / p), a character mod |disc|,
+    so primes in one class split alike.  A ramified p divides disc and is
+    alone in its class, so its tag is never read for another prime.
+    """
+    m = abs(field.disc)
+    by_class: dict[int, str] = {}
+    out = []
+    for p in primes:
+        tag = by_class.get(p % m)
+        if tag is None:
+            tag = by_class[p % m] = _splitting_type(field, p)
+        out.append(tag)
+    return out
 
 
 def factor_rational_prime(field: Field, p: int) -> PrimeFactorization:

@@ -6,16 +6,17 @@ elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a
 smallest-unit search, the continued-fraction fundamental unit, the Pell-type
 y-scan for principal generators and elements of a given norm, invariant
 factors by recursive quotients, unit-power scans in Fraction arithmetic, the
-trace-dual module from the trace pairing, a sieved Euler product, x-measure
-CDFs by adaptive quadrature and by Serre's series, the spectral atoms walked one
-at a time, the per-sample loop of the spectral sampler, and synthetic datasets
-built and read one DataPoint at a time.
+trace-dual module from the trace pairing, the Euler product one sieved prime
+at a time, x-measure CDFs by adaptive quadrature and by Serre's series, the
+spectral atoms walked one at a time, the per-sample loop of the spectral
+sampler, and synthetic datasets built and read one DataPoint at a time.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -579,29 +580,48 @@ def in_principal_genus(disc: int, p: int) -> bool:
                for d in prime_discriminants(disc))
 
 
-def euler_product_sieved(D, e: float, X: int, skip=()) -> float:
-    """prod over prime ideals of norm <= X of 1/(1 - N^e), over Q (D = None)
-    or Q(sqrt D), from a plain sieve."""
-    sieve = [True] * (X + 1)
-    prod = 1.0
-    for p in range(2, X + 1):
-        if not sieve[p]:
-            continue
-        for m in range(p * p, X + 1, p):
-            sieve[m] = False
+@functools.lru_cache(maxsize=None)
+def primes_upto(n: int) -> tuple[int, ...]:
+    """The primes <= n from a plain list sieve."""
+    sieve = [True] * (n + 1)
+    out = []
+    for p in range(2, n + 1):
+        if sieve[p]:
+            out.append(p)
+            for m in range(p * p, n + 1, p):
+                sieve[m] = False
+    return tuple(out)
+
+
+def euler_product_loop(params, field, X: int, level_norms=()):
+    """euler_product_tail's EulerProductResult, built one prime at a time:
+    a plain sieve, the Kronecker symbol of each prime and one multiply per
+    factor, in prime order; the tail bounds by the same integral comparison."""
+    from heckedist.bounds import EulerProductResult
+
+    e = params.euler_exponent
+    skip = set(level_norms)
+    prod = rational = 1.0
+    for p in primes_upto(X):
         if p in skip:
             continue
-        if D is None:
-            prod *= 1.0 / (1.0 - p**e)
+        rational *= 1.0 / (1.0 - float(p) ** e)
+        if field.degree == 1:
+            prod = rational
             continue
-        chi = kronecker(D if D % 4 == 1 else 4 * D, p)
+        chi = kronecker(field.disc, p)
         if chi == 1:
-            prod *= (1.0 / (1.0 - p**e)) ** 2
+            prod *= (1.0 / (1.0 - float(p) ** e)) ** 2
         elif chi == 0:
-            prod *= 1.0 / (1.0 - p**e)
+            prod *= 1.0 / (1.0 - float(p) ** e)
         elif p * p <= X:
-            prod *= 1.0 / (1.0 - (p * p) ** e)
-    return prod
+            prod *= 1.0 / (1.0 - float(p * p) ** e)
+
+    def tail(mult):
+        top = X**e
+        return math.expm1(mult * (X ** (e + 1.0) / (-e - 1.0) + top) / (1.0 - top))
+
+    return EulerProductResult(prod, tail(field.degree), e, X, rational, tail(1))
 
 
 # --- Gauss-Legendre reference integrator (independent of the package) ------
@@ -838,3 +858,31 @@ def point_plot_data(points, spec) -> list:
     keep = np.append(xs[1:] != xs[:-1], True)
     xs, emp = xs[keep], cum[keep]
     return [(float(x), float(e), float(t)) for x, e, t in zip(xs, emp, measures.cdf(spec, xs))]
+
+
+def moment_rows_per_ell(ds, ord: int, ell_max: int) -> list:
+    """moment_test's rows with X_ell evaluated afresh from X_0 for each ell by
+    chebyshev_eval, and the leave-one-out denominators rebuilt each time."""
+    import numpy as np
+
+    from heckedist.equidist import MomentRow
+    from heckedist.measures import chebyshev_eval, phi_moment
+
+    lams, ws = ds.lambdas(), ds.weights()
+    W = float(np.sum(ws))
+    n = len(ds)
+    out = []
+    for ell in range(ell_max + 1):
+        vals = chebyshev_eval(ell, lams)
+        S = float(np.dot(ws, vals))
+        M = S / W
+        expected = phi_moment(ord, ell)
+        se = 0.0
+        if n > 1:
+            denom = W - ws
+            loo = (S - ws * vals) / np.where(denom > 0, denom, np.nan)
+            loo = np.where(np.isfinite(loo), loo, M)
+            se = math.sqrt(max((n - 1) / n * float(np.sum((loo - np.mean(loo)) ** 2)), 0.0))
+        z = (M - expected) / se if se > 0 else (0.0 if M == expected else math.inf)
+        out.append(MomentRow(ell, M, expected, z))
+    return out

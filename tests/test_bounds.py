@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from heckedist import bounds
 from heckedist.bounds import (
+    SIEVE_CAP,
     BoundParams,
     PlaceParams,
     bessel_envelope,
@@ -11,9 +13,9 @@ from heckedist.bounds import (
     euler_product_tail,
     kloosterman_term_bound,
 )
-from heckedist.errors import DivergentExponent, ModulusZero
-from heckedist.numberfield import make_field
-from oracles import euler_product_sieved
+from heckedist.errors import DivergentExponent, EnumerationTooLarge, ModulusZero
+from heckedist.numberfield import is_squarefree, make_field
+from oracles import euler_product_loop
 
 Q = make_field("rational")
 F5 = make_field(5)
@@ -136,17 +138,29 @@ def test_euler_product_skips_level():
     assert abs(full.truncated / skipped.truncated - 1.0 / (1.0 - 2.0**p.euler_exponent)) < 1e-12
 
 
+_EULER_FIELDS = [Q] + [make_field(D) for D in range(2, 200) if is_squarefree(D)]
+
+
 def test_euler_product_matches_sieved_oracle():
+    # the prime-at-a-time loop, == to the last bit on every field and cutoff
     p = _params()
-    e = p.euler_exponent
-    for D in (None, 2, 3, 5, 13, 17, 21, 23, 30):
-        F = Q if D is None else make_field(D)
-        for X, skip in ((2000, ()), (3000, (2, 7, 11))):
-            r = euler_product_tail(p, F, X, level_norms=skip)
-            want = euler_product_sieved(D, e, X, skip)
-            assert r.truncated == pytest.approx(want, rel=1e-13, abs=0), (D, X)
-            assert r.rational_truncated == pytest.approx(
-                euler_product_sieved(None, e, X, skip), rel=1e-13, abs=0)
+    for F in _EULER_FIELDS:
+        for X in (2, 3, 11, 49, 2000, 50000):  # 49: an inert 7 has norm X
+            for skip in ((), (2, 7, 11)):
+                r = euler_product_tail(p, F, X, level_norms=skip)
+                assert r == euler_product_loop(p, F, X, skip), (F.disc, X, skip)
+
+
+def test_euler_product_sieve_cap(monkeypatch):
+    def no_sieve(bound):
+        raise AssertionError(f"sieved up to {bound}")
+
+    monkeypatch.setattr(bounds, "rational_primes_upto", no_sieve)
+    with pytest.raises(EnumerationTooLarge):
+        euler_product_tail(_params(), F5, SIEVE_CAP + 1)
+    # the cap itself is allowed: it reaches the sieve, here a stand-in
+    monkeypatch.setattr(bounds, "rational_primes_upto", lambda bound: [2, 3])
+    assert euler_product_tail(_params(), Q, SIEVE_CAP).cutoff == SIEVE_CAP
 
 
 # --- assembled bound ------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import heckedist
-from heckedist import datasource
+from heckedist import bounds, cli, datasource
 from heckedist.cli import emit_report, run_command
 from heckedist.errors import UnsupportedFormat
 
@@ -242,6 +242,11 @@ def test_numberfield_stdout_is_byte_identical(monkeypatch):
         assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
+# a cutoff above bounds.SIEVE_CAP, which once ended in a MemoryError traceback
+_X_ABOVE_SIEVE_CAP = ["bound", "euler", "--tau", "0.3", "--eps", "0.01", "--gamma", "0.35",
+                      "--D", "5", "--X", "10000000000"]
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "phi", "--ord", "-1"],
     ["sample", "sato-tate", "-n", "0"],
@@ -267,11 +272,33 @@ def test_numberfield_stdout_is_byte_identical(monkeypatch):
     ["bound", "kloosterman", "--tau", "0.3", "--eps", "0.01", "--gamma", "0.35", "--U", "inf"],
     ["bound", "kloosterman", "--tau", "0.3", "--eps", "0.01", "--gamma", "0.35", "--A1", "inf"],
     ["bound", "kloosterman", "--places", "Q+:inf:1"],
+    _X_ABOVE_SIEVE_CAP,
 ])
 def test_out_of_domain_input_exits_1_with_error_code(argv):
     code, out = run_command(argv)
     assert code == 1
-    assert json.loads(out.decode())["error"]["code"] == "InvalidParameter"
+    want = "EnumerationTooLarge" if argv is _X_ABOVE_SIEVE_CAP else "InvalidParameter"
+    assert json.loads(out.decode())["error"]["code"] == want
+
+
+def test_memory_error_exits_1_with_error_code(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(bounds, "euler_product_tail", exhausted)
+    code, out = run_command(_X_ABOVE_SIEVE_CAP)
+    assert code == 1
+    assert json.loads(out.decode())["error"] == {
+        "code": "EnumerationTooLarge", "message": "out of memory: Unable to allocate 74.5 GiB"}
+
+
+def test_cached_parser_keeps_no_flag_between_commands(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    first = run_command(["hecke", "power", "--lambda", "3/2", "--ell", "4"])
+    second = run_command(["hecke", "power", "--lambda", "3/2"])
+    assert first[0] == second[0] == 0 and first != second
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_command(["hecke", "power", "--lambda", "3/2"]) == second
 
 
 def test_csv_format_sweep():

@@ -186,6 +186,21 @@ def test_moment_z_scores_synthetic():
     assert all(abs(r.z) <= 3.0 for r in rows2)
 
 
+def test_moment_rows_match_chebyshev_eval_per_ell():
+    # the carried recurrence is chebyshev_eval's, so every row is == to the last bit
+    rng = np.random.default_rng(9)
+    weighted = _ds([DataPoint(f"p{i}", float(x), float(w)) for i, (x, w) in
+                    enumerate(zip(rng.uniform(-2, 2, 500), rng.uniform(0.0, 3, 500)))])
+    # all the weight on one point, so its leave-one-out denominator is 0
+    one_heavy = _ds([DataPoint("a", 0.5, 1.0), DataPoint("b", -1.0, 0.0)])
+    single = _ds([DataPoint("a", 1.5)])
+    cases = [(synthesize_dataset(Q, "2", 0, None, 20_000, 3), 0, 40),
+             (synthesize_dataset(Q, "2", 2, None, 20_000, 4), 2, 10),
+             (weighted, 1, 12), (one_heavy, 0, 5), (single, 0, 3)]
+    for ds, ord, ell_max in cases:
+        assert moment_test(ds, ord, ell_max) == oracles.moment_rows_per_ell(ds, ord, ell_max)
+
+
 # --- synthesis ---------------------------------------------------------------
 
 

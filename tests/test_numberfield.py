@@ -57,8 +57,10 @@ from oracles import (
     fundamental_unit_by_continued_fraction,
     generator_scan,
     in_principal_genus,
+    kronecker,
     norm_form_rows,
     prime_discriminants,
+    primes_upto,
     smallest_unit_gt_one,
     trace_dual_module,
     unit_power_scan,
@@ -321,6 +323,29 @@ def test_splitting_examples_sqrt5():
     assert factor_rational_prime(F5, 11).tag == "split"  # 4^2 = 5 mod 11
     assert factor_rational_prime(F5, 2).tag == "inert"  # 5 = 5 mod 8
     assert factor_rational_prime(F5, 5).tag == "ramified"
+
+
+def test_splitting_by_residue_class_matches_the_kronecker_symbol():
+    primes = primes_upto(10**4)
+    tag = {1: "split", 0: "ramified", -1: "inert"}
+    for D in range(2, 200):
+        if is_squarefree(D):
+            F = make_field(D)
+            want = [tag[kronecker(F.disc, p)] for p in primes]
+            assert nf._splitting_types(F, primes) == want, D
+    assert nf._splitting_types(Q, primes) == ["inert"] * len(primes)
+
+
+def _primes_by_trial_division(n):
+    return [m for m in range(2, n + 1) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+
+
+def test_rational_primes_upto_matches_trial_division():
+    for n in range(-1, 301):
+        assert nf.rational_primes_upto(n) == _primes_by_trial_division(n), n
+    primes = nf.rational_primes_upto(99_991)
+    assert primes == _primes_by_trial_division(99_991)
+    assert primes[-1] == 99_991 and all(type(p) is int for p in primes)
 
 
 # --- different --------------------------------------------------------------
