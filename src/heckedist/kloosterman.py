@@ -12,8 +12,8 @@ The modulus picks one of two paths.  When O/modulus and both modules are
 cyclic of order N = N(modulus), generated by their first basis elements e_1
 and f_1 (always over Q; over O for every modulus of prime norm), the units
 are i*e_1 for the units i of Z/N, from the one Z/N enumeration that
-classical_weil_table shares, and their inverses are j*f_1 with
-j = i^(-1) * g^(-1) mod N, g = e_1*f_1 mod modulus; i*i^(-1) = 1 mod N is
+classical_weil_table shares at prime powers, and their inverses are j*f_1
+with j = i^(-1) * g^(-1) mod N, g = e_1*f_1 mod modulus; i*i^(-1) = 1 mod N is
 checked for every pair and gcd(g, N) = 1 once.  Otherwise the units are the
 residues outside P*L for every prime P dividing the modulus, inverses come
 from one inverse found by an exact scan and numberfield's square-and-multiply
@@ -28,12 +28,17 @@ EnumerationTooLarge instead of wrapping.
 Q is the degree-1 case of one path: ks_twisted and weil_check share one sum
 core, and both Weil sweeps are one loop over elements_of_norm that builds
 the twists' gcd ideals once.  Only the vectorised classical_weil_table has
-its own sum.
+its own sum: one inverse DFT per prime power q <= c_max gives S(m, j; q)
+for every j mod q, and every other modulus is a product of those rows by
+twisted multiplicativity, S(m, n; c1*c2) = S(m, n*c2b^2; c1) *
+S(m, n*c1b^2; c2) for coprime c1, c2 with c1*c1b = 1 mod c2 and
+c2*c2b = 1 mod c1.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,6 +62,7 @@ from .numberfield import (
     ideal_from_elements,
     is_rational_prime,
     make_field,
+    rational_primes_upto,
     _factor_prime,
     _mul_coords,
     _power,
@@ -64,6 +70,7 @@ from .numberfield import (
 )
 
 DEFAULT_RESIDUE_CAP = 10**6
+TABLE_CAP = 10**7  # most (c, m, n) cells classical_weil_table accumulates
 _INT64_LIMIT = 2**63 - 1
 
 
@@ -457,24 +464,58 @@ class SweepRow:
 def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
     """S(m, n; c) for all m <= m_max, n <= n_max, c <= c_max, vectorized.
 
-    High-volume path for sweeps: per modulus, the one Z/c unit enumeration
-    that residue_unit_group also uses over Q, then one cosine-table lookup
-    for all (m, n) together.  The sums are real, so only the real part is
-    accumulated; the general ks_twisted path cross-checks a subsample of
-    these values in the test suite.
+    High-volume path for sweeps.  Direct sums are taken only at the prime
+    powers q = p^k <= c_max.  There the Z/q unit enumeration that
+    residue_unit_group also uses over Q places e(p^e x/q) at index x^(-1),
+    and one inverse DFT turns it into the row S(p^e, j; q) for every j
+    mod q; a row is made for each p-adic valuation e <= k that some m has,
+    since S(m, j; q) = S(p^e, u*j; q) for m = p^e*u with p not dividing u
+    (e capped at k, where p^k = 0 mod q).  Every c = q*r with p not dividing
+    r then takes its q-part by twisted multiplicativity,
+    S(m, n; c) = prod over q of S(m, n*rbar^2; q), rbar = r^(-1) mod q,
+    as one gather per prime power into an accumulator of every (c, m, n);
+    c = 1 takes 1.  The sums are real, so the rows keep their real part.
+    The test suite checks the table against a direct cosine-table sum per
+    modulus and a subsample against the general ks_twisted path.
 
-    Yields (c, m, n, value) with value = S(m, n; c) as a float.
+    Yields (c, m, n, value) with value = S(m, n; c) as a float, in
+    ascending (c, m, n) order.  More than TABLE_CAP accumulator cells
+    raises EnumerationTooLarge before anything is allocated.
     """
-    ms = np.arange(1, m_max + 1, dtype=np.int64)[:, None]
-    ns = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
-    mn = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
-    for c in range(1, c_max + 1):
-        x, x_inv = _units_mod(c)
-        # (m*x mod c) + (n*x^(-1) mod c) < 2c indexes the table tiled twice
-        cos_table = np.tile(np.cos(2.0 * np.pi * np.arange(c) / c), 2)
-        idx = (ms * x % c)[:, None, :] + (ns * x_inv % c)[None, :, :]
-        for (m, n), value in zip(mn, cos_table[idx].sum(axis=2).ravel().tolist()):
-            yield (c, m, n, value)
+    if min(c_max, m_max, n_max) < 1:
+        return
+    cells = (c_max + 1) * m_max * n_max
+    if cells > TABLE_CAP:
+        raise EnumerationTooLarge(f"{cells} table cells exceeds cap {TABLE_CAP}")
+    _check_int64(max(m_max, n_max) * c_max)  # bounds every index product below
+    ms = np.arange(1, m_max + 1, dtype=np.int64)
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    acc = np.ones((c_max + 1, m_max, n_max))
+    for p in rational_primes_upto(c_max):
+        # m = p^val * u with p not dividing u
+        val, u = np.zeros_like(ms), ms.copy()
+        while np.any(hit := u % p == 0):
+            val += hit
+            u[hit] //= p
+        q, k = p, 1
+        while q <= c_max:
+            x, y = _units_mod(q)
+            e = np.minimum(val, k)
+            f = np.zeros((e.max() + 1, q), dtype=complex)
+            f[:, y] = np.exp(2j * np.pi / q * (p ** np.arange(len(f))[:, None] * x % q))
+            rows = (q * np.fft.ifft(f, axis=1)).real
+            inv = np.empty(q, dtype=np.int64)
+            inv[x] = y
+            r = np.arange(1, c_max // q + 1, dtype=np.int64)
+            r = r[r % p != 0]
+            t = inv[r % q] ** 2 % q
+            # index (R, M, N): u_m * (n * t_r mod q) mod q
+            j = u[:, None] * (ns * t[:, None, None] % q) % q
+            acc[q * r] *= rows[e[:, None], j]
+            q, k = q * p, k + 1
+    cmn = itertools.product(range(1, c_max + 1), range(1, m_max + 1), range(1, n_max + 1))
+    for (c, m, n), value in zip(cmn, acc[1:].ravel().tolist()):
+        yield (c, m, n, value)
 
 
 def _weil_sweep(field: Field, bound: int, r: int, rp: int, eps: float) -> list[SweepRow]:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately primitive: exact integer power series for
 the classical level-one eigenforms, affine point counting for the level-11
-elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), a
+elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), the
+classical Kloosterman table summed directly at every modulus, a
 smallest-unit search, the continued-fraction fundamental unit, the Pell-type
 y-scan for principal generators and elements of a given norm, invariant
 factors by recursive quotients, unit-power scans in Fraction arithmetic, the
@@ -111,6 +112,29 @@ def kloosterman_direct(m: int, n: int, c: int) -> complex:
         xinv = pow(x, -1, c)
         total += cmath.exp(2j * cmath.pi * ((m * x + n * xinv) % c) / c)
     return total
+
+
+def classical_weil_table_direct(c_max: int, m_max: int = 5, n_max: int = 5):
+    """The classical table summed directly at every modulus c.
+
+    Per modulus, the Z/c unit enumeration of the library, then one
+    cosine-table lookup for all (m, n) together; yields (c, m, n, value)
+    in ascending order, value = S(m, n; c) as a float.
+    """
+    import numpy as np
+
+    from heckedist.kloosterman import _units_mod
+
+    ms = np.arange(1, m_max + 1, dtype=np.int64)[:, None]
+    ns = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
+    mn = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
+    for c in range(1, c_max + 1):
+        x, x_inv = _units_mod(c)
+        # (m*x mod c) + (n*x^(-1) mod c) < 2c indexes the table tiled twice
+        cos_table = np.tile(np.cos(2.0 * np.pi * np.arange(c) / c), 2)
+        idx = (ms * x % c)[:, None, :] + (ns * x_inv % c)[None, :, :]
+        for (m, n), value in zip(mn, cos_table[idx].sum(axis=2).ravel().tolist()):
+            yield (c, m, n, value)
 
 
 def _ring(D: int) -> tuple[int, int]:

@@ -394,6 +394,14 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy_fft():
+    # only classical_weil_table reaches np.fft, and numpy loads it on first use
+    code = "import sys, heckedist.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.fft')))"
+    proc = _run_python("-c", code, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["measure", "v1", "--xi", "0", "--interval=-1e308,1e308"], 0),
     (["measure", "tilde-pl", "--xi", "0", "--interval=-1e9,1e9"], 0),

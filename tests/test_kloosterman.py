@@ -35,7 +35,12 @@ from heckedist.numberfield import (
     make_field,
     prime_ideals_of_norm_upto,
 )
-from oracles import kloosterman_brute, kloosterman_direct, residue_inverse
+from oracles import (
+    classical_weil_table_direct,
+    kloosterman_brute,
+    kloosterman_direct,
+    residue_inverse,
+)
 
 Q = make_field("rational")
 OQ = Q.unit_ideal()
@@ -181,6 +186,53 @@ def test_weil_table_matches_direct():
         assert len(got) == c_max * m_max * n_max
         for (c, m, n), v in got.items():
             assert abs(v - kloosterman_direct(m, n, c).real) < 1e-9
+
+
+@pytest.mark.parametrize("shape", [
+    # m shares the prime of 2^7, 3^4 and 5^3 (and 7^2 at m = 7), and m or n
+    # exceeds c; an empty range of c or m yields nothing
+    (300, 5, 5), (200, 7, 3), (128, 8, 8), (0, 5, 5), (10, 0, 3),
+])
+def test_weil_table_matches_the_direct_table(shape):
+    got = list(classical_weil_table(*shape))
+    want = list(classical_weil_table_direct(*shape))
+    assert [row[:3] for row in got] == [row[:3] for row in want]
+    assert len(got) == math.prod(shape)
+    for (c, m, n, v), (_, _, _, w) in zip(got, want):
+        assert abs(v - w) < 1e-10, (c, m, n)
+
+
+def test_twisted_multiplicativity_over_Q():
+    # S(m, n; c1*c2) = S(m, n*c2b^2; c1) * S(m, n*c1b^2; c2) for coprime c1, c2
+    # with c1*c1b = 1 mod c2 and c2*c2b = 1 mod c1, the identity the
+    # classical table rests on; c1 < c2 and c1*c2 <= 60 leave c1 <= 7
+    for c1 in range(2, 8):
+        for c2 in range(c1 + 1, 60 // c1 + 1):
+            if math.gcd(c1, c2) != 1:
+                continue
+            c1b, c2b = pow(c1, -1, c2), pow(c2, -1, c1)
+            for m in range(1, 7):
+                for n in range(1, 7):
+                    lhs = kloosterman_direct(m, n, c1 * c2)
+                    rhs = (kloosterman_direct(m, n * c2b**2, c1)
+                           * kloosterman_direct(m, n * c1b**2, c2))
+                    assert abs(lhs - rhs) < 1e-9, (m, n, c1, c2)
+
+
+def test_weil_table_size_guard(monkeypatch):
+    import heckedist.kloosterman as K
+
+    # the accumulator has (c_max + 1) * m_max * n_max cells
+    with pytest.raises(EnumerationTooLarge, match="exceeds cap"):
+        list(classical_weil_table(10, 2**62, 1))
+    monkeypatch.setattr(K, "TABLE_CAP", 66)
+    assert len(list(classical_weil_table(10, 2, 3))) == 60
+    with pytest.raises(EnumerationTooLarge, match="exceeds cap"):
+        list(classical_weil_table(10, 2, 4))
+    # past the cap, an index product m_max * c_max beyond int64 still raises
+    monkeypatch.setattr(K, "TABLE_CAP", 2**200)
+    with pytest.raises(EnumerationTooLarge, match="overflow int64"):
+        list(classical_weil_table(10, 2**62, 1))
 
 
 def _shift_by_submodule(coords, sub_hnf, k0):
