@@ -188,8 +188,7 @@ def cmd_ideal(args) -> dict:
 def cmd_kloosterman(args) -> dict:
     if args.mode == "sweep":
         f = parse_field(args.D)
-        bound = args.c_max if f.degree == 1 else args.norm_max
-        rows = kloosterman.quadratic_weil_sweep(f, bound, args.m, args.n, eps=args.eps)
+        rows = kloosterman.quadratic_weil_sweep(f, args.bound, args.m, args.n, eps=args.eps)
         return {
             "rows": [
                 {
@@ -471,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rp", default="1")
     p.add_argument("--c-elem", dest="c_elem", default="1")
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--c-max", dest="c_max", type=int, default=100)
-    p.add_argument("--norm-max", dest="norm_max", type=int, default=100)
+    p.add_argument("--c-max", "--norm-max", dest="bound", type=int, default=100,
+                   help="sweep moduli up to this norm (two spellings of one bound)")
 
     p = command("measure", cmd_measure, "density / interval mass of a measure", [spec])
     p.add_argument("--interval", default="")

@@ -3,10 +3,10 @@ an optional REST client for the LMFDB-style API.
 
 Raw eigenvalues are normalized to lambda_p = a_p / N(p)^((k-1)/2), which the
 Deligne bound keeps inside [-2, 2]; any value escaping the bound signals
-corrupted data or a wrong normalization and is rejected.  Endpoint paths
-and response field names live in ApiConfig rather than code because the
-upstream schema drifts; the test suite runs entirely from recorded
-fixtures with networking disabled.
+corrupted data or a wrong normalization and is rejected.  The REST schema
+and request policy are the module constants below, one edit away when the
+upstream schema drifts; only the endpoint address is a DataClient argument.
+The test suite runs entirely from recorded fixtures with networking disabled.
 """
 
 from __future__ import annotations
@@ -33,6 +33,19 @@ from .measures import RAMANUJAN_SLACK, MeasureSpec
 CACHE_ENV_VAR = "HECKEDIST_CACHE_DIR"
 OFFLINE_ENV_VAR = "HECKEDIST_OFFLINE"
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# REST schema of the newforms endpoint
+API_BASE_URL = "https://www.lmfdb.org/api"
+NEWFORMS_PATH = "/mf_newforms/"
+RESPONSE_LIST_KEY = "data"
+NEXT_PAGE_KEY = "next"  # absolute URL of the next page, if any
+FIELD_MAP = {"label": "label", "weight": "weight", "level_norm": "level", "ap": "traces"}
+# request policy
+RATE_LIMIT_S = 1.0
+MAX_RETRIES = 3
+TIMEOUT_S = 30.0
+RETRY_BASE_DELAY_S = 1.0  # doubled after every failed attempt
+MAX_PAGES = 50
 
 
 @dataclass(frozen=True)
@@ -222,41 +235,20 @@ class Query:
             raise SchemaError(f"record {obj.get('label', '?')}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ApiConfig:
-    """Endpoint layout; data, not code, because the upstream schema drifts."""
-
-    base_url: str = "https://www.lmfdb.org/api"
-    newforms_path: str = "/mf_newforms/"
-    response_list_key: str = "data"
-    next_page_key: str = "next"  # absolute URL of the next page, if any
-    field_map: tuple[tuple[str, str], ...] = (
-        ("label", "label"),
-        ("weight", "weight"),
-        ("level_norm", "level"),
-        ("ap", "traces"),
-    )
-    rate_limit_seconds: float = 1.0
-    max_retries: int = 3
-    timeout_seconds: float = 30.0
-    retry_base_delay: float = 1.0
-    max_pages: int = 50
-
-
 class DataClient:
     """Fetcher with content-addressed JSON-lines cache and rate limiting."""
 
     def __init__(
         self,
         cache_dir: Optional[str] = None,
-        config: Optional[ApiConfig] = None,
+        base_url: str = API_BASE_URL,
         fixture_dir: Optional[str] = None,
         transport: Optional[Callable[[str, dict], dict]] = None,
     ):
         self.cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR) or os.path.join(
             os.path.expanduser("~"), ".cache", "heckedist"
         )
-        self.config = config or ApiConfig()
+        self.base_url = base_url
         self.fixture_dir = fixture_dir or FIXTURE_DIR
         self.transport = transport or self._http_get
         self.request_count = 0
@@ -287,15 +279,15 @@ class DataClient:
     def _http_get(self, url: str, params: dict) -> dict:
         import requests
 
-        wait = self.config.rate_limit_seconds - (time.monotonic() - self._last_request)
+        wait = RATE_LIMIT_S - (time.monotonic() - self._last_request)
         if wait > 0:
             time.sleep(wait)
-        delay = self.config.retry_base_delay
+        delay = RETRY_BASE_DELAY_S
         last_exc: Optional[Exception] = None
-        for _ in range(self.config.max_retries):
+        for _ in range(MAX_RETRIES):
             try:
                 self._last_request = time.monotonic()
-                resp = requests.get(url, params=params, timeout=self.config.timeout_seconds)
+                resp = requests.get(url, params=params, timeout=TIMEOUT_S)
                 if resp.status_code >= 500:
                     raise NetworkError(f"server error {resp.status_code}")
                 resp.raise_for_status()
@@ -309,40 +301,38 @@ class DataClient:
     def _network_rows(self, query: Query) -> list[dict]:
         if os.environ.get(OFFLINE_ENV_VAR):
             raise NetworkError("networking disabled by environment")
-        cfg = self.config
-        fmap = dict(cfg.field_map)
         params = {
-            fmap["level_norm"]: f"{query.level_min}..{query.level_max}",
-            fmap["weight"]: f"{query.weight_min}..{query.weight_max}",
+            FIELD_MAP["level_norm"]: f"{query.level_min}..{query.level_max}",
+            FIELD_MAP["weight"]: f"{query.weight_min}..{query.weight_max}",
             "_format": "json",
         }
         rows_raw: list[dict] = []
-        url = cfg.base_url + cfg.newforms_path
-        for page in range(cfg.max_pages):
+        url = self.base_url + NEWFORMS_PATH
+        for page in range(MAX_PAGES):
             self.request_count += 1
             payload = self.transport(url, params)
-            chunk = payload.get(cfg.response_list_key)
+            chunk = payload.get(RESPONSE_LIST_KEY)
             if chunk is None:
-                raise SchemaError(f"response is missing {cfg.response_list_key!r}")
+                raise SchemaError(f"response is missing {RESPONSE_LIST_KEY!r}")
             rows_raw.extend(chunk)
-            nxt = payload.get(cfg.next_page_key)
+            nxt = payload.get(NEXT_PAGE_KEY)
             if not nxt or not isinstance(nxt, str):
                 break
             url, params = nxt, {}
         rows = []
         for raw in rows_raw:
             row = {
-                "label": raw.get(fmap["label"]),
+                "label": raw.get(FIELD_MAP["label"]),
                 "degree": query.degree,
                 "field": "rational" if query.degree == 1 else raw.get("field", "rational"),
-                "weight": raw.get(fmap["weight"]),
-                "level_norm": raw.get(fmap["level_norm"]),
-                "ap": raw.get(fmap["ap"]),
+                "weight": raw.get(FIELD_MAP["weight"]),
+                "level_norm": raw.get(FIELD_MAP["level_norm"]),
+                "ap": raw.get(FIELD_MAP["ap"]),
             }
             if row["label"] is None:
-                raise SchemaError(f"row is missing {fmap['label']!r}")
+                raise SchemaError(f"row is missing {FIELD_MAP['label']!r}")
             if row["ap"] is None:
-                raise SchemaError(f"row {row['label']} is missing {fmap['ap']!r}")
+                raise SchemaError(f"row {row['label']} is missing {FIELD_MAP['ap']!r}")
             rows.append(row)
         return rows
 

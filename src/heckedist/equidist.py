@@ -183,11 +183,7 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
     denom = W - ws
     loo_denom = np.where(denom > 0, denom, np.nan)
     out = []
-    # X_ell(lams) by chebyshev_eval's recurrence, one step per ell
-    prev, vals = None, lams * 0 + 1
-    for ell in range(ell_max + 1):
-        if ell:
-            prev, vals = vals, (lams if ell == 1 else lams * vals - prev)
+    for ell, vals in zip(range(ell_max + 1), measures._chebyshev(lams)):
         S = float(np.dot(ws, vals))
         M = S / W
         expected = phi_moment(ord, ell)

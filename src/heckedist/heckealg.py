@@ -39,7 +39,7 @@ from .numberfield import (
     narrow_square_witness,
 )
 
-DEFAULT_ENUMERATION_CAP = 10**6
+COSET_CAP = 10**6  # most coset representatives coset_reps enumerates
 
 
 def hecke_power_eigenvalue(lam_p: Union[float, Fraction], ell: int):
@@ -69,17 +69,16 @@ class CosetRep:
     beta_index: int
 
 
-def coset_reps(P: FractionalIdeal, ell: int,
-               cap: int = DEFAULT_ENUMERATION_CAP) -> list[CosetRep]:
-    """All (N^(ell+1)-1)/(N-1) coset representatives for the prime power P^ell."""
+def coset_reps(P: FractionalIdeal, ell: int) -> list[CosetRep]:
+    """All (N^(ell+1)-1)/(N-1) coset representatives for P^ell, at most COSET_CAP of them."""
     if not is_prime_ideal(P):
         raise NotPrime("coset decomposition requires a prime ideal")
     if ell < 0:
         raise InvalidParameter("ell must be >= 0")
     np_ = int(P.norm())
     total = (np_ ** (ell + 1) - 1) // (np_ - 1)
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} cosets exceeds cap {cap}")
+    if total > COSET_CAP:
+        raise EnumerationTooLarge(f"{total} cosets exceeds cap {COSET_CAP}")
     O = P.field.unit_ideal()
     out = []
     for s in range(ell + 1):

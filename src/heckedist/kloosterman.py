@@ -69,9 +69,10 @@ from .numberfield import (
     _rational_factorization,
 )
 
-DEFAULT_RESIDUE_CAP = 10**6
+RESIDUE_CAP = 10**6  # most residues residue_unit_group enumerates
 TABLE_CAP = 10**7  # most (c, m, n) cells classical_weil_table accumulates
 _INT64_LIMIT = 2**63 - 1
+_UNIT_TOL = 1e-12  # how far a twist value may stray from the unit circle
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +224,8 @@ def residue_unit_group(
     a_ideal: FractionalIdeal,
     c: FieldElement,
     c_ideal: FractionalIdeal,
-    cap: int = DEFAULT_RESIDUE_CAP,
 ) -> ResidueUnitGroup:
-    """Enumerate the unit residues and pair each with its verified inverse."""
+    """The unit residues, at most RESIDUE_CAP of them, each paired with its verified inverse."""
     field = a_ideal.field
     if c.is_zero():
         raise ModulusZero("modulus element c must be nonzero")
@@ -237,8 +237,8 @@ def residue_unit_group(
         raise PreconditionViolation("modulus (c)*c_frak is not integral")
     L = a_ideal * c_inv
     Q = QuotientModule(L, L * modulus)  # L * modulus = a*(c)
-    if Q.index > cap:
-        raise EnumerationTooLarge(f"{Q.index} residues exceeds cap {cap}")
+    if Q.index > RESIDUE_CAP:
+        raise EnumerationTooLarge(f"{Q.index} residues exceeds cap {RESIDUE_CAP}")
     Linv = a_ideal.inverse() * c_ideal
     Qinv = QuotientModule(Linv, Linv * modulus)
     units, inverses = _unit_coords(Q, Qinv, QuotientModule(field.unit_ideal(), modulus))
@@ -262,7 +262,7 @@ class TwistCharacter:
     def __init__(self, table: Optional[dict] = None):
         self.table = table
         for k, v in (table or {}).items():
-            if abs(abs(complex(v)) - 1.0) > 1e-12:
+            if abs(abs(complex(v)) - 1.0) > _UNIT_TOL:
                 raise InvalidParameter(f"character value at {k} is not unimodular")
 
     @staticmethod
@@ -297,8 +297,8 @@ class TwistCharacter:
             out.append(complex(self.table[key]))
         return out
 
-    def verify_multiplicative(self, group: ResidueUnitGroup, tol: float = 1e-12) -> bool:
-        """chi(xy) = chi(x) chi(y) over all unit pairs of the group."""
+    def verify_multiplicative(self, group: ResidueUnitGroup) -> bool:
+        """chi(xy) = chi(x) chi(y) over all unit pairs of the group, within _UNIT_TOL."""
         if self.table is None:
             return True
         chi = np.array(self.values(group))
@@ -306,7 +306,7 @@ class TwistCharacter:
         x = group.quotient.reduce((group.units[:, 0], group.units[:, 1]))
         xy = _mul_coords(group.field, (x[0][:, None], x[1][:, None]), (x[0][None, :], x[1][None, :]))
         lhs = np.array(self._lookup(group, (xy[0].ravel(), xy[1].ravel())))
-        return bool(np.all(np.abs(lhs - np.outer(chi, chi).ravel()) <= tol))
+        return bool(np.all(np.abs(lhs - np.outer(chi, chi).ravel()) <= _UNIT_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +350,17 @@ def _check_twists(r: FieldElement, a_ideal: FractionalIdeal, rp: FieldElement,
         raise PreconditionViolation("r' not in a d^(-1) c_frak^(-2)")
 
 
+def _group_for(a_ideal: FractionalIdeal, c: FieldElement, c_ideal: FractionalIdeal,
+               group: Optional[ResidueUnitGroup]) -> ResidueUnitGroup:
+    """A new residue group for a, (c) and c_frak, or the given one checked against them;
+    it serves every c' with c'/c a unit, since a*(c') = a*(c)."""
+    if group is None:
+        return residue_unit_group(a_ideal, c, c_ideal)
+    if not (group.a_ideal == a_ideal and group.c_ideal == c_ideal and (c / group.c).is_unit()):
+        raise PreconditionViolation("the residue group was built for another a, (c) or c_frak")
+    return group
+
+
 def _twisted_sum(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement,
                  c: FieldElement, chi: Optional[TwistCharacter]) -> complex:
     """The sum over the units of a group, for twists already checked."""
@@ -371,9 +382,12 @@ def ks_twisted(
     chi: Optional[TwistCharacter] = None,
     group: Optional[ResidueUnitGroup] = None,
 ) -> complex:
-    """The twisted Kloosterman sum; classical S(r, r'; c) over Q, trivial chi."""
+    """The twisted Kloosterman sum; classical S(r, r'; c) over Q, trivial chi.
+
+    A `group` built for another a, c_frak or ideal (c) raises PreconditionViolation, in
+    weil_check too."""
     _check_twists(r, a_ideal, rp, c_ideal)
-    return _twisted_sum(group or residue_unit_group(a_ideal, c, c_ideal), r, rp, c, chi)
+    return _twisted_sum(_group_for(a_ideal, c, c_ideal, group), r, rp, c, chi)
 
 
 def ks_classical(m: int, n: int, c: int, chi: Optional[TwistCharacter] = None) -> complex:
@@ -443,8 +457,7 @@ def weil_check(
 ) -> WeilCheck:
     """|KS| against N(gcd(r a d, r' c_frak^2 a^(-1) d, c c_frak))^(1/2) N(c c_frak)^(1/2+eps)."""
     parts = _weil_parts(r, a_ideal, rp, c_ideal, eps)
-    group = group or residue_unit_group(a_ideal, c, c_ideal)
-    return _weil_row(group, r, rp, c, chi, eps, parts)
+    return _weil_row(_group_for(a_ideal, c, c_ideal, group), r, rp, c, chi, eps, parts)
 
 
 # ---------------------------------------------------------------------------

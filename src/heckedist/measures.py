@@ -23,6 +23,7 @@ substitution u = sqrt(lambda - 1/4).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -51,20 +52,20 @@ ATOM_CAP = 10**6  # most atoms that sampling and tilde_v1's mass enumerate
 # Chebyshev polynomials X_l, orthonormal for the semicircle measure
 
 
-def chebyshev_eval(ell: int, x):
-    """X_ell(x) via X_0 = 1, X_1 = x, X_{m+1} = x X_m - X_{m-1}.
+def _chebyshev(x):
+    """X_0(x), X_1(x), ... without end, via X_0 = 1, X_1 = x, X_{m+1} = x X_m - X_{m-1}."""
+    prev, cur = x * 0 + 1, x
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, x * cur - prev
 
-    Works on floats, numpy arrays and exact Fractions alike.
-    """
+
+def chebyshev_eval(ell: int, x):
+    """X_ell(x) for floats, numpy arrays and exact Fractions alike."""
     if ell < 0:
         raise InvalidParameter("ell must be >= 0")
-    one = x * 0 + 1
-    if ell == 0:
-        return one
-    prev, cur = one, x
-    for _ in range(ell - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
+    return next(itertools.islice(_chebyshev(x), ell, None))
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +419,21 @@ def phi_moment(ord: int, ell: int) -> float:
     return 1.0 if ell % 2 == 0 and ell <= 2 * ord else 0.0
 
 
-def orthonormality_matrix(max_degree: int, nodes: int = 512) -> np.ndarray:
+def orthonormality_matrix(max_degree: int) -> np.ndarray:
     """Gram matrix of (X_m, X_n) under the semicircle measure, m, n <= max_degree.
 
     After x = 2 cos t the integrand is (cos((m-n)t) - cos((m+n+2)t))/pi on
-    [0, pi], which the midpoint rule integrates exactly while
-    m + n + 2 < 2*nodes.  Nothing here calls LAPACK or BLAS, whose first
+    [0, pi], which the midpoint rule on `nodes` points integrates exactly
+    while m + n + 2 < 2*nodes; nodes = max(512, max_degree + 2) keeps every
+    degree inside that range.  Nothing here calls LAPACK or BLAS, whose first
     call in a process can stall for about a second on an idle machine.
     """
+    nodes = max(512, max_degree + 2)
     theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
     weight = math.pi / nodes
     x = 2.0 * np.cos(theta)
     dens = (2.0 / math.pi) * np.sin(theta) ** 2
-    vals = np.empty((max_degree + 1, nodes))
-    vals[0] = 1.0
-    if max_degree >= 1:
-        vals[1] = x
-    for m in range(2, max_degree + 1):
-        vals[m] = x * vals[m - 1] - vals[m - 2]
+    vals = np.array(list(itertools.islice(_chebyshev(x), max_degree + 1)))
     return np.einsum("mi,ni->mn", vals * (dens * weight), vals)
 
 

@@ -33,7 +33,7 @@ from .errors import (
     ZeroArgument,
     ZeroIdeal,
 )
-from .quadforms import Form, is_reduced, principal_form, rho
+from .quadforms import REDUCE_STEPS, Form, is_reduced, principal_form, rho
 
 Rat = Union[int, Fraction]
 
@@ -980,7 +980,7 @@ def _walk_from(field: Field, f: Form, num: tuple[int, int], den: int, generator:
             if len(cycle) >= 2 * Delta:
                 raise InvariantViolation(f"no rho-cycle of reduced forms through {cycle[0]}")
             cycle.append(f)
-        elif cycle or steps >= 512:  # 512: the step cap of quadforms.reduce_form
+        elif cycle or steps >= REDUCE_STEPS:
             raise InvariantViolation(f"rho left the reduced forms or never reached them at {f}")
         if generator:
             num = _mul_coords(field, num, ((f[1] - t) // 2, 1))

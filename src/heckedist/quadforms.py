@@ -15,6 +15,8 @@ from .errors import InvalidParameter, InvariantViolation
 
 Form = tuple[int, int, int]
 
+REDUCE_STEPS = 512  # most rho-steps from a form to the reduced forms
+
 
 def discriminant(f: Form) -> int:
     a, b, c = f
@@ -49,8 +51,9 @@ def rho(f: Form, Delta: int) -> Form:
     return (c, b1, c1)
 
 
-def reduce_form(f: Form, Delta: int, max_steps: int = 512) -> Form:
-    for _ in range(max_steps):
+def reduce_form(f: Form, Delta: int) -> Form:
+    """The first reduced form on the rho-walk from f; InvariantViolation after REDUCE_STEPS."""
+    for _ in range(REDUCE_STEPS):
         if is_reduced(f, Delta):
             return f
         f = rho(f, Delta)

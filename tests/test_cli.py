@@ -27,6 +27,8 @@ def test_measure_phi_total_mass():
     rep = _json_out(["measure", "phi", "--ord", "2", "--interval", "-2,2"])
     assert abs(rep["mass"] - 1.0) < 1e-9
     assert rep["meta"]["version"]
+    rep = _json_out(["measure", "phi", "--ord", "2", "--moment", "4"])
+    assert rep["moment"] == {"ell": 4, "value": 1.0}
 
 
 def test_kloosterman_classical_value():
@@ -91,6 +93,12 @@ def test_ideal_subcommand():
         ["ideal", "--D", "10", "--op", "membership", "--gens", "3;1,1", "--elem", "1,1"]
     )
     assert rep["member"] is True
+    rep = _json_out(["ideal", "--D", "10", "--op", "norm", "--gens", "3;1,1"])
+    assert rep["norm"] == "3"
+    rep = _json_out(["ideal", "--D", "10", "--op", "inverse", "--gens", "3;1,1"])
+    assert rep["inverse"] == {"den": 3, "basis": [[3, 0], [2, 1]]}
+    rep = _json_out(["ideal", "--D", "10", "--op", "sum", "--gens", "3", "--rhs", "1,1"])
+    assert rep["sum"] == {"den": 1, "basis": [[3, 0], [1, 1]]}
 
 
 def test_sample_deterministic_per_seed():
@@ -308,6 +316,15 @@ def test_csv_format_sweep():
     lines = out.decode().strip().splitlines()
     assert lines[0] == "c,c_norm,ks_abs,weil_rhs,ratio"
     assert len(lines) == 11
+
+
+def test_sweep_bound_flags_are_one_bound():
+    # --c-max and --norm-max spell one bound over every field; Q(sqrt5) has
+    # one modulus of norm <= 3
+    for D, n_rows in (("5", 1), ("rational", 3)):
+        rows = [_json_out(["kloosterman", "sweep", "--D", D, flag, "3"])["rows"]
+                for flag in ("--c-max", "--norm-max")]
+        assert rows[0] == rows[1] and len(rows[0]) == n_rows
 
 
 def test_plot_data_format():

@@ -1,10 +1,10 @@
 import math
 import os
+import time
 
 import pytest
 
 from heckedist.datasource import (
-    ApiConfig,
     DataClient,
     EigenvalueRecord,
     Query,
@@ -189,11 +189,13 @@ def test_network_fetch_caches_and_warm_cache_hits(tmp_path, monkeypatch):
         calls.append((url, params))
         return _fake_rows()
 
-    client = DataClient(cache_dir=str(tmp_path), transport=transport)
+    client = DataClient(cache_dir=str(tmp_path), base_url="http://example.invalid/api",
+                        transport=transport)
     q = Query(level_min=7, level_max=7, weight_min=4, weight_max=4)
     recs = client.fetch_records(q, mode="network")
     assert [r.label for r in recs] == ["7.4.a.a", "7.4.a.b"]
     assert client.request_count == 1
+    assert calls[0][0] == "http://example.invalid/api/mf_newforms/"
     assert os.path.exists(os.path.join(str(tmp_path), q.key() + ".jsonl"))
 
     # warm cache: zero further network calls
@@ -256,8 +258,8 @@ def test_http_retries_then_gives_up(monkeypatch):
         raise requests.ConnectionError("refused")
 
     monkeypatch.setattr(requests, "get", failing_get)
-    cfg = ApiConfig(rate_limit_seconds=0.0, max_retries=3, retry_base_delay=0.001)
-    client = DataClient(config=cfg)
+    monkeypatch.setattr(time, "sleep", lambda s: None)
+    client = DataClient()
     with pytest.raises(NetworkError):
         client._http_get("http://example.invalid/api", {})
     assert len(attempts) == 3

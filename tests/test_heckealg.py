@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import random
 import subprocess
@@ -92,10 +94,11 @@ def test_coset_counts_closed_form(field, p, norm):
             assert 0 <= r.beta_index < norm ** (ell - r.s)
 
 
-def test_coset_cap():
+def test_coset_cap(monkeypatch):
     P3 = factor_rational_prime(Q, 3).primes[0]
+    monkeypatch.setattr(heckedist.heckealg, "COSET_CAP", 1000)
     with pytest.raises(EnumerationTooLarge):
-        coset_reps(P3, 10, cap=1000)
+        coset_reps(P3, 10)
 
 
 def test_coset_requires_prime():
@@ -139,20 +142,43 @@ def test_descent_invariants_verified_odd_power():
     assert len(dd.a_elems) == 4
 
 
-# eta of the wrong sign: verify raises before it reaches the a_s (not even elements)
+# each replacement breaks one invariant of valid descent data for P^2; the
+# first one also puts non-elements in a_elems, which verify must not reach
 _CORRUPT_DESCENT_DATA = """
 import dataclasses
 from heckedist.errors import InvariantViolation
 from heckedist.heckealg import descent_data
 from heckedist.numberfield import factor_rational_prime, make_field
 
-P = factor_rational_prime(make_field(5), 11).primes[0]
-dd = descent_data(P, 1)
-try:
-    dataclasses.replace(dd, eta=-dd.eta, a_elems=(1, 1)).verify()
-except InvariantViolation as exc:
-    print("raised", exc)
+for D, p in ((5, 11), (10, 31)):
+    F = make_field(D)
+    dd = descent_data(factor_rational_prime(F, p).primes[0], 2)
+    a0, a1, a2 = dd.a_elems
+    for change in (
+        dict(eta=-dd.eta, a_elems=(1, 1, 1)),
+        dict(b_ideal=dd.b_ideal * F.element(2)),
+        dict(a_elems=(a0, a1, a2 / p)),
+        dict(a_elems=(a0 * p, a1, a2)),
+        dict(b_shifts=(F.zero(), F.element(1) / 2, F.zero())),
+        dict(a_elems=(a0, a1 * 3, a2)),  # a_1^2 / eta^2 = 9
+    ):
+        try:
+            dataclasses.replace(dd, **change).verify()
+        except InvariantViolation as exc:
+            print("raised", exc)
 """
+
+_DESCENT_VIOLATIONS = 2 * [
+    "raised eta is not totally positive", "raised P * b^2 != (eta)",
+    "raised a_2 not in P^s b^ell", "raised a_0 has wrong valuation",
+    "raised b~_1 not integral", "raised midpoint element is not a totally positive unit"]
+
+
+def test_corrupted_descent_data_raises():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_CORRUPT_DESCENT_DATA, {})
+    assert out.getvalue().splitlines() == _DESCENT_VIOLATIONS
 
 
 def test_corrupted_descent_data_raises_under_optimize():
@@ -162,7 +188,7 @@ def test_corrupted_descent_data_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", "assert False\n" + _CORRUPT_DESCENT_DATA],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised eta is not totally positive")
+    assert proc.stdout.splitlines() == _DESCENT_VIOLATIONS
 
 
 def test_descent_with_nonprincipal_witness_ideal():

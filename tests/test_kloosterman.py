@@ -139,14 +139,17 @@ def test_cyclic_unit_groups_over_quadratic_fields_are_the_units_of_Z_mod_N():
     assert {(True, False, False), (False, True, False), (False, False, True)} <= seen
 
 
-def test_modulus_zero_and_cap():
+def test_modulus_zero_and_cap(monkeypatch):
+    import heckedist.kloosterman as K
+
     with pytest.raises(ModulusZero):
         residue_unit_group(OQ, Q.element(0), OQ)
     with pytest.raises(EnumerationTooLarge):
-        residue_unit_group(OQ, Q.element(10**7), OQ, cap=10**6)
+        residue_unit_group(OQ, Q.element(10**7), OQ)
     # a cap that admits the modulus still refuses products beyond int64
+    monkeypatch.setattr(K, "RESIDUE_CAP", 10**12)
     with pytest.raises(EnumerationTooLarge):
-        residue_unit_group(OQ, Q.element(2**32 + 15), OQ, cap=10**12)
+        residue_unit_group(OQ, Q.element(2**32 + 15), OQ)
 
 
 # --- classical values -----------------------------------------------------------
@@ -287,6 +290,33 @@ def test_weil_check_checks_the_twists_before_the_modulus():
         weil_check(F5.one(), O5, F5.one(), F5.element(10**7), O5)
 
 
+def test_group_for_another_modulus_is_refused():
+    # over Q, the units mod 7 are not those mod 5
+    one, seven = Q.element(1), Q.element(7)
+    with pytest.raises(PreconditionViolation, match="residue group"):
+        ks_twisted(one, OQ, one, Q.element(5), OQ, group=residue_unit_group(OQ, seven, OQ))
+    # over Q(sqrt5): a group built for a = (2), and one for c_frak = P2
+    two = ideal_from_elements(F5, [F5.element(2)])
+    P2 = factor_rational_prime(F5, 2).primes[0]
+    c = F5.element(3, 1)
+    for g in (residue_unit_group(two, c, O5), residue_unit_group(O5, c, P2)):
+        for fn in (ks_twisted, weil_check):
+            with pytest.raises(PreconditionViolation, match="residue group"):
+                fn(F5.one(), O5, F5.one(), c, O5, group=g)
+
+
+def test_group_serves_every_associate_modulus():
+    for c, units in ((Q.element(7), [-1]), (F5.element(3, 1), [-1, F5.fundamental_unit])):
+        field = c.field
+        O = field.unit_ideal()
+        g = residue_unit_group(O, c, O)
+        r, rp = field.one(), field.element(2)
+        for cc in [c] + [u * c for u in units]:
+            assert ks_twisted(r, O, rp, cc, O, group=g) == ks_twisted(r, O, rp, cc, O)
+            assert (weil_check(r, O, rp, cc, O, group=g).value
+                    == weil_check(r, O, rp, cc, O).value)
+
+
 def test_r_in_inverse_different_is_accepted():
     dinv = different_ideal(F5).inverse()
     r = dinv.basis_elements()[1]  # genuinely fractional
@@ -340,8 +370,15 @@ def test_legendre_twist_is_multiplicative():
 def test_table_twist_requires_ring_module():
     chi = TwistCharacter.legendre(5)
     P = factor_rational_prime(Q, 7).primes[0]
-    with pytest.raises(PreconditionViolation):
-        ks_twisted(Q.element(1), P, Q.element(1), Q.element(5), OQ, chi=chi)
+    # r' = 7 lies in a d^(-1) = 7Z, so the twists pass and the table lookup refuses
+    with pytest.raises(PreconditionViolation, match="explicit twist tables"):
+        ks_twisted(Q.element(1), P, Q.element(7), Q.element(5), OQ, chi=chi)
+
+
+def test_table_twist_missing_a_residue():
+    chi = TwistCharacter({(1,): 1.0, (2,): -1.0, (3,): -1.0})
+    with pytest.raises(PreconditionViolation, match=r"missing residue \(4,\)"):
+        ks_twisted(Q.element(1), OQ, Q.element(1), Q.element(5), OQ, chi=chi)
 
 
 # --- Weil bound ---------------------------------------------------------------------

@@ -275,6 +275,13 @@ def test_orthonormality_up_to_20():
     assert np.max(np.abs(G - np.eye(21))) < 1e-10
 
 
+def test_orthonormality_past_510():
+    # degrees past 510 need more than 512 midpoints, or cos(1024 t) aliases
+    for max_degree in (511, 600):
+        G = orthonormality_matrix(max_degree)
+        assert np.max(np.abs(G - np.eye(max_degree + 1))) < 1e-12, max_degree
+
+
 def test_even_sum_is_square_identity():
     xs = np.linspace(-2, 2, 1000)
     for n in range(0, 11):

@@ -1,5 +1,6 @@
 import pytest
 
+import heckedist.quadforms
 from heckedist.errors import InvalidParameter, InvariantViolation
 from heckedist.quadforms import (
     class_numbers_by_form_census,
@@ -40,11 +41,12 @@ def test_principal_form_is_reduced():
         assert discriminant(f) == Delta
 
 
-def test_reduce_form_reaches_reduced():
+def test_reduce_form_reaches_reduced(monkeypatch):
     f = reduce_form((-1, -6, 1), 40)
     assert is_reduced(f, 40)
+    monkeypatch.setattr(heckedist.quadforms, "REDUCE_STEPS", 1)
     with pytest.raises(InvariantViolation):
-        reduce_form((-1, -6, 1), 40, max_steps=1)
+        reduce_form((-1, -6, 1), 40)
 
 
 @pytest.mark.parametrize("Delta", [0, -3, 36, 41 * 41, 10, 7])
