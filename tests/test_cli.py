@@ -250,6 +250,34 @@ def test_numberfield_stdout_is_byte_identical(monkeypatch):
         assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
+# sha256 of the stdout of sample and test-dist commands, recorded from the
+# (lambda, label) lexsort, the string-built labels and the sampler's searches
+# in draw order; the numeric-order versions must reproduce the bytes
+STATS_STDOUT_SHA256 = [
+    (["sample", "sato-tate", "-n", "1000", "--seed", "3"],
+     "5cf8c2f8664d516dca1bf6356ae6a1136cfcb4ae6c02ce5533396fb83c5e644e"),
+    (["--format", "plot-data", "sample", "sato-tate", "-n", "1000", "--seed", "3"],
+     "ef427b71e6daa90c85431ed3ed8c4339dd5b50e08de300819563dd709dc7497c"),
+    (["test-dist", "--synthetic", "--seed", "7", "-n", "100000", "--interval", "-1,1"],
+     "15f133f952db10fd8cec69200ef67530be7030a793088a2ddc9fd4d9ef251fec"),
+    (["--format", "plot-data", "test-dist", "--synthetic", "--seed", "7", "-n", "5000",
+      "--interval", "-1,1", "--plot"],
+     "a6bbccf1b1f5dbfd08e864f8d921bc4c57ace869bdd6b168fd6f9e9e0e10844a"),
+    (["test-dist", "--synthetic", "--ord", "2", "--seed", "11", "-n", "20000",
+      "--interval", "-0.5,1.5", "--plot"],
+     "04162d1b066116d33205f37c1233ed33c3f60916b3359f1c54c8200f545c3e3a"),
+]
+
+
+def test_stats_stdout_is_byte_identical(monkeypatch):
+    monkeypatch.delenv(datasource.OFFLINE_ENV_VAR, raising=False)
+    monkeypatch.delenv(datasource.CACHE_ENV_VAR, raising=False)
+    for argv, digest in STATS_STDOUT_SHA256:
+        code, out = run_command(argv)
+        assert code == 0, out.decode()
+        assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
 # a cutoff above bounds.SIEVE_CAP, which once ended in a MemoryError traceback
 _X_ABOVE_SIEVE_CAP = ["bound", "euler", "--tau", "0.3", "--eps", "0.01", "--gamma", "0.35",
                       "--D", "5", "--X", "10000000000"]
