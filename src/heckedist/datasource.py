@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import (
     CacheMiss,
+    EnumerationTooLarge,
     InvalidParameter,
     MissingEigenvalue,
     NetworkError,
@@ -45,7 +46,7 @@ RATE_LIMIT_S = 1.0
 MAX_RETRIES = 3
 TIMEOUT_S = 30.0
 RETRY_BASE_DELAY_S = 1.0  # doubled after every failed attempt
-MAX_PAGES = 50
+MAX_PAGES = 50  # a query that needs more raises EnumerationTooLarge
 
 
 @dataclass(frozen=True)
@@ -319,6 +320,8 @@ class DataClient:
             if not nxt or not isinstance(nxt, str):
                 break
             url, params = nxt, {}
+        else:  # each page had a next link: refuse, rather than cache part as the whole
+            raise EnumerationTooLarge(f"{query.canonical()} spans more than {MAX_PAGES} pages")
         rows = []
         for raw in rows_raw:
             row = {

@@ -114,14 +114,22 @@ def _require_nonempty(ds: Dataset):
 def _sorted_empirical(ds: Dataset):
     """(sorted distinct lambdas, right-continuous cumulative weights / total).
 
-    Ties are broken by a stable sort on (lambda, label) and then collapsed,
-    so the value at a tied point carries the whole mass sitting there.
+    The points are summed in lambda order.  Only when two lambdas are equal
+    (0.0 and -0.0 count as equal) is the order taken from a stable sort on
+    (lambda, label), which fixes the order the tied weights are summed in;
+    ties are then collapsed, so the value at a tied point carries the whole
+    mass sitting there.
     """
     lams = ds.lambdas()
-    order = np.lexsort((ds.labels, lams))
-    xs, ws = lams[order], ds.weights()[order]
+    order = np.argsort(lams)
+    xs = lams[order]
+    tied = xs[1:] == xs[:-1]
+    if tied.any():
+        order = np.lexsort((ds.labels, lams))
+        xs = lams[order]
+    ws = ds.weights()[order]
     cum = np.cumsum(ws) / np.sum(ws)
-    keep = np.append(xs[1:] != xs[:-1], True)
+    keep = np.append(~tied, True)
     return xs[keep], cum[keep]
 
 
@@ -201,6 +209,26 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
 # ---------------------------------------------------------------------------
 # Synthetic data from the limit law
 
+def _synth_labels(n: int) -> np.ndarray:
+    """The labels "synth-%06d" % i for 0 <= i < n, as one unicode array.
+
+    The code points are written into a uint32 buffer, one row per label,
+    which is then viewed as unicode.  Rows with fewer digits than the widest
+    end in NULs, which numpy reads as padding.
+    """
+    prefix = "synth-"
+    start = len(prefix)
+    digits = max(6, len(str(n - 1)))
+    buf = np.zeros((n, start + digits), dtype=np.uint32)
+    buf[:, :start] = [ord(c) for c in prefix]
+    for width in range(6, digits + 1):  # the rows [lo, hi) have `width` digits
+        lo, hi = 0 if width == 6 else 10 ** (width - 1), min(n, 10 ** width)
+        q = np.arange(lo, hi)
+        for col in range(start + width - 1, start - 1, -1):
+            q, buf[lo:hi, col] = np.divmod(q, 10)
+        buf[lo:hi, start:start + width] += ord("0")
+    return buf.view(f"U{start + digits}")[:, 0]
+
 
 def synthesize_dataset(
     field,
@@ -213,7 +241,8 @@ def synthesize_dataset(
     """Draw n points with Hecke values from Phi(ord) and unit weights.
 
     When a spectral box is given, per-place Casimir values are drawn from
-    the spectral density restricted to the box (atoms included).
+    the spectral density restricted to the box (atoms included).  Point i
+    is labelled "synth-%06d" % i, so labels past 999999 are longer.
     """
     if n < 1:
         raise InvalidParameter("n must be >= 1")
@@ -229,7 +258,7 @@ def synthesize_dataset(
                 raise ZeroMassRegion(f"spectral box place {pl} carries no mass")
             cols.append(measures.sample_spectral(pl_spec, pl.low, pl.high, n, rng))
         casimirs = np.stack(cols, axis=1)
-    labels = np.char.add("synth-", np.char.zfill(np.arange(n).astype(f"U{len(str(n - 1))}"), 6))
+    labels = _synth_labels(n)
     meta = (
         ("field", getattr(field, "D", None) or "rational"),
         ("prime", str(prime)),

@@ -428,6 +428,8 @@ def orthonormality_matrix(max_degree: int) -> np.ndarray:
     degree inside that range.  Nothing here calls LAPACK or BLAS, whose first
     call in a process can stall for about a second on an idle machine.
     """
+    if max_degree < 0:
+        raise InvalidParameter(f"max_degree must be >= 0, got {max_degree}")
     nodes = max(512, max_degree + 2)
     theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
     weight = math.pi / nodes
@@ -464,10 +466,18 @@ def cdf(spec: MeasureSpec, x) -> Union[float, np.ndarray]:
 
 
 def _inverse_angle_cdf(spec: MeasureSpec, u: np.ndarray) -> np.ndarray:
-    """t in [0, pi] with F(t) = u: a grid bracket, then safeguarded Newton."""
+    """t in [0, pi] with F(t) = u: a grid bracket, then safeguarded Newton.
+
+    The brackets are searched for in ascending u and scattered back: the
+    same cells as a search in draw order, but a search over ascending keys
+    keeps to one end of the grid at a time and predicts its branches.
+    """
     grid = np.linspace(0.0, math.pi, _BRACKET_CELLS + 1)
     f_grid = _angle_cdf(spec, grid)
-    i = np.clip(np.searchsorted(f_grid, u, side="right") - 1, 0, _BRACKET_CELLS - 1)
+    order = np.argsort(u)
+    i = np.empty(u.size, dtype=np.intp)
+    i[order] = np.searchsorted(f_grid, u[order], side="right")
+    i = np.clip(i - 1, 0, _BRACKET_CELLS - 1)
     lo, hi = grid[i], grid[i + 1]
     t = lo + (u - f_grid[i]) / (f_grid[i + 1] - f_grid[i]) * (hi - lo)
     todo = np.arange(u.size)
@@ -535,13 +545,20 @@ def sample_spectral(spec: MeasureSpec, low: float, high: float, n: int,
     if cont > 1e-12 * total and high > lower:
         grid = _spectral_cont_grid(spec, max(low, lower), high)
     u = rng.random(n) * total
+    # the searches below run over u in ascending order, which finds the same
+    # value for each u as draw order, faster; the samples go back into draw
+    # order at the end
+    order = np.argsort(u)
+    u = u[order]
     # u falls on the first atom whose running weight exceeds it, else on the
     # continuous part; cumsum adds the weights in the order of a running sum
     k = np.searchsorted(np.cumsum(weight), u, side="right")
-    out = np.append(pos, 0.0)[k]
+    found = np.append(pos, 0.0)[k]
     cont_hit = k == pos.size
     if cont_hit.any():
         v = np.clip((u[cont_hit] - atom_w) / max(cont, 1e-300), 0.0, 1.0)
         gx, gcdf = grid
-        out[cont_hit] = np.interp(v, gcdf, gx)
+        found[cont_hit] = np.interp(v, gcdf, gx)
+    out = np.empty(n)
+    out[order] = found
     return out

@@ -10,7 +10,10 @@ factors by recursive quotients, unit-power scans in Fraction arithmetic, the
 trace-dual module from the trace pairing, the Euler product one sieved prime
 at a time, x-measure CDFs by adaptive quadrature and by Serre's series, the
 spectral atoms walked one at a time, the per-sample loop of the spectral
-sampler, and synthetic datasets built and read one DataPoint at a time.
+sampler, the x-measure sampler with its bracket search in draw order,
+synthetic labels built by string operations, the empirical CDF ordered by a
+(lambda, label) lexsort, and synthetic datasets built and read one DataPoint
+at a time.
 These generate the bundled fixtures and re-verify them from scratch.
 """
 
@@ -827,7 +830,68 @@ def sample_spectral_loop(spec, low: float, high: float, n: int, rng):
     return out
 
 
+# --- the x-measure sampler's bracket search, in draw order ------------------
+
+
+def inverse_angle_cdf_draw_order(spec, u):
+    """`measures._inverse_angle_cdf` as it was before its bracket search ran
+    over sorted keys: np.searchsorted takes the draws in the order drawn."""
+    import numpy as np
+
+    from heckedist.measures import (
+        _BRACKET_CELLS,
+        _NEWTON_MAX_STEPS,
+        _NEWTON_TOL,
+        _angle_cdf,
+        _angle_density,
+    )
+
+    grid = np.linspace(0.0, math.pi, _BRACKET_CELLS + 1)
+    f_grid = _angle_cdf(spec, grid)
+    i = np.clip(np.searchsorted(f_grid, u, side="right") - 1, 0, _BRACKET_CELLS - 1)
+    lo, hi = grid[i], grid[i + 1]
+    t = lo + (u - f_grid[i]) / (f_grid[i + 1] - f_grid[i]) * (hi - lo)
+    todo = np.arange(u.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        r = _angle_cdf(spec, t[todo]) - u[todo]
+        active = np.abs(r) > _NEWTON_TOL
+        todo, r = todo[active], r[active]
+        if todo.size == 0:
+            break
+        tt = t[todo]
+        lo[todo] = np.where(r < 0, tt, lo[todo])
+        hi[todo] = np.where(r > 0, tt, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = tt - r / _angle_density(spec, tt)
+        # non-strict: a converged step may land on the bracket's edge
+        inside = (lo[todo] <= step) & (step <= hi[todo])
+        t[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+    return t
+
+
 # --- synthetic datasets, one DataPoint at a time -----------------------------
+
+
+def synth_labels_by_string_ops(n: int):
+    """The labels of `equidist.synthesize_dataset` built by numpy string
+    operations: str(i), zero-filled to six digits, after the prefix."""
+    import numpy as np
+
+    return np.char.add("synth-", np.char.zfill(np.arange(n).astype(f"U{len(str(n - 1))}"), 6))
+
+
+def sorted_empirical_lexsort(ds):
+    """`equidist._sorted_empirical` with every point ordered by a lexsort on
+    (lambda, label), tied or not."""
+    import numpy as np
+
+    lams = ds.lambdas()
+    order = np.lexsort((ds.labels, lams))
+    xs, ws = lams[order], ds.weights()[order]
+    cum = np.cumsum(ws) / np.sum(ws)
+    keep = np.append(xs[1:] != xs[:-1], True)
+    return xs[keep], cum[keep]
+
 
 
 def synthesize_points(ord: int, box, n: int, seed: int) -> tuple:

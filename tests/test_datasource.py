@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from heckedist import datasource
 from heckedist.datasource import (
     DataClient,
     EigenvalueRecord,
@@ -16,6 +17,7 @@ from heckedist.equidist import ks_distance
 from heckedist.errors import (
     CacheMiss,
     EmptyDataset,
+    EnumerationTooLarge,
     MissingEigenvalue,
     NetworkError,
     RamanujanViolation,
@@ -233,6 +235,24 @@ def test_network_pagination_follows_next_links(tmp_path, monkeypatch):
                                       weight_max=4), mode="network")
     assert [r.label for r in recs] == ["7.4.a.a", "7.4.a.b"]
     assert client.request_count == 2
+
+
+def test_network_refuses_a_query_past_the_page_cap(tmp_path, monkeypatch):
+    monkeypatch.delenv("HECKEDIST_OFFLINE", raising=False)
+
+    def transport(url, params):  # every page links to one more
+        k = int(url.rsplit("/", 1)[1]) if url.startswith("http://example.invalid/page/") else 0
+        return {"data": [{"label": f"7.4.a.{k}", "weight": 4, "level": 7, "traces": {"2": 1}}],
+                "next": f"http://example.invalid/page/{k + 1}"}
+
+    client = DataClient(cache_dir=str(tmp_path), transport=transport)
+    q = Query(level_min=7, level_max=7, weight_min=4, weight_max=4)
+    with pytest.raises(EnumerationTooLarge):
+        client.fetch_records(q, mode="network")
+    assert client.request_count == datasource.MAX_PAGES
+    # nothing was cached, so the cache cannot serve the truncated rows later
+    with pytest.raises(CacheMiss):
+        client.fetch_records(q, mode="cache_only")
 
 
 def test_offline_env_blocks_network(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from heckedist.equidist import (
     _sorted_empirical,
+    _synth_labels,
     DataPoint,
     Dataset,
     empirical_cdf,
@@ -91,6 +92,40 @@ def test_columns_match_the_per_point_construction(seed, boxed):
 def test_synthetic_labels_past_six_digits():
     ds = synthesize_dataset(Q, "2", 0, None, 1_000_002, 5)
     assert ds.labels.tolist() == [f"synth-{i:06d}" for i in range(1_000_002)]
+
+
+def test_synthetic_labels_equal_the_string_built_ones():
+    for n in (1, 2, 10, 100_000, 999_999, 1_000_000, 1_000_002):
+        got, ref = _synth_labels(n), oracles.synth_labels_by_string_ops(n)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), n
+    ds = synthesize_dataset(Q, "2", 0, None, 1_000, 2)
+    assert ds.labels.dtype == oracles.synth_labels_by_string_ops(1_000).dtype
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 100_000])
+def test_sorted_empirical_equals_the_lexsort(n):
+    for ord, seed in ((0, 1), (2, 5), (5, 9)):
+        ds = synthesize_dataset(Q, "2", ord, None, n, seed)
+        for got, ref in zip(_sorted_empirical(ds), oracles.sorted_empirical_lexsort(ds)):
+            assert _same_bits(got, ref), (ord, seed)
+
+
+def test_sorted_empirical_orders_ties_by_label():
+    # tied lambdas (0.0 and -0.0 among them) with unequal weights and labels
+    # out of index order: the label order fixes the order the weights are summed in
+    rng = np.random.default_rng(4)
+    n = 20_000
+    lams = np.round(rng.uniform(-2.0, 2.0, n), 1)
+    lams[rng.random(n) < 0.05] = -0.0
+    weights = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+    labels = [f"p{k:05d}" for k in rng.permutation(n)]
+    ds = Dataset(lams, weights, labels, PHI0)
+    for got, ref in zip(_sorted_empirical(ds), oracles.sorted_empirical_lexsort(ds)):
+        assert _same_bits(got, ref)
 
 
 def test_ks_point_mass_at_zero():

@@ -282,6 +282,11 @@ def test_orthonormality_past_510():
         assert np.max(np.abs(G - np.eye(max_degree + 1))) < 1e-12, max_degree
 
 
+def test_orthonormality_negative_degree():
+    with pytest.raises(InvalidParameter):
+        orthonormality_matrix(-1)
+
+
 def test_even_sum_is_square_identity():
     xs = np.linspace(-2, 2, 1000)
     for n in range(0, 11):
@@ -330,6 +335,31 @@ def test_inverse_cdf_converges_next_to_density_zeros():
                     0.0, 1.0 - 2.0 ** -53)
         t = measures._inverse_angle_cdf(spec, u)
         assert np.max(np.abs(measures._angle_cdf(spec, t) - u)) <= 1e-15, spec
+
+
+SAMPLER_SPECS = ([ST] + [MeasureSpec.phi(o) for o in range(6)]
+                 + [MeasureSpec.padic(p) for p in (2, 3, 5, 7, 11)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 100_000])
+def test_sampler_equals_the_draw_order_search(n):
+    # the brackets are searched for in ascending u; every bit must match the
+    # search in draw order
+    for spec in SAMPLER_SPECS:
+        for seed in (0, 3, 17):
+            u = np.random.default_rng(seed).random(n)
+            t = oracles.inverse_angle_cdf_draw_order(spec, u)
+            assert np.array_equal(measures._inverse_angle_cdf(spec, u), t), (spec, seed)
+            assert np.array_equal(sample(spec, n, seed), -2.0 * np.cos(t)), (spec, seed)
+
+
+def test_sampler_equals_the_draw_order_search_on_tied_and_edge_draws():
+    for spec in SAMPLER_SPECS:
+        zeros = measures._angle_cdf(spec, np.linspace(0.0, math.pi, 7))
+        u = np.clip(np.concatenate([zeros + d for d in (0.0, 1e-15, -1e-12, 0.0, 1e-9)]),
+                    0.0, 1.0 - 2.0 ** -53)
+        assert np.array_equal(measures._inverse_angle_cdf(spec, u),
+                              oracles.inverse_angle_cdf_draw_order(spec, u)), spec
 
 
 def test_sample_ks_self_consistency():
@@ -437,6 +467,21 @@ def test_spectral_sampler_equals_the_per_sample_loop():
         got = sample_spectral(spec, lo, hi, 5_000, np.random.default_rng(9))
         ref = oracles.sample_spectral_loop(spec, lo, hi, 5_000, np.random.default_rng(9))
         assert np.array_equal(got, ref), spec
+
+
+@pytest.mark.parametrize("n", [1, 2, 100_000])
+def test_spectral_sampler_equals_the_per_sample_loop_at_every_size(n):
+    cases = [
+        (MeasureSpec.plancherel(0), -3.0, 4.0),  # atoms and a continuous part
+        (MeasureSpec.plancherel(1), 0.3, 6.0),  # no atoms
+        (MeasureSpec.v1(0), -6.0, 3.0),
+        (MeasureSpec.v1(1), 0.3, 5.0),
+    ]
+    for spec, lo, hi in cases:
+        for seed in (1, 8):
+            got = sample_spectral(spec, lo, hi, n, np.random.default_rng(seed))
+            ref = oracles.sample_spectral_loop(spec, lo, hi, n, np.random.default_rng(seed))
+            assert np.array_equal(got, ref), (spec, seed)
 
 
 def test_adaptive_quad_known_integral():
