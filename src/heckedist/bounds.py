@@ -120,7 +120,7 @@ def bessel_envelope(
         raise InvalidParameter(f"gamma must be finite, got {gamma_scalar}")
     if gamma_scalar == 0:
         raise ModulusZero("gamma must be nonzero")
-    if len(r_embs) != len(params.places) or len(c_embs) != len(params.places):
+    if any(len(v) != len(params.places) for v in (r_embs, rp_embs, c_embs)):
         raise InvalidParameter("embedding vectors must match the place count")
     out = 1.0
     for pl, rj, rpj, cj in zip(params.places, r_embs, rp_embs, c_embs):
@@ -253,6 +253,10 @@ def empirical_kloosterman_tail(
         raise InvalidParameter("the empirical tail driver is single-place (over Q)")
     total = 0.0
     for c, ks_abs in sorted(ks_abs_by_c.items()):
+        if c < 0:
+            raise InvalidParameter(f"modulus {c} is negative")
+        if not (math.isfinite(ks_abs) and ks_abs >= 0):
+            raise InvalidParameter(f"|S| = {ks_abs} at c = {c} is not a finite value >= 0")
         env = bessel_envelope(params, [r], [rp], [float(c)], gamma_scalar)
         total += ks_abs * env / float(c)
     return total

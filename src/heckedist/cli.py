@@ -14,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -23,6 +22,7 @@ from . import __version__
 from .errors import EnumerationTooLarge, HeckedistError, InvalidParameter, UnsupportedFormat
 from . import bounds as bounds_mod
 from . import datasource, equidist, heckealg, kloosterman, measures
+from .datasource import canonical_json
 from . import numberfield as nf
 
 CONFIG_ENV_DEFAULTS = {
@@ -98,10 +98,6 @@ def load_config(path: str | None) -> dict:
 
 # ---------------------------------------------------------------------------
 # Emission
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
 
 
 def emit_report(report, fmt: str) -> bytes:

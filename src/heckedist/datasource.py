@@ -171,8 +171,9 @@ def _parse_record(obj: dict, label) -> list[EigenvalueRecord]:
     return out
 
 
-def _record_to_json(rec_obj: dict) -> str:
-    return json.dumps(rec_obj, sort_keys=True, separators=(",", ":"))
+def canonical_json(obj) -> str:
+    """Sorted keys, no whitespace: the bytes of cache files, cache keys and CLI output."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _read_jsonl(path: str) -> list[dict]:
@@ -212,15 +213,11 @@ class Query:
     weight_max: int = 12
 
     def canonical(self) -> str:
-        return json.dumps(
-            {
-                "degree": self.degree,
-                "level": [self.level_min, self.level_max],
-                "weight": [self.weight_min, self.weight_max],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({
+            "degree": self.degree,
+            "level": [self.level_min, self.level_max],
+            "weight": [self.weight_min, self.weight_max],
+        })
 
     def key(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -272,7 +269,7 @@ class DataClient:
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             for row in rows:
-                fh.write(_record_to_json(row) + "\n")
+                fh.write(canonical_json(row) + "\n")
         os.replace(tmp, path)
 
     # --- transports ----------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -95,10 +95,6 @@ class Dataset:
     def __len__(self):
         return len(self._lams)
 
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self._weights))
-
     def lambdas(self) -> np.ndarray:
         return self._lams
 
@@ -137,30 +133,12 @@ def _sorted_empirical(ds: Dataset):
 # Kolmogorov-Smirnov distance
 
 
-def ks_distance(ds: Dataset, spec: Union[MeasureSpec, None, "callable"] = None) -> float:
-    """sup over sample points of |weighted empirical CDF - target CDF|.
-
-    `spec` may also be a callable CDF (e.g. another dataset's empirical CDF
-    via `empirical_cdf`), which makes self-comparison exactly zero.
-    """
+def ks_distance(ds: Dataset, spec: Optional[MeasureSpec] = None) -> float:
+    """sup over sample points of |weighted empirical CDF - target CDF|."""
     _require_nonempty(ds)
     spec = spec or ds.target
     xs, emp = _sorted_empirical(ds)
-    target = spec(xs) if callable(spec) else measures.cdf(spec, xs)
-    return float(np.max(np.abs(emp - target)))
-
-
-def empirical_cdf(ds: Dataset):
-    """Right-continuous weighted empirical CDF of a dataset, as a callable."""
-    _require_nonempty(ds)
-    xs, emp = _sorted_empirical(ds)
-
-    def F(t):
-        idx = np.searchsorted(xs, np.asarray(t, dtype=float), side="right")
-        vals = np.concatenate([[0.0], emp])[idx]
-        return vals
-
-    return F
+    return float(np.max(np.abs(emp - measures.cdf(spec, xs))))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +316,3 @@ def plot_data(ds: Dataset, spec: Optional[MeasureSpec] = None) -> list[tuple[flo
     target = measures.cdf(spec, xs)
     return list(zip(xs.tolist(), emp.tolist(), target.tolist()))
 
-
-def max_interior_gap(ds: Dataset, lo: float = -1.9, hi: float = 1.9) -> float:
-    """Largest gap between consecutive sorted values inside [lo, hi]."""
-    _require_nonempty(ds)
-    xs = np.sort(ds.lambdas())
-    xs = xs[(xs >= lo) & (xs <= hi)]
-    if len(xs) < 2:
-        return hi - lo
-    return float(np.max(np.diff(xs)))

@@ -374,10 +374,6 @@ class FieldElement:
         return f"Elem({self.x} + {self.y}*w; D={self.field.D})"
 
 
-def element_from_json(field: Field, obj: dict) -> FieldElement:
-    return field.element(Fraction(obj["x"]), Fraction(obj.get("y", "0")))
-
-
 # ---------------------------------------------------------------------------
 # Integer rows (u, v) ~ u + v*w, shared by elements and ideals; fractional ideals
 
@@ -648,15 +644,6 @@ def ideal_from_elements(field: Field, elems: Iterable[FieldElement]) -> Fraction
         if field.degree == 2:
             rows.append(_mul_coords(field, p, (0, 1)))
     return _ideal_from_rows(field, den, rows)
-
-
-def ideal_from_json(field: Field, obj: dict) -> FractionalIdeal:
-    rows = obj["basis"]
-    den = int(obj["den"])
-    if field.degree == 1:
-        return FractionalIdeal(field, den, (int(rows[0][0]),))
-    return ideal_from_elements(field, [FieldElement(field, (int(r[0]), int(r[1])), den)
-                                       for r in rows])
 
 
 # ---------------------------------------------------------------------------

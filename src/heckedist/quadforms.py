@@ -18,11 +18,6 @@ Form = tuple[int, int, int]
 REDUCE_STEPS = 512  # most rho-steps from a form to the reduced forms
 
 
-def discriminant(f: Form) -> int:
-    a, b, c = f
-    return b * b - 4 * a * c
-
-
 def is_reduced(f: Form, Delta: int) -> bool:
     """0 < b < sqrt(Delta) and sqrt(Delta) - b < 2|a| < sqrt(Delta) + b, exactly."""
     a, b, _ = f

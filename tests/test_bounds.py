@@ -13,7 +13,12 @@ from heckedist.bounds import (
     euler_product_tail,
     kloosterman_term_bound,
 )
-from heckedist.errors import DivergentExponent, EnumerationTooLarge, ModulusZero
+from heckedist.errors import (
+    DivergentExponent,
+    EnumerationTooLarge,
+    InvalidParameter,
+    ModulusZero,
+)
 from heckedist.numberfield import is_squarefree, make_field
 from oracles import euler_product_loop
 
@@ -95,6 +100,14 @@ def test_envelope_zero_modulus():
         bessel_envelope(p, [1.0], [1.0], [0.0], 1.0)
     with pytest.raises(ModulusZero):
         bessel_envelope(p, [1.0], [1.0], [1.0], 0.0)
+
+
+@pytest.mark.parametrize("rp_embs", [[1.0], [1.0, 1.0, 1.0]])
+def test_envelope_rejects_a_wrong_length_rp(rp_embs):
+    p = _params(places=(PlaceParams("Q+", 10.0), PlaceParams("Q+", 10.0)))
+    assert bessel_envelope(p, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], 1.0) == 100.0
+    with pytest.raises(InvalidParameter):
+        bessel_envelope(p, [1.0, 1.0], rp_embs, [1.0, 1.0], 1.0)
 
 
 # --- euler products -------------------------------------------------------------
@@ -215,3 +228,22 @@ def test_empirical_tail_converges_and_is_finite():
     full = empirical_kloosterman_tail(p, table)
     assert full >= half
     assert (full - half) / full < 0.25  # the tail has mostly converged by c = 60
+
+
+@pytest.mark.parametrize("table", [{3: 1.0, -3: 1.0}, {-3: 1.0}],
+                         ids=["positive-and-negative", "negative-only"])
+def test_empirical_tail_rejects_a_negative_modulus(table):
+    with pytest.raises(InvalidParameter):
+        empirical_kloosterman_tail(_params(), table)
+
+
+@pytest.mark.parametrize("ks_abs", [-1.0, math.nan, math.inf])
+def test_empirical_tail_rejects_a_bad_sum_value(ks_abs):
+    assert empirical_kloosterman_tail(_params(), {3: 1.0}) > 0
+    with pytest.raises(InvalidParameter):
+        empirical_kloosterman_tail(_params(), {3: ks_abs})
+
+
+def test_empirical_tail_zero_modulus():
+    with pytest.raises(ModulusZero):
+        empirical_kloosterman_tail(_params(), {0: 1.0, 3: 1.0})

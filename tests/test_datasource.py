@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import time
@@ -152,7 +153,7 @@ def _toy_records():
 def test_to_dataset_unit_weights():
     ds = to_dataset(_toy_records(), "2")
     assert len(ds) == 3
-    assert ds.total_weight == 3.0
+    assert ds.weights().sum() == 3.0
     assert [p.label for p in ds.points] == ["r0", "r1", "r2"]
 
 
@@ -213,6 +214,22 @@ def test_network_fetch_caches_and_warm_cache_hits(tmp_path, monkeypatch):
     cold = DataClient(cache_dir=str(tmp_path / "empty"), transport=transport)
     with pytest.raises(CacheMiss):
         cold.fetch_records(q, mode="cache_only")
+
+
+def test_cache_names_and_bytes_are_pinned(tmp_path, monkeypatch):
+    # a change to these bytes orphans every existing user cache
+    assert Query().key() == (
+        "66c99bbbedc3ca497c660da36568924395350868721721836dd913fb8b0cbf17")
+    assert Query(degree=2, level_min=1, level_max=11, weight_min=2,
+                 weight_max=26).key() == (
+        "fbfbbd7c38b50b1518d25f6324feb8a66bdc955a917b7658c3d6f2ed8575a0dc")
+    monkeypatch.delenv("HECKEDIST_OFFLINE", raising=False)
+    client = DataClient(cache_dir=str(tmp_path), transport=lambda u, p: _fake_rows())
+    q = Query(level_min=7, level_max=7, weight_min=4, weight_max=4)
+    client.fetch_records(q, mode="network")
+    data = (tmp_path / (q.key() + ".jsonl")).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "121100d0a15d328fb54a7481e768593d632b935a2fff9fac1fbb1a571594a13d")
 
 
 def test_network_pagination_follows_next_links(tmp_path, monkeypatch):

@@ -27,12 +27,10 @@ from heckedist.numberfield import (
     canonical_associate,
     class_group,
     different_ideal,
-    element_from_json,
     elements_of_norm,
     factor_rational_prime,
     find_generator,
     ideal_from_elements,
-    ideal_from_json,
     ideal_valuation,
     is_prime_ideal,
     is_squarefree,
@@ -200,11 +198,6 @@ def test_element_arithmetic_matches_fraction_reference(F, data):
     assert F.element(2) == 2 and hash(F.element(2)) == hash(2)
 
 
-def test_element_json_roundtrip():
-    e = F10.element(Fraction(3, 4), Fraction(-5, 6))
-    assert element_from_json(F10, e.to_json()) == e
-
-
 # --- ideals -----------------------------------------------------------------
 
 
@@ -269,14 +262,6 @@ def test_inverse_of_fractional_ideal():
                 for _ in range(abs(k)):
                     want = want * (I if k > 0 else I.inverse())
                 assert I**k == want, (F, I, k)
-
-
-def test_ideal_json_roundtrip():
-    fac = factor_rational_prime(F10, 3)
-    P = fac.primes[0]
-    assert ideal_from_json(F10, P.to_json()) == P
-    A = P.inverse()
-    assert ideal_from_json(F10, A.to_json()) == A
 
 
 # --- valuations -------------------------------------------------------------

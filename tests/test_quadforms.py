@@ -5,13 +5,16 @@ from heckedist.errors import InvalidParameter, InvariantViolation
 from heckedist.quadforms import (
     class_numbers_by_form_census,
     cycles,
-    discriminant,
     is_reduced,
     principal_form,
     reduce_form,
     reduced_forms,
     rho,
 )
+
+
+def discriminant(f):
+    return f[1] ** 2 - 4 * f[0] * f[2]
 
 
 def test_reduced_forms_disc_5():
