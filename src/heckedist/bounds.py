@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -122,6 +123,8 @@ def bessel_envelope(
         raise ModulusZero("gamma must be nonzero")
     if any(len(v) != len(params.places) for v in (r_embs, rp_embs, c_embs)):
         raise InvalidParameter("embedding vectors must match the place count")
+    if not all(math.isfinite(x) for v in (r_embs, rp_embs, c_embs) for x in v):
+        raise InvalidParameter("embeddings must be finite")
     out = 1.0
     for pl, rj, rpj, cj in zip(params.places, r_embs, rp_embs, c_embs):
         if cj == 0:
@@ -164,6 +167,19 @@ def _tail_log_bound(exponent: float, X: int, per_norm_multiplicity: int) -> floa
     return per_norm_multiplicity * s_int / (1.0 - top)
 
 
+@lru_cache(maxsize=4, typed=True)  # typed: X = 100.0 must not reuse X = 100
+def _rational_factors(e: float, X: int, skip: frozenset) -> tuple[tuple, tuple, float]:
+    """The primes p <= X outside `skip`, their factors 1/(1 - p^e) and the product.
+
+    Shared by every field at one (e, X, skip), so each is sieved and raised once.
+    """
+    primes = tuple(p for p in rational_primes_upto(X) if p not in skip)
+    # Python's float pow per prime (numpy's may differ in the last bit), and
+    # each product one left fold in prime order
+    f = tuple(1.0 / (1.0 - float(p) ** e) for p in primes)
+    return primes, f, math.prod(f, start=1.0)
+
+
 def euler_product_tail(params: BoundParams, field: Field, X: int,
                        level_norms: Sequence[int] = ()) -> EulerProductResult:
     """prod over prime ideals of norm <= X of 1/(1 - N^e), with a tail bound.
@@ -184,12 +200,7 @@ def euler_product_tail(params: BoundParams, field: Field, X: int,
             "need 2 tau (1-eps) + 1/2 - eps > 1"
         )
     e = params.euler_exponent
-    skip = set(level_norms)
-    primes = [p for p in rational_primes_upto(X) if p not in skip]
-    # Python's float pow per prime (numpy's may differ in the last bit), and
-    # each product one left fold in prime order
-    f = [1.0 / (1.0 - float(p) ** e) for p in primes]
-    rational = math.prod(f, start=1.0)
+    primes, f, rational = _rational_factors(e, X, frozenset(level_norms))
     if field.degree == 1:
         prod = rational
     else:

@@ -31,12 +31,12 @@ from .numberfield import (
     FractionalIdeal,
     QuotientModule,
     _rational_factorization,
+    _witness,
     find_generator,
     ideal_from_elements,
     ideal_valuation,
     is_prime_ideal,
     is_rational_prime,
-    narrow_square_witness,
 )
 
 COSET_CAP = 10**6  # most coset representatives coset_reps enumerates
@@ -151,7 +151,7 @@ def descent_data(P: FractionalIdeal, ell: int) -> DescentData:
         raise NotPrime("descent data requires a prime ideal")
     if ell < 0:
         raise InvalidParameter("ell must be >= 0")
-    witness = narrow_square_witness(P)
+    witness = _witness(P)
     if witness is None:
         raise NotNarrowSquare(
             "prime is not a square in the narrow class group; no descent data"

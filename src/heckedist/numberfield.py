@@ -339,7 +339,12 @@ class FieldElement:
         if self.field.degree == 1:
             return (x,)
         w1, w2 = self.field.omega_embeddings()
-        return (x + y * w1, x + y * w2)
+        e1, e2 = x + y * w1, x + y * w2
+        # the smaller one cancels when the coefficients are large, so it is the
+        # exact N(e) over the larger (both are 0 only for e = 0)
+        if abs(e1) >= abs(e2):
+            return (e1, self.norm() / e1) if e1 else (e1, e2)
+        return (self.norm() / e2, e2)
 
     def sign_at(self, j: int) -> int:
         """Exact sign of the j-th embedding (j = 0 or 1)."""
@@ -441,6 +446,9 @@ def _hnf_rows_deg2(rows: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
     return (a, b, c)
 
 
+_UNIT_HNFS = ((1,), (1, 0, 1))  # the HNF of O over Q and over Q(sqrt(D)), at den 1
+
+
 class FractionalIdeal:
     """Fractional ideal as (integral HNF module) / (positive denominator).
 
@@ -466,7 +474,10 @@ class FractionalIdeal:
     # structure ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.hnf)
+        return not any(self.hnf)
+
+    def _is_unit_ideal(self) -> bool:
+        return self.den == 1 and self.hnf in _UNIT_HNFS
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -517,6 +528,11 @@ class FractionalIdeal:
             return NotImplemented
         if self.field != other.field:
             raise ValueError("ideals of different fields")
+        # O is the identity: every P**s starts from it
+        if self._is_unit_ideal():
+            return other
+        if other._is_unit_ideal():
+            return self
         if self.is_zero() or other.is_zero():
             return _zero_ideal(self.field)
         # the pairwise products of two Z-bases span the product ideal over Z
@@ -549,6 +565,8 @@ class FractionalIdeal:
     def inverse(self) -> "FractionalIdeal":
         if self.is_zero():
             raise ZeroIdeal("inverse of zero ideal")
+        if self._is_unit_ideal():
+            return self
         f = self.field
         if f.degree == 1:
             return FractionalIdeal(f, self.hnf[0], (self.den,))
@@ -1198,6 +1216,18 @@ def narrow_square_witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal,
     """(b, eta) with P*b^2 = (eta), eta totally positive; None if no witness."""
     if not is_prime_ideal(P):
         raise NotPrime("witness requires a prime ideal")
+    return _build_witness(P)  # afresh, so every call rechecks the generator
+
+
+def _witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement]]:
+    """narrow_square_witness for a P already known to be prime, memoised per field."""
+    key = ("witness", P)
+    if key not in P.field._cache:
+        P.field._cache[key] = _build_witness(P)
+    return P.field._cache[key]
+
+
+def _build_witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement]]:
     field = P.field
     if field.degree == 1:
         return (field.unit_ideal(), field.element(int(P.norm())))

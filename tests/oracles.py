@@ -5,7 +5,8 @@ the classical level-one eigenforms, affine point counting for the level-11
 elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), the
 classical Kloosterman table summed directly at every modulus, a
 smallest-unit search, the continued-fraction fundamental unit, the Pell-type
-y-scan for principal generators and elements of a given norm, invariant
+y-scan for principal generators and elements of a given norm, real
+embeddings bracketed by integer square roots, invariant
 factors by recursive quotients, unit-power scans in Fraction arithmetic, the
 trace-dual module from the trace pairing, the Euler product one sieved prime
 at a time, x-measure CDFs by adaptive quadrature and by Serre's series, the
@@ -260,14 +261,23 @@ def frac_sign(field, p: tuple, j: int) -> int:
     return (s > 0) - (s < 0)
 
 
-def frac_embeddings(field, p: tuple) -> tuple:
-    """The real embeddings as floats, x + y*w_j with w_j from math.sqrt(D)."""
-    x, y = float(p[0]), float(p[1])
+def embedding_bounds(field, p: tuple, j: int) -> tuple:
+    """Exact rationals lo <= x + y*w_j <= hi, with sqrt(D) bracketed by an
+    integer square root (lo == hi over Q).  The bracket's bits grow with the
+    size of x and y, so that it stays far narrower than the smaller embedding,
+    which is at least |N(x + y*w)| over the larger one."""
+    x, y = Fraction(p[0]), Fraction(p[1])
     if field.degree == 1:
-        return (x,)
-    r = math.sqrt(field.D)
-    ws = ((1 + r) / 2, (1 - r) / 2) if field.D % 4 == 1 else (r, -r)
-    return tuple(x + y * w for w in ws)
+        return x, x
+    bits = 128 + 4 * sum(abs(v).bit_length()
+                         for v in (x.numerator, x.denominator, y.numerator, y.denominator))
+    s = Fraction(math.isqrt(field.D << 2 * bits), 1 << bits)
+    sign = 1 if j == 0 else -1
+    ends = []
+    for r in (s, s + Fraction(1, 1 << bits)):
+        w = (1 + sign * r) / 2 if field.D % 4 == 1 else sign * r
+        ends.append(x + y * w)
+    return min(ends), max(ends)
 
 
 def kloosterman_brute(D: int, r, a_ideal, rp, c, c_ideal) -> tuple[complex, int]:

@@ -110,6 +110,16 @@ def test_envelope_rejects_a_wrong_length_rp(rp_embs):
         bessel_envelope(p, [1.0, 1.0], rp_embs, [1.0, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_envelope_and_empirical_tail_reject_non_finite_embeddings(bad):
+    p = _params()
+    for embs in (([bad], [1.0], [3.0]), ([1.0], [bad], [3.0]), ([1.0], [1.0], [bad])):
+        with pytest.raises(InvalidParameter):
+            bessel_envelope(p, *embs, 1.0)
+    with pytest.raises(InvalidParameter):
+        empirical_kloosterman_tail(p, {bad: 1.0, 3: 1.0})
+
+
 # --- euler products -------------------------------------------------------------
 
 
@@ -174,6 +184,19 @@ def test_euler_product_sieve_cap(monkeypatch):
     # the cap itself is allowed: it reaches the sieve, here a stand-in
     monkeypatch.setattr(bounds, "rational_primes_upto", lambda bound: [2, 3])
     assert euler_product_tail(_params(), Q, SIEVE_CAP).cutoff == SIEVE_CAP
+    bounds._rational_factors.cache_clear()  # so no later call reads the stand-in's primes
+
+
+def test_euler_product_cache_keeps_level_norms_apart():
+    # the shared rational factors are keyed by (e, X, level_norms): in either
+    # call order, with and without a level, every result is the loop's
+    p = _params()
+    calls = [(F, skip) for F in (Q, F5, make_field(7)) for skip in ((), (2, 7, 11))]
+    for order in (calls, calls[::-1]):
+        bounds._rational_factors.cache_clear()
+        for F, skip in order:
+            assert euler_product_tail(p, F, 3000, level_norms=skip) == \
+                euler_product_loop(p, F, 3000, skip), (F.disc, skip)
 
 
 # --- assembled bound ------------------------------------------------------------

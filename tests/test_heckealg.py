@@ -211,6 +211,23 @@ def test_descent_with_nonprincipal_witness_ideal():
         descent_data(P3, 1)
 
 
+def test_descent_builds_each_witness_once(monkeypatch):
+    # descent_data reads the per-field witness memo; narrow_square_witness
+    # builds afresh on every call
+    import heckedist.numberfield as nf
+
+    P = factor_rational_prime(make_field(79), 5).primes[0]
+    P.field._cache.pop(("witness", P), None)
+    builds = []
+    real = nf._build_witness
+    monkeypatch.setattr(nf, "_build_witness", lambda Q: builds.append(Q) or real(Q))
+    for ell in (1, 2, 3):
+        assert descent_data(P, ell).ell == ell
+    assert builds == [P]
+    assert narrow_square_witness(P) == nf._witness(P)
+    assert builds == [P, P]
+
+
 # --- delta tilde -------------------------------------------------------------------
 
 
