@@ -11,9 +11,12 @@ report fitted empirical ratios instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DivergentExponent,
@@ -22,7 +25,7 @@ from .errors import (
     InvariantViolation,
     ModulusZero,
 )
-from .numberfield import Field, _splitting_types, rational_primes_upto
+from .numberfield import Field, _splitting_codes, is_rational_prime, rational_primes_upto
 
 SIEVE_CAP = 10**8  # largest cutoff X whose primes euler_product_tail sieves
 
@@ -168,16 +171,28 @@ def _tail_log_bound(exponent: float, X: int, per_norm_multiplicity: int) -> floa
 
 
 @lru_cache(maxsize=4, typed=True)  # typed: X = 100.0 must not reuse X = 100
-def _rational_factors(e: float, X: int, skip: frozenset) -> tuple[tuple, tuple, float]:
-    """The primes p <= X outside `skip`, their factors 1/(1 - p^e) and the product.
+def _rational_factors(e: float, X: int, skip: frozenset) -> tuple[np.ndarray, np.ndarray, float]:
+    """The primes p <= X outside `skip`, their factor rows and the rational product.
 
-    Shared by every field at one (e, X, skip), so each is sieved and raised once.
+    Row k of the (3, n) float array is the factor of each prime when its tag
+    is `_SPLITTING_TAGS[k]`: fp**2 split, fp ramified, and 1/(1 - (p^2)^e)
+    inert, where fp = 1/(1 - p^e); an inert p with p^2 > X gets 1.0, which
+    leaves a product unchanged.  Shared by every field at one (e, X, skip),
+    so each prime is sieved and raised once.
     """
-    primes = tuple(p for p in rational_primes_upto(X) if p not in skip)
-    # Python's float pow per prime (numpy's may differ in the last bit), and
-    # each product one left fold in prime order
-    f = tuple(1.0 / (1.0 - float(p) ** e) for p in primes)
-    return primes, f, math.prod(f, start=1.0)
+    plist = [p for p in rational_primes_upto(X) if p not in skip]
+    primes = np.array(plist, dtype=np.int64)
+    # Python's float pow per prime, square included (numpy's may differ in
+    # the last bit), and each product one left fold in prime order
+    fp = [1.0 / (1.0 - float(p) ** e) for p in plist]
+    k = int(np.searchsorted(primes, math.isqrt(X), side="right"))  # p^2 <= X
+    inert = [1.0 / (1.0 - float(p * p) ** e) for p in plist[:k]]
+    del plist  # the int objects cost more than the three rows together
+    rows = np.ones((3, len(fp)))
+    rows[0] = np.fromiter((f**2 for f in fp), float, len(fp))
+    rows[1] = fp
+    rows[2, :k] = inert
+    return primes, rows, math.prod(fp, start=1.0)
 
 
 def euler_product_tail(params: BoundParams, field: Field, X: int,
@@ -185,10 +200,10 @@ def euler_product_tail(params: BoundParams, field: Field, X: int,
     """prod over prime ideals of norm <= X of 1/(1 - N^e), with a tail bound.
 
     e = eps - 1/2 - 2 tau (1 - eps) must be < -1, else DivergentExponent.
-    `level_norms` holds rational primes p: each drops the rational factor of
-    p and every prime-ideal factor above p.  The rational-prime product at
-    the same exponent is reported for comparison.  X above SIEVE_CAP raises
-    EnumerationTooLarge before anything is sieved.
+    `level_norms` holds rational primes p, else InvalidParameter: each drops
+    the rational factor of p and every prime-ideal factor above p.  The
+    rational-prime product at the same exponent is reported for comparison.
+    X above SIEVE_CAP raises EnumerationTooLarge before anything is sieved.
     """
     if X < 2:
         raise InvalidParameter(f"X must be >= 2, got {X}")
@@ -199,20 +214,17 @@ def euler_product_tail(params: BoundParams, field: Field, X: int,
             f"exponent {params.euler_exponent:.4f} is not < -1; "
             "need 2 tau (1-eps) + 1/2 - eps > 1"
         )
+    for q in level_norms:
+        if not (isinstance(q, numbers.Integral) and is_rational_prime(q)):
+            raise InvalidParameter(f"level norm {q!r} is not a rational prime")
     e = params.euler_exponent
-    primes, f, rational = _rational_factors(e, X, frozenset(level_norms))
+    primes, rows, rational = _rational_factors(e, X, frozenset(level_norms))
     if field.degree == 1:
         prod = rational
     else:
-        factors = []
-        for p, fp, tag in zip(primes, f, _splitting_types(field, primes)):
-            if tag == "split":
-                factors.append(fp**2)
-            elif tag == "ramified":
-                factors.append(fp)
-            elif p * p <= X:
-                factors.append(1.0 / (1.0 - float(p * p) ** e))
-        prod = math.prod(factors, start=1.0)
+        codes = _splitting_codes(field, primes)
+        factors = rows[codes, np.arange(len(codes))]
+        prod = math.prod(memoryview(factors), start=1.0)  # a Python float per factor
     mult = 1 if field.degree == 1 else 2
     tail = math.expm1(_tail_log_bound(e, X, mult))
     rational_tail = math.expm1(_tail_log_bound(e, X, 1))

@@ -386,12 +386,12 @@ def cmd_fetch(args) -> dict:
 
 
 def cmd_test_dist(args) -> dict:
+    lo, hi = parse_interval(args.interval)  # before any dataset is built or fetched
     if args.synthetic:
         ds = equidist.synthesize_dataset(nf.make_field("rational"), args.prime, args.ord, None,
                                          args.n, args.seed)
     else:
         ds = datasource.to_dataset(_records(args)[0], args.prime, ord=args.ord)
-    lo, hi = parse_interval(args.interval)
     report = equidist.equidist_report(
         ds, (lo, hi), args.ord, ell_max=args.ell_max,
         ks_threshold=args.ks_threshold,

@@ -63,10 +63,13 @@ from .numberfield import (
     is_rational_prime,
     make_field,
     rational_primes_upto,
+    _conj_row,
     _factor_prime,
     _mul_coords,
     _power,
     _rational_factorization,
+    _row_norm,
+    _row_trace,
 )
 
 RESIDUE_CAP = 10**6  # most residues residue_unit_group enumerates
@@ -328,13 +331,19 @@ def _phase_numerators(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement
     rational coefficients, brought to one denominator, give every phase.
     """
     field = group.field
-    c_inv = field.one() / c
-    coeffs = []
-    for scale, quo in ((r * c_inv, group.quotient), (rp * c_inv, group.inverse_quotient)):
-        for e in (quo.element(1, 0), quo.element(0, 1)):
-            coeffs.append((scale * e).trace())
-    den = math.lcm(*(cf.denominator for cf in coeffs))
-    nums = [int(cf * den) % den for cf in coeffs]
+    # s*b/c = s.row*b_row*conj(c.row)*c.den / (s.den*L.den*N(c.row)) for s = r, r'
+    # and b a Z-basis row of L, on integer rows
+    c_conj, c_norm = _conj_row(field, c.row), _row_norm(field, c.row)
+    fracs = []
+    for s, L in ((r, group.quotient.L), (rp, group.inverse_quotient.L)):
+        sc = _mul_coords(field, s.row, c_conj)
+        for b in L.int_rows():
+            num = _row_trace(field, _mul_coords(field, sc, b)) * c.den
+            d = s.den * L.den * c_norm
+            g = math.gcd(num, d) if d > 0 else -math.gcd(num, d)
+            fracs.append((num // g, d // g))
+    den = math.lcm(*(d for _, d in fracs))
+    nums = [n * (den // d) % den for n, d in fracs]
     co = (group.units[:, 0], group.units[:, 1], group.inverses[:, 0], group.inverses[:, 1])
     _check_int64(den * sum(int(np.abs(a).max(initial=0)) for a in co))
     p = sum(n * a for n, a in zip(nums, co)) % den

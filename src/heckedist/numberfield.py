@@ -325,9 +325,7 @@ class FieldElement:
         return FieldElement(self.field, _conj_row(self.field, self.row), self.den)
 
     def trace(self) -> Fraction:
-        if self.field.degree == 1:
-            return self.x
-        return Fraction(2 * self.row[0] + self.field.omega_trace * self.row[1], self.den)
+        return Fraction(_row_trace(self.field, self.row), self.den)
 
     def norm(self) -> Fraction:
         if self.field.degree == 1:
@@ -400,6 +398,12 @@ def _row_norm(field: Field, p: tuple[int, int]) -> int:
     """N(x + y*w) on integer coordinates; x^2 over Q, where t = n = 0."""
     x, y = p
     return x * x + field.omega_trace * x * y + field.omega_norm * y * y
+
+
+def _row_trace(field: Field, p: tuple[int, int]) -> int:
+    """Tr(x + y*w) = 2x + t*y on integer coordinates; x over Q."""
+    x, y = p
+    return x if field.degree == 1 else 2 * x + field.omega_trace * y
 
 
 def _sqrtD_row(field: Field, p: tuple[int, int]) -> tuple[int, int]:
@@ -739,22 +743,24 @@ def _splitting_type(field: Field, p: int) -> str:
     return "split" if pow(field.disc, (p - 1) // 2, p) == 1 else "inert"
 
 
-def _splitting_types(field: Field, primes: Iterable[int]) -> list[str]:
-    """_splitting_type of each prime, computed once per residue class mod |disc|.
+_SPLITTING_TAGS = ("split", "ramified", "inert")  # the order of _splitting_codes
+
+
+def _splitting_codes(field: Field, primes: np.ndarray) -> np.ndarray:
+    """Index into _SPLITTING_TAGS of each prime's tag, one _splitting_type per class mod |disc|.
 
     A prime's tag is the Kronecker symbol (disc / p), a character mod |disc|,
-    so primes in one class split alike.  A ramified p divides disc and is
-    alone in its class, so its tag is never read for another prime.
+    so any prime of a class stands for all of them.  A ramified p divides
+    disc and is alone in its class.
     """
     m = abs(field.disc)
-    by_class: dict[int, str] = {}
-    out = []
-    for p in primes:
-        tag = by_class.get(p % m)
-        if tag is None:
-            tag = by_class[p % m] = _splitting_type(field, p)
-        out.append(tag)
-    return out
+    classes = primes % m
+    rep = np.zeros(m, dtype=np.int64)
+    # a prime of each class that occurs, 0 where none does; written in
+    # reverse, so in practice the least, whose Euler criterion is cheapest
+    rep[classes[::-1]] = primes[::-1]
+    table = [_SPLITTING_TAGS.index(_splitting_type(field, p)) if p else 0 for p in rep.tolist()]
+    return np.array(table, dtype=np.int8)[classes]
 
 
 def factor_rational_prime(field: Field, p: int) -> PrimeFactorization:
@@ -841,6 +847,11 @@ def ideal_valuation(arg, P: FractionalIdeal) -> int:
     """v_P of a nonzero element or fractional ideal at a prime ideal P."""
     if not is_prime_ideal(P):
         raise NotPrime("valuation requires a prime ideal")
+    return _valuation(arg, P)
+
+
+def _valuation(arg, P: FractionalIdeal) -> int:
+    """ideal_valuation for a P already known to be prime."""
     field = P.field
     if isinstance(arg, FieldElement):
         if arg.is_zero():

@@ -174,6 +174,22 @@ def test_euler_product_matches_sieved_oracle():
                 assert r == euler_product_loop(p, F, X, skip), (F.disc, X, skip)
 
 
+def test_euler_product_at_the_square_edge_and_with_each_small_level():
+    # X = 48, 49, 50 and 121 put an inert p^2 just past, at and over the cutoff
+    p = _params()
+    for F in (Q, F5, make_field(2), make_field(3)):
+        for X in (2, 3, 48, 49, 50, 121, 20000):
+            for skip in ((), (2,), (3,), (5,)):
+                r = euler_product_tail(p, F, X, level_norms=skip)
+                assert r == euler_product_loop(p, F, X, skip), (F.disc, X, skip)
+
+
+@pytest.mark.parametrize("level_norms", [(4,), (-3, 0), (2, 1), (7, 9.0), ("5",)])
+def test_euler_product_rejects_a_level_norm_that_is_not_prime(level_norms):
+    with pytest.raises(InvalidParameter):
+        euler_product_tail(_params(), F5, 1000, level_norms=level_norms)
+
+
 def test_euler_product_sieve_cap(monkeypatch):
     def no_sieve(bound):
         raise AssertionError(f"sieved up to {bound}")

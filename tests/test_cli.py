@@ -317,6 +317,20 @@ def test_out_of_domain_input_exits_1_with_error_code(argv):
     assert json.loads(out.decode())["error"]["code"] == want
 
 
+def test_test_dist_reads_the_interval_before_building_a_dataset(monkeypatch):
+    def no_dataset(*args, **kw):
+        raise AssertionError("a dataset was built or fetched for a malformed interval")
+
+    monkeypatch.setattr(cli.equidist, "synthesize_dataset", no_dataset)
+    monkeypatch.setattr(cli.datasource.DataClient, "fetch_records", no_dataset)
+    for argv in (["test-dist", "--synthetic", "-n", "3000000", "--interval", "1"],
+                 ["test-dist", "--degree", "1", "--mode", "fixture", "--interval", "1"]):
+        code, out = run_command(argv)
+        assert code == 1
+        assert json.loads(out.decode())["error"] == {
+            "code": "InvalidParameter", "message": "interval must be \"lo,hi\", got '1'"}
+
+
 def test_memory_error_exits_1_with_error_code(monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 74.5 GiB")

@@ -304,6 +304,27 @@ def test_valuation_requires_prime():
         ideal_valuation(Q.ideal(9), Q.ideal(6))
 
 
+def test_valuation_at_a_known_prime_matches_the_checked_one():
+    # elements and ideals, fractional ones with negative valuations included,
+    # at every prime above p <= 50 of every squarefree D < 150
+    for F in [Q] + [make_field(D) for D in range(2, 150) if is_squarefree(D)]:
+        for p in primes_upto(50):
+            fac = factor_rational_prime(F, p)
+            e = 2 if fac.tag == "ramified" else 1
+            v3 = e if p == 3 else 0  # v_P(3)
+            for P in fac.primes:
+                cases = [(P**k, k) for k in (-2, -1, 1, 3)]
+                cases += [(F.element(p), e), (F.element(Fraction(3, p**2)), v3 - 2 * e),
+                          (F.ideal(p * p) * P.inverse(), 2 * e - 1)]
+                if F.degree == 2:
+                    x = F.element(Fraction(7, p), 5)  # 7/p + 5w
+                    cases += [(x, None), (F.ideal(x, F.element(p)) * P, None)]
+                for arg, want in cases:
+                    got = nf._valuation(arg, P)
+                    assert got == ideal_valuation(arg, P), (F, P, arg)
+                    assert want is None or got == want, (F, P, arg)
+
+
 def test_factorization_reconstructs_all_p_up_to_100():
     for field in (F5, F10, F3, F2):
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -330,13 +351,17 @@ def test_splitting_examples_sqrt5():
 
 def test_splitting_by_residue_class_matches_the_kronecker_symbol():
     primes = primes_upto(10**4)
+    arr = np.array(primes, dtype=np.int64)
     tag = {1: "split", 0: "ramified", -1: "inert"}
+
+    def tags(F):
+        return [nf._SPLITTING_TAGS[k] for k in nf._splitting_codes(F, arr).tolist()]
+
     for D in range(2, 200):
         if is_squarefree(D):
             F = make_field(D)
-            want = [tag[kronecker(F.disc, p)] for p in primes]
-            assert nf._splitting_types(F, primes) == want, D
-    assert nf._splitting_types(Q, primes) == ["inert"] * len(primes)
+            assert tags(F) == [tag[kronecker(F.disc, p)] for p in primes], D
+    assert tags(Q) == ["inert"] * len(primes)
 
 
 def _primes_by_trial_division(n):
