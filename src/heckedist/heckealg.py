@@ -31,7 +31,6 @@ from .numberfield import (
     FractionalIdeal,
     QuotientModule,
     _rational_factorization,
-    _valuation,
     _witness,
     find_generator,
     ideal_from_elements,
@@ -126,7 +125,7 @@ class DescentData:
             target = (P**s) * (self.b_ideal**ell)
             if not target.contains(a_s):
                 raise InvariantViolation(f"a_{s} not in P^s b^ell")
-            if _valuation(a_s, P) != s + ell * vb:
+            if ideal_valuation(a_s, P) != s + ell * vb:
                 raise InvariantViolation(f"a_{s} has wrong valuation")
             if not bt_s.is_integral():
                 raise InvariantViolation(f"b~_{s} not integral")
@@ -141,7 +140,7 @@ def _element_with_exact_valuation(J: FractionalIdeal, P: FractionalIdeal,
                                   target: int) -> FieldElement:
     """Element of J with v_P equal to v_P(J); one of the basis elements works."""
     for g in J.basis_elements():
-        if _valuation(g, P) == target:
+        if ideal_valuation(g, P) == target:
             return g
     raise InvariantViolation("no basis element attains the minimal valuation")
 
@@ -158,7 +157,7 @@ def descent_data(P: FractionalIdeal, ell: int) -> DescentData:
             "prime is not a square in the narrow class group; no descent data"
         )
     b_ideal, eta = witness
-    vb = _valuation(b_ideal, P)
+    vb = ideal_valuation(b_ideal, P)
     a_elems = []
     b_shifts = []
     for s in range(ell + 1):

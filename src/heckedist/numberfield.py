@@ -750,16 +750,19 @@ def _splitting_codes(field: Field, primes: np.ndarray) -> np.ndarray:
     """Index into _SPLITTING_TAGS of each prime's tag, one _splitting_type per class mod |disc|.
 
     A prime's tag is the Kronecker symbol (disc / p), a character mod |disc|,
-    so any prime of a class stands for all of them.  A ramified p divides
-    disc and is alone in its class.
+    so the least prime of a class stands for all of them.  A ramified p
+    divides disc and is alone in its class.  The class table is never longer
+    than `primes`: when |disc| is larger, only the classes that occur get a
+    row, so the cost does not grow with the discriminant.
     """
-    m = abs(field.disc)
-    classes = primes % m
-    rep = np.zeros(m, dtype=np.int64)
-    # a prime of each class that occurs, 0 where none does; written in
-    # reverse, so in practice the least, whose Euler criterion is cheapest
-    rep[classes[::-1]] = primes[::-1]
-    table = [_SPLITTING_TAGS.index(_splitting_type(field, p)) if p else 0 for p in rep.tolist()]
+    n = len(primes)
+    classes = primes % abs(field.disc)
+    if abs(field.disc) > n:
+        _, classes = np.unique(classes, return_inverse=True)  # renumbered 0, 1, ...
+    first = np.full(int(classes.max(initial=-1)) + 1, n)
+    np.minimum.at(first, classes, np.arange(n))  # least prime of each class; n if none
+    table = [_SPLITTING_TAGS.index(_splitting_type(field, int(primes[i]))) if i < n else 0
+             for i in first.tolist()]
     return np.array(table, dtype=np.int8)[classes]
 
 
@@ -847,11 +850,6 @@ def ideal_valuation(arg, P: FractionalIdeal) -> int:
     """v_P of a nonzero element or fractional ideal at a prime ideal P."""
     if not is_prime_ideal(P):
         raise NotPrime("valuation requires a prime ideal")
-    return _valuation(arg, P)
-
-
-def _valuation(arg, P: FractionalIdeal) -> int:
-    """ideal_valuation for a P already known to be prime."""
     field = P.field
     if isinstance(arg, FieldElement):
         if arg.is_zero():
