@@ -386,7 +386,8 @@ def cmd_fetch(args) -> dict:
 
 
 def cmd_test_dist(args) -> dict:
-    lo, hi = parse_interval(args.interval)  # before any dataset is built or fetched
+    # before any dataset is built or fetched
+    lo, hi = equidist._check_interval(parse_interval(args.interval))
     if args.synthetic:
         ds = equidist.synthesize_dataset(nf.make_field("rational"), args.prime, args.ord, None,
                                          args.n, args.seed)

@@ -251,6 +251,19 @@ def synthesize_dataset(
 # Reports
 
 
+def _check_interval(interval: tuple[float, float]) -> tuple[float, float]:
+    """(lo, hi) as floats, checked in this order: inside [-2, 2] up to the
+    Ramanujan slack, finite, then lo < hi; cheap enough to run before any
+    dataset is built."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if lo < -2.0 - RAMANUJAN_SLACK or hi > 2.0 + RAMANUJAN_SLACK:
+        raise InvalidParameter("interval must lie inside [-2, 2]")
+    measures._check_finite(lo, hi)
+    if lo >= hi:
+        raise InvalidParameter(f"interval must have lo < hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def equidist_report(
     ds: Dataset,
     interval: tuple[float, float],
@@ -268,9 +281,7 @@ def equidist_report(
     reported alongside.
     """
     _require_nonempty(ds)
-    lo, hi = float(interval[0]), float(interval[1])
-    if lo < -2.0 - RAMANUJAN_SLACK or hi > 2.0 + RAMANUJAN_SLACK:
-        raise InvalidParameter("interval must lie inside [-2, 2]")
+    lo, hi = _check_interval(interval)
     spec = MeasureSpec.phi(ord)
     lams = ds.lambdas()
     ws = ds.weights()

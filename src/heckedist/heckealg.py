@@ -121,8 +121,10 @@ class DescentData:
         if P * self.b_ideal * self.b_ideal != ideal_from_elements(f, [self.eta]):
             raise InvariantViolation("P * b^2 != (eta)")
         vb = ideal_valuation(self.b_ideal, P)
+        target = self.b_ideal**ell  # P^s b^ell, one more P per s
         for s, (a_s, bt_s) in enumerate(zip(self.a_elems, self.b_shifts)):
-            target = (P**s) * (self.b_ideal**ell)
+            if s:
+                target = target * P
             if not target.contains(a_s):
                 raise InvariantViolation(f"a_{s} not in P^s b^ell")
             if ideal_valuation(a_s, P) != s + ell * vb:
@@ -159,19 +161,19 @@ def descent_data(P: FractionalIdeal, ell: int) -> DescentData:
     b_ideal, eta = witness
     vb = ideal_valuation(b_ideal, P)
     a_elems = []
-    b_shifts = []
+    J = b_ideal**ell  # P^s b^ell, one more P per s
     for s in range(ell + 1):
-        target = s + ell * vb
+        if s:
+            J = J * P
         if ell % 2 == 0 and 2 * s == ell:
             a_s = eta ** (ell // 2)
         else:
-            J = (P**s) * (b_ideal**ell)
             a_s = find_generator(J)
             if a_s is None:
-                a_s = _element_with_exact_valuation(J, P, target)
+                a_s = _element_with_exact_valuation(J, P, s + ell * vb)
         a_elems.append(a_s)
-        b_shifts.append(P.field.zero())
-    data = DescentData(P, ell, b_ideal, eta, tuple(a_elems), tuple(b_shifts))
+    b_shifts = (P.field.zero(),) * (ell + 1)
+    data = DescentData(P, ell, b_ideal, eta, tuple(a_elems), b_shifts)
     data.verify()
     return data
 

@@ -805,15 +805,20 @@ def _split_prime(field: Field, p: int) -> PrimeFactorization:
 
 
 def is_prime_ideal(I: FractionalIdeal) -> bool:
+    """Whether I is a nonzero integral prime ideal, read off its integer HNF.
+
+    Over Q, (a,) is prime iff a is.  Over Q(sqrt(D)) the norm is a*c: a
+    prime norm makes I prime, and of the ideals of norm p^2 only (p) =
+    (p, 0, p) at an inert p is.
+    """
     if I.is_zero() or not I.is_integral():
         return False
-    nrm = int(I.norm())
-    if is_rational_prime(nrm):
+    if I.field.degree == 1:
+        return is_rational_prime(I.hnf[0])
+    a, _, c = I.hnf
+    if is_rational_prime(a * c):
         return True
-    r = math.isqrt(nrm)
-    if r * r != nrm or not is_rational_prime(r):
-        return False
-    return _splitting_type(I.field, r) == "inert" and I == I.field.ideal(r)
+    return I.hnf == (a, 0, a) and is_rational_prime(a) and _splitting_type(I.field, a) == "inert"
 
 
 def prime_ideals_of_norm_upto(field: Field, bound: int) -> list[FractionalIdeal]:
@@ -846,28 +851,59 @@ def _rational_factorization(n: int) -> dict[int, int]:
     return out
 
 
+def _int_valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
 def ideal_valuation(arg, P: FractionalIdeal) -> int:
-    """v_P of a nonzero element or fractional ideal at a prime ideal P."""
+    """v_P of a nonzero element or fractional ideal at a prime ideal P.
+
+    Read off integer rows, with no ideal product.  The argument is
+    content * (primitive part) / den with content and den rational integers,
+    and v_P of an integer n is e*v_p(n) (e = 2 at a ramified p, else 1).  A
+    primitive part has no inert factor and at most P^1 at a ramified P; at a
+    split p only one of P, conj(P) divides it, to the power v_p of its norm.
+    P of norm p has HNF (p, b_P, 1), so w = -b_P mod P and the primitive
+    row (u, v) lies in P iff u - v*b_P = 0 mod p.  An element's primitive
+    part is its row over gcd(u, v); an ideal's HNF (a, b, c) is
+    c * (Z*A + Z*(B + w)) with A = a/c the norm of the primitive row (B, 1).
+    """
     if not is_prime_ideal(P):
         raise NotPrime("valuation requires a prime ideal")
-    field = P.field
+    field, hnf = P.field, P.hnf
+    p = hnf[0]
+    # is_prime_ideal also passes Z-modules of prime norm that are not
+    # ideals, such as (1, 0, p): Z*p + Z*(b + w) is one iff -b is a root of
+    # w's polynomial mod p, that is p | N(b + w)
+    if field.degree == 2 and hnf != (p, 0, p) and not (
+            hnf[2] == 1 and _row_norm(field, (hnf[1], 1)) % p == 0):
+        raise InvariantViolation(f"{hnf} is not the Hermite form of a prime ideal")
     if isinstance(arg, FieldElement):
         if arg.is_zero():
             raise ZeroArgument("valuation of zero")
-        arg = ideal_from_elements(field, [arg])
-    if arg.is_zero():
-        raise ZeroArgument("valuation of zero ideal")
-    p = min(_rational_factorization(int(P.norm())))
-    ram = 2 if _splitting_type(field, p) == "ramified" else 1
-    den_val = ram * _rational_factorization(arg.den).get(p, 0)
-    # integral part: largest j with M contained in P^j
-    M = FractionalIdeal(field, 1, arg.hnf)
-    j = 0
-    Pj = P
-    while Pj.contains_ideal(M):
-        j += 1
-        Pj = Pj * P
-    return j - den_val
+        (u, v), den = arg.row, arg.den
+        content = math.gcd(u, v)
+        row = (u // content, v // content)
+        nrm = _row_norm(field, row)
+    else:
+        if arg.is_zero():
+            raise ZeroArgument("valuation of zero ideal")
+        den = arg.den
+        if field.degree == 1:
+            content, row, nrm = arg.hnf[0], (1, 0), 1
+        else:
+            a, b, c = arg.hnf
+            content, row, nrm = c, (b // c, 1), a // c
+    e = 2 if _splitting_type(field, p) == "ramified" else 1
+    val = e * (_int_valuation(content, p) - _int_valuation(den, p))
+    if field.degree == 2 and hnf[2] == 1 and (row[0] - row[1] * hnf[1]) % p == 0:
+        val += _int_valuation(nrm, p)
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), the
 classical Kloosterman table summed directly at every modulus, a
 smallest-unit search, the continued-fraction fundamental unit, the Pell-type
 y-scan for principal generators and elements of a given norm, real
-embeddings bracketed by integer square roots, invariant
+embeddings bracketed by integer square roots, P-adic valuations by
+multiplying P^j out and prime ideals by their norm, invariant
 factors by recursive quotients, unit-power scans in Fraction arithmetic, the
 trace-dual module from the trace pairing, the Euler product one sieved prime
 at a time, x-measure CDFs by adaptive quadrature and by Serre's series, the
@@ -404,6 +405,52 @@ def fundamental_unit_by_continued_fraction(field):
     if not eps.embeddings()[0] > 1:
         raise InvariantViolation("fundamental unit is not > 1 at the first place")
     return eps
+
+
+# --- P-adic valuations by ideal products, primality by the norm ------------
+
+
+def ideal_valuation_by_products(arg, P) -> int:
+    """v_P of a nonzero element or fractional ideal at a prime ideal P: the
+    largest j with P^j containing its integral part, less v_P of its
+    denominator, with p found by factoring N(P)."""
+    from heckedist.numberfield import (
+        FieldElement,
+        FractionalIdeal,
+        _rational_factorization,
+        _splitting_type,
+        ideal_from_elements,
+    )
+
+    field = P.field
+    if isinstance(arg, FieldElement):
+        arg = ideal_from_elements(field, [arg])
+    p = min(_rational_factorization(int(P.norm())))
+    ram = 2 if _splitting_type(field, p) == "ramified" else 1
+    den_val = ram * _rational_factorization(arg.den).get(p, 0)
+    M = FractionalIdeal(field, 1, arg.hnf)
+    j = 0
+    Pj = P
+    while Pj.contains_ideal(M):
+        j += 1
+        Pj = Pj * P
+    return j - den_val
+
+
+def is_prime_ideal_by_norm(I) -> bool:
+    """A nonzero integral ideal is prime iff its norm is a prime, or it is
+    (r) for an inert prime r."""
+    from heckedist.numberfield import _splitting_type, is_rational_prime
+
+    if I.is_zero() or not I.is_integral():
+        return False
+    nrm = int(I.norm())
+    if is_rational_prime(nrm):
+        return True
+    r = math.isqrt(nrm)
+    if r * r != nrm or not is_rational_prime(r):
+        return False
+    return _splitting_type(I.field, r) == "inert" and I == I.field.ideal(r)
 
 
 # --- the inverse different from the trace pairing ---------------------------

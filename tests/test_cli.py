@@ -329,6 +329,16 @@ def test_test_dist_reads_the_interval_before_building_a_dataset(monkeypatch):
         assert code == 1
         assert json.loads(out.decode())["error"] == {
             "code": "InvalidParameter", "message": "interval must be \"lo,hi\", got '1'"}
+    # well-formed but out of range, and reversed
+    for interval, message in (("-3,1", "interval must lie inside [-2, 2]"),
+                              ("1,-1", "interval must have lo < hi, got [1.0, -1.0]")):
+        for argv in (["test-dist", "--synthetic", "-n", "3000000", f"--interval={interval}"],
+                     ["test-dist", "--degree", "1", "--mode", "fixture",
+                      f"--interval={interval}"]):
+            code, out = run_command(argv)
+            assert code == 1
+            assert json.loads(out.decode())["error"] == {
+                "code": "InvalidParameter", "message": message}
 
 
 def test_memory_error_exits_1_with_error_code(monkeypatch):

@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -12,6 +14,7 @@ import heckedist
 from heckedist.errors import (
     DivisibilityViolation,
     EnumerationTooLarge,
+    HeckedistError,
     NotNarrowSquare,
     NotPrime,
     RamanujanViolation,
@@ -30,6 +33,7 @@ from heckedist.numberfield import (
     find_generator,
     ideal_from_elements,
     is_principal,
+    is_squarefree,
     make_field,
     narrow_square_witness,
     rational_primes_upto,
@@ -226,6 +230,31 @@ def test_descent_builds_each_witness_once(monkeypatch):
     assert builds == [P]
     assert narrow_square_witness(P) == nf._witness(P)
     assert builds == [P, P]
+
+
+# b, eta and the a_s (or the error code) of descent_data at every prime above
+# p <= 30, ell <= 3, over Q and every squarefree D < 150, one canonical JSON
+# line each; pinned while valuations were found by multiplying P^j out
+_DESCENT_DIGEST = "46bbe3b493d9f85c76029e11a7b5446cf904fded9957a8741b455fb0975fa502"
+
+
+def test_descent_data_digest_is_pinned():
+    lines = []
+    for D in ["rational"] + [D for D in range(2, 150) if is_squarefree(D)]:
+        F = make_field(D)
+        for p in rational_primes_upto(30):
+            for P in factor_rational_prime(F, p).primes:
+                for ell in range(4):
+                    try:
+                        dd = descent_data(P, ell)
+                        rec = [dd.b_ideal.to_json(), dd.eta.to_json(),
+                               [a.to_json() for a in dd.a_elems]]
+                    except HeckedistError as exc:
+                        rec = exc.code
+                    lines.append(json.dumps([D, p, list(P.hnf), ell, rec],
+                                            sort_keys=True, separators=(",", ":")))
+    assert len(lines) == 5144
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _DESCENT_DIGEST
 
 
 # --- delta tilde -------------------------------------------------------------------

@@ -54,7 +54,9 @@ from oracles import (
     frac_trace,
     fundamental_unit_by_continued_fraction,
     generator_scan,
+    ideal_valuation_by_products,
     in_principal_genus,
+    is_prime_ideal_by_norm,
     kronecker,
     norm_form_rows,
     prime_discriminants,
@@ -302,6 +304,64 @@ def test_valuation_additive_on_elements():
 def test_valuation_requires_prime():
     with pytest.raises(NotPrime):
         ideal_valuation(Q.ideal(9), Q.ideal(6))
+
+
+def test_valuation_matches_ideal_products():
+    # Q and every squarefree D < 150, each prime P above p <= 13: elements with
+    # denominators, and P^k * conj(P)^m * (other factor) with k, m in [-3, 4]
+    rng = random.Random(24)
+    for D in ["rational"] + [D for D in range(2, 150) if is_squarefree(D)]:
+        F = make_field(D)
+        w = F.degree - 1  # 0 over Q, where elements have no w-coordinate
+        for p in (2, 3, 5, 7, 11, 13):
+            q = 17 if p != 2 else 3
+            others = (F.unit_ideal(), F.ideal(p), factor_rational_prime(F, q).primes[0],
+                      F.ideal(F.element(2, w)), F.ideal(F.element(3) / 2))
+            for P in factor_rational_prime(F, p).primes:
+                cases = []
+                for _ in range(12):
+                    u, v = rng.randint(-40, 40), w * rng.randint(-40, 40)
+                    if (u, v) == (0, 0):
+                        continue
+                    scale = p ** rng.randint(0, 3) * rng.choice((1, 2, 3, 6))
+                    den = p ** rng.randint(0, 3) * rng.choice((1, 5, 7))
+                    cases.append(F.element(u, v) * scale / den)
+                for k in range(-3, 5):
+                    cases.append(P**k * P.conjugate() ** rng.randint(-3, 4) * rng.choice(others))
+                for arg in cases:
+                    assert ideal_valuation(arg, P) == ideal_valuation_by_products(arg, P), \
+                        (D, P, arg)
+    # Z-modules of prime norm that are not ideals fail in the products too
+    for hnf in ((1, 0, 5), (5, 0, 1)):
+        P = nf.FractionalIdeal(F5, 1, hnf)
+        for valuation in (ideal_valuation, ideal_valuation_by_products):
+            with pytest.raises(InvariantViolation):
+                valuation(F5.element(10), P)
+
+
+def test_is_prime_ideal_matches_the_norm_definition():
+    # every (a, b, c) with a <= 36, b < a and c | a or c <= 6, over two
+    # denominators: (p) = P*conj(P) at a split p, P^2 at split and ramified p,
+    # inert (p), non-integral ideals and modules that are not ideals
+    fields = [make_field(D) for D in (2, 3, 5, 10, 13, 21, 79)]
+    for F in fields:
+        for a in range(1, 37):
+            cs = sorted({c for c in range(1, a + 1) if a % c == 0} | set(range(1, 7)))
+            for b in range(a):
+                for c in cs:
+                    for den in (1, 2):
+                        I = nf.FractionalIdeal(F, den, (a, b, c))
+                        assert is_prime_ideal(I) == is_prime_ideal_by_norm(I), (F, I)
+    for F in fields[:3]:
+        for p in (2, 3, 5, 7, 11):
+            fac = factor_rational_prime(F, p)
+            for I in (F.ideal(p), fac.primes[0] ** 2, fac.primes[0] ** -1):
+                assert is_prime_ideal(I) == is_prime_ideal_by_norm(I), (F, I)
+            assert is_prime_ideal(F.ideal(p)) == (fac.tag == "inert")
+    for a in range(0, 400):
+        for den in (1, 2, 3):
+            I = nf.FractionalIdeal(Q, den, (a,))
+            assert is_prime_ideal(I) == is_prime_ideal_by_norm(I), I
 
 
 def test_factorization_reconstructs_all_p_up_to_100():
