@@ -150,14 +150,16 @@ class MomentRow:
     ell: int
     value: float
     expected: float
-    z: float
+    z: Optional[float]
 
 
 def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
     """Weighted Chebyshev averages against the Phi(ord) moments.
 
     The z-score uses a leave-one-out (jackknife) standard error of the
-    weighted mean; there is no finite-sample error model to appeal to.
+    weighted mean; there is no finite-sample error model to appeal to.  A
+    zero standard error (one point, or all points equal) gives z = 0 when
+    the mean is the expected moment and None otherwise.
     """
     _require_nonempty(ds)
     if not 0 <= ell_max <= 40:
@@ -179,7 +181,7 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
             se = math.sqrt(max((n - 1) / n * float(np.sum((loo - np.mean(loo)) ** 2)), 0.0))
         else:
             se = 0.0
-        z = (M - expected) / se if se > 0 else (0.0 if M == expected else math.inf)
+        z = (M - expected) / se if se > 0 else (0.0 if M == expected else None)
         out.append(MomentRow(ell, M, expected, z))
     return out
 
@@ -291,15 +293,16 @@ def equidist_report(
     predicted = 1.0 if (lo <= -2.0 and hi >= 2.0) else measures.mass(spec, (lo, hi))
     ks = ks_distance(ds, spec)
     moments = moment_test(ds, ord, ell_max)
-    max_abs_z = max(abs(m.z) for m in moments)
-    passed = bool(ks < ks_threshold and max_abs_z <= Z_THRESHOLD)
+    zs = [m.z for m in moments]
+    max_abs_z = None if None in zs else max(abs(z) for z in zs)
+    passed = bool(ks < ks_threshold and max_abs_z is not None and max_abs_z <= Z_THRESHOLD)
     report = {
         "n": len(ds),
         "total_weight": W,
         "interval": [lo, hi],
         "observed": observed,
         "predicted": predicted,
-        "ratio": observed / predicted if predicted > 0 else math.inf,
+        "ratio": observed / predicted if predicted > 0 else None,
         "ks": ks,
         "ks_threshold": ks_threshold,
         "moments": [

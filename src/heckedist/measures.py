@@ -348,6 +348,10 @@ def _interval_mass(spec: MeasureSpec, low: float, high: float) -> float:
     if high <= low:
         return 0.0
     if spec.tag in _X_TAGS:
+        if low > 0:
+            # the x-densities are even, and near x = -2 the CDF is small
+            # enough to keep the digits that cdf(high) - cdf(low) cancels at 2
+            low, high = -high, -low
         return max(0.0, cdf(spec, high) - cdf(spec, low))
     cont = 0.0  # the nu-forms have atoms only
     if spec.tag == "plancherel":

@@ -1068,33 +1068,18 @@ def _fundamental_unit(field: Field) -> FieldElement:
     return eps
 
 
-def _class_key(M: FractionalIdeal, narrow: bool) -> Form:
-    """Key of the (narrow) class of M.  N(sqrt(D)) < 0, so the wide class of M
-    is the union of the narrow classes of M and sqrt(D)*M."""
-    key = _rho_walk(M)
-    return key if narrow else min(key, _rho_walk(M * M.field.sqrt_D()))
-
-
 def _key_ideal(field: Field, key: Form) -> FractionalIdeal:
     """The ideal Z*A + Z*((B - t)/2 + w) of the key form (A, B, C); O for the principal form."""
     A, B, _ = key
     return _ideal_from_rows(field, 1, [(A, 0), ((B - field.omega_trace) // 2, 1)])
 
 
-def is_principal(M: FractionalIdeal, narrow: bool = False) -> bool:
-    """Whether M is principal; narrow: with a totally positive generator."""
-    if M.is_zero():
-        raise ZeroIdeal("zero ideal has no class")
-    field = M.field
-    if field.degree == 1:
-        return True
-    # the principal form is the only reduced form with a = 1, so it keys O in
-    # both variants
-    return _class_key(M, narrow) == principal_form(field.disc)
-
-
 @dataclass(frozen=True)
 class ClassGroupDescription:
+    """The wide or narrow class group.  `representatives[0]` is O; the narrow
+    tuple is in the order the walk meets the classes, and the wide tuple
+    follows that order, one ideal per wide class."""
+
     order: int
     narrow_order: int
     cyclic_factors: tuple[int, ...]
@@ -1102,22 +1087,28 @@ class ClassGroupDescription:
     narrow: bool
 
 
-def _class_structure(field: Field, narrow: bool):
-    """(order, cyclic_factors, representatives), classes indexed by their keys."""
+def _class_structure(field: Field):
+    """(cyclic_factors, representatives) of Cl+, then of Cl.
+
+    Narrow classes are indexed by their `_rho_walk` keys.  The primes below
+    the Minkowski bound generate Cl, and (sqrt(D)) is the product of the
+    ramified primes above p | D, so with the ramified primes they generate
+    Cl+.  N(sqrt(D)) < 0, so Cl = Cl+/<s> for s the narrow class of
+    (sqrt(D)), and the wide key of a class g is the lesser of the keys of g
+    and g*s.  One walk over the powers of g gives its order in Cl+ (the
+    first power at O) and in Cl (the first power at O or s).
+    """
     O = field.unit_ideal()
     if field.degree == 1:
-        return 1, (), (O,)
-    gen_bound = field.minkowski_bound()
-    gens = [P for P in prime_ideals_of_norm_upto(field, gen_bound)]
-    if narrow:
-        for p in sorted(_rational_factorization(field.disc)):
-            fac = _factor_prime(field, p)
-            gens.extend(fac.primes)
+        return ((), (O,)), ((), (O,))
+    gens = prime_ideals_of_norm_upto(field, field.minkowski_bound())
+    for p in sorted(_rational_factorization(field.disc)):
+        gens.extend(_factor_prime(field, p).primes)
     index: dict[Form, int] = {}
     reps: list[FractionalIdeal] = []
 
     def cls_of(M: FractionalIdeal) -> int:
-        key = _class_key(M, narrow)
+        key = _rho_walk(M)
         if key not in index:
             index[key] = len(reps)
             reps.append(_key_ideal(field, key))
@@ -1135,30 +1126,31 @@ def _class_structure(field: Field, narrow: bool):
             if k not in seen:
                 seen.add(k)
                 frontier.append(k)
-    h = len(reps)
-    # multiplication table and the abelian invariant factors
-    table = [[cls_of(reps[i] * reps[j]) for j in range(h)] for i in range(h)]
-    factors = _abelian_invariants(table)
-    return h, tuple(factors), tuple(reps)
+    s = cls_of(field.ideal(field.sqrt_D()))
+    orders: list[int] = []
+    wide: dict[Form, int] = {}  # wide key -> order in Cl, in the order of the narrow walk
+    for g, key in enumerate(list(index)):
+        powers = [g]  # g, g^2, ..., O
+        while powers[-1] != 0:
+            powers.append(cls_of(reps[powers[-1]] * reps[g]))
+        orders.append(len(powers))
+        wide.setdefault(min(key, _rho_walk(reps[g] * reps[s])),
+                        next(k for k, x in enumerate(powers, 1) if x in (0, s)))
+    return ((tuple(_abelian_invariants(orders)), tuple(reps)),
+            (tuple(_abelian_invariants(list(wide.values()))),
+             tuple(_key_ideal(field, key) for key in wide)))
 
 
-def _abelian_invariants(table: list[list[int]]) -> list[int]:
-    """Invariant factors, largest first, of a finite abelian group given by its table.
+def _abelian_invariants(orders: list[int]) -> list[int]:
+    """Invariant factors, largest first, of a finite abelian group with these element orders.
 
     The p-part of G is a sum of cyclic groups Z/p^e, and |G[p^k]|/|G[p^(k-1)]|
     is p^r with r the number of them with e >= k, where G[m] is the set of
     elements whose order divides m.  So the first r invariant factors each
     take one more power of p at every k.
     """
-    orders = []
-    for g in range(len(table)):
-        k, x = 1, g
-        while x != 0:
-            x = table[x][g]
-            k += 1
-        orders.append(k)
     factors: list[int] = []
-    for p, e in _rational_factorization(len(table)).items():
+    for p, e in _rational_factorization(len(orders)).items():
         below = 1
         for k in range(1, e + 1):
             count = sum(1 for o in orders if p**k % o == 0)
@@ -1177,15 +1169,10 @@ def class_group(field: Field, narrow: bool = False) -> ClassGroupDescription:
     """The wide or narrow class group; the first call builds and caches both."""
     key = ("class_group", narrow)
     if key not in field._cache:
-        (h, f0, r0), (hp, f1, r1) = (_class_structure(field, v) for v in (False, True))
-        for variant, fac, reps in ((False, f0, r0), (True, f1, r1)):
+        narrow_cg, wide_cg = _class_structure(field)
+        for variant, (fac, reps) in ((False, wide_cg), (True, narrow_cg)):
             field._cache[("class_group", variant)] = ClassGroupDescription(
-                order=h,
-                narrow_order=hp,
-                cyclic_factors=fac,
-                representatives=reps,
-                narrow=variant,
-            )
+                len(wide_cg[1]), len(narrow_cg[1]), fac, reps, variant)
     return field._cache[key]
 
 
@@ -1272,18 +1259,29 @@ def _witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement
     return P.field._cache[key]
 
 
+def _square_classes(field: Field) -> dict[Form, FractionalIdeal]:
+    """The least narrow representative b, by (norm, hnf), of each narrow
+    class of b^2, keyed by `_rho_walk(b*b)`; memoised per field."""
+    if "square_classes" not in field._cache:
+        roots: dict[Form, FractionalIdeal] = {}
+        for b in sorted(class_group(field, narrow=True).representatives,
+                        key=lambda I: (I.norm(), I.hnf)):
+            roots.setdefault(_rho_walk(b * b), b)
+        field._cache["square_classes"] = roots
+    return field._cache["square_classes"]
+
+
 def _build_witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement]]:
     field = P.field
     if field.degree == 1:
         return (field.unit_ideal(), field.element(int(P.norm())))
-    desc = class_group(field, narrow=True)
-    for b in sorted(desc.representatives, key=lambda I: (I.norm(), I.hnf)):
-        J = P * b * b
-        if not is_principal(J, narrow=True):
-            continue
-        eta = principal_totally_positive_generator(J)
-        if eta is None or not (eta.is_integral() and eta.is_totally_positive()):
-            raise InvariantViolation("a narrow-principal ideal has no totally positive "
-                                     "integral generator")
-        return (b, eta)
-    return None
+    # P*conj(P) = (N(P)) is narrowly principal, so P*b^2 is iff b^2 lies in
+    # the narrow class of conj(P)
+    b = _square_classes(field).get(_rho_walk(P.conjugate()))
+    if b is None:
+        return None
+    eta = principal_totally_positive_generator(P * b * b)
+    if eta is None or not (eta.is_integral() and eta.is_totally_positive()):
+        raise InvariantViolation("a narrow-principal ideal has no totally positive "
+                                 "integral generator")
+    return (b, eta)

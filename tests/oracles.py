@@ -5,7 +5,8 @@ the classical level-one eigenforms, affine point counting for the level-11
 elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), the
 classical Kloosterman table summed directly at every modulus, a
 smallest-unit search, the continued-fraction fundamental unit, the Pell-type
-y-scan for principal generators and elements of a given norm, real
+y-scan for principal generators and elements of a given norm, the
+narrow-square witness by a walk over the narrow representatives, real
 embeddings bracketed by integer square roots, P-adic valuations by
 multiplying P^j out and prime ideals by their norm, invariant
 factors by recursive quotients, unit-power scans in Fraction arithmetic, the
@@ -568,6 +569,22 @@ def elements_of_norm_scan(field, n: int) -> list:
     return sorted(found, key=lambda e: (e.x, e.y))
 
 
+def narrow_square_witness_walk(P):
+    """(b, eta) for the least narrow representative b, by (norm, hnf), with
+    P*b^2 = (eta) for a totally positive eta, or None: each b in turn, with
+    principality decided by find_generator and totally_positive_adjust."""
+    from heckedist.numberfield import class_group, find_generator, totally_positive_adjust
+
+    field = P.field
+    for b in sorted(class_group(field, narrow=True).representatives,
+                    key=lambda I: (I.norm(), I.hnf)):
+        g = find_generator(P * b * b)
+        eta = None if g is None else totally_positive_adjust(g)
+        if eta is not None:
+            return (b, eta)
+    return None
+
+
 def abelian_invariants_by_quotients(table: list[list[int]]) -> list[int]:
     """Invariant factors of a finite abelian group given by its table (identity 0),
     largest first: the order m of an element of maximal order, then the factors of
@@ -1028,6 +1045,6 @@ def moment_rows_per_ell(ds, ord: int, ell_max: int) -> list:
             loo = (S - ws * vals) / np.where(denom > 0, denom, np.nan)
             loo = np.where(np.isfinite(loo), loo, M)
             se = math.sqrt(max((n - 1) / n * float(np.sum((loo - np.mean(loo)) ** 2)), 0.0))
-        z = (M - expected) / se if se > 0 else (0.0 if M == expected else math.inf)
+        z = (M - expected) / se if se > 0 else (0.0 if M == expected else None)
         out.append(MomentRow(ell, M, expected, z))
     return out

@@ -341,6 +341,28 @@ def test_test_dist_reads_the_interval_before_building_a_dataset(monkeypatch):
                 "code": "InvalidParameter", "message": message}
 
 
+def _strict_json(out):
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    return json.loads(out.decode(), parse_constant=no_constant)
+
+
+def test_test_dist_prints_null_for_undefined_z_and_ratio():
+    # one point has a zero standard error, so every z off its expected moment
+    # is undefined, and so is max_abs_z
+    code, out = run_command(["test-dist", "--synthetic", "-n", "1"])
+    rep = _strict_json(out)
+    assert code == 0 and rep["moments"][0]["z"] == 0.0
+    assert None in [m["z"] for m in rep["moments"]]
+    assert rep["max_abs_z"] is None and rep["pass"] is False
+    # an interval of zero predicted mass has no ratio
+    code, out = run_command(["test-dist", "--synthetic", "-n", "100", "--interval=0,5e-324"])
+    rep = _strict_json(out)
+    assert code == 0 and rep["predicted"] == 0.0 and rep["ratio"] is None
+    assert rep["max_abs_z"] is not None
+
+
 def test_memory_error_exits_1_with_error_code(monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 74.5 GiB")

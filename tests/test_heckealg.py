@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import heckedist
+from heckedist import numberfield as nf
 from heckedist.errors import (
     DivisibilityViolation,
     EnumerationTooLarge,
@@ -32,12 +33,12 @@ from heckedist.numberfield import (
     factor_rational_prime,
     find_generator,
     ideal_from_elements,
-    is_principal,
     is_squarefree,
     make_field,
     narrow_square_witness,
     rational_primes_upto,
 )
+from heckedist.quadforms import principal_form
 
 Q = make_field("rational")
 F3 = make_field(3)
@@ -218,8 +219,6 @@ def test_descent_with_nonprincipal_witness_ideal():
 def test_descent_builds_each_witness_once(monkeypatch):
     # descent_data reads the per-field witness memo; narrow_square_witness
     # builds afresh on every call
-    import heckedist.numberfield as nf
-
     P = factor_rational_prime(make_field(79), 5).primes[0]
     P.field._cache.pop(("witness", P), None)
     builds = []
@@ -335,7 +334,9 @@ def test_witness_descent_and_generators_over_fields_with_large_units(D):
             for M in (P,) if w is None else (P, P * w[0] * w[0]):
                 g = find_generator(M)
                 if g is None:
-                    assert not is_principal(M)
+                    # neither M nor sqrt(D)*M is in the narrow class of O
+                    assert principal_form(F.disc) not in (
+                        nf._rho_walk(M), nf._rho_walk(M * F.sqrt_D()))
                     continue
                 assert ideal_from_elements(F, [g]) == M
                 least = min((u * g for u in assoc if (u * g).y >= 0),

@@ -101,6 +101,16 @@ def test_mass_examples():
     assert abs(mass(ST, (0, 2)) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("spec", [ST, MeasureSpec.padic(3), MeasureSpec.phi(2)],
+                         ids=lambda s: s.tag)
+def test_masses_next_to_two_equal_their_mirror_images(spec):
+    # the x-densities are even; cdf(2) - cdf(2 - 1e-12) would cancel to 0.0
+    for width in (1e-12, 4e-16, 1e-3):
+        m = mass(spec, (2 - width, 2))
+        assert m > 0.0 and m == mass(spec, (-2, -2 + width)), (spec.tag, width)
+    assert mass(spec, (0.5, 1.5)) == mass(spec, (-1.5, -0.5))
+
+
 def test_total_mass_of_padic_family():
     for p in (2, 3, 5, 101):
         assert abs(mass(MeasureSpec.padic(p), (-2, 2)) - 1.0) < 1e-8

@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import itertools
+import json
 import math
 import os
 import random
@@ -58,6 +60,7 @@ from oracles import (
     in_principal_genus,
     is_prime_ideal_by_norm,
     kronecker,
+    narrow_square_witness_walk,
     norm_form_rows,
     prime_discriminants,
     primes_upto,
@@ -473,6 +476,13 @@ def test_representative_orders():
         assert desc.order % k == 0
 
 
+def _class_key(M, narrow):
+    """The narrow key of M, or its wide key: N(sqrt(D)) < 0, so the wide class
+    of M is the union of the narrow classes of M and sqrt(D)*M."""
+    key = nf._rho_walk(M)
+    return key if narrow else min(key, nf._rho_walk(M * M.field.sqrt_D()))
+
+
 @pytest.mark.parametrize("D", [3, 10, 15, 30, 79, 82])
 @pytest.mark.parametrize("narrow", [False, True])
 def test_class_index_agrees_with_generator_search(D, narrow):
@@ -482,7 +492,7 @@ def test_class_index_agrees_with_generator_search(D, narrow):
     reps = class_group(F, narrow=narrow).representatives
     assert reps[0] == F.unit_ideal()
     primes = prime_ideals_of_norm_upto(F, 60)
-    index = [reps.index(nf._key_ideal(F, nf._class_key(P, narrow))) for P in primes]
+    index = [reps.index(nf._key_ideal(F, _class_key(P, narrow))) for P in primes]
     for i, A in enumerate(primes):
         for j, B in enumerate(primes[: i + 1]):
             g = generator_scan(A * B.conjugate())
@@ -551,6 +561,38 @@ def test_narrow_square_witness_exactness():
     assert count == 1941
 
 
+def test_narrow_square_witness_against_the_representative_walk():
+    # the square-class lookup picks the same b as trying each narrow
+    # representative in (norm, hnf) order; Cl+ is Z/6 at D = 79 and
+    # Z/4 x Z/4 at D = 3026, where [b]^2 = [conj(P)] has several roots
+    for D in (79, 229, 3026):
+        F = make_field(D)
+        for p in nf.rational_primes_upto(60):
+            for P in factor_rational_prime(F, p).primes:
+                assert narrow_square_witness(P) == narrow_square_witness_walk(P), (D, P)
+    assert class_group(make_field(3026), narrow=True).cyclic_factors == (4, 4)
+
+
+# one line per squarefree D < 1000: (D, h, h+, both factor tuples, the narrow
+# representatives' HNFs in order, the sorted wide HNFs); pinned while each
+# variant was built on its own with a full multiplication table
+_CLASS_GROUP_DIGEST = "7e563347c05e92b1fce5b44108bc5c538433f1b2d0e03f0f56986fd1063d0be2"
+
+
+def test_class_groups_are_pinned():
+    lines = []
+    for D in range(2, 1000):
+        if is_squarefree(D):
+            F = make_field(D)
+            wide, narrow = class_group(F), class_group(F, narrow=True)
+            lines.append(json.dumps([
+                D, wide.order, wide.narrow_order, list(wide.cyclic_factors),
+                list(narrow.cyclic_factors), [list(I.hnf) for I in narrow.representatives],
+                sorted(list(I.hnf) for I in wide.representatives)]))
+    assert len(lines) == 607
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CLASS_GROUP_DIGEST
+
+
 # --- census cross-check -------------------------------------------------------
 
 
@@ -611,13 +653,22 @@ def _product_table(orders, seed):
             for a in elems]
 
 
+def _table_order(table, g):
+    """The order of g in the group of the table, identity at 0."""
+    k, x = 1, g
+    while x != 0:
+        x = table[x][g]
+        k += 1
+    return k
+
+
 @pytest.mark.parametrize("orders, factors", [
     ((4, 2), [4, 2]), ((2, 2, 2), [2, 2, 2]), ((12,), [12]), ((3, 9), [9, 3]),
     ((4, 6), [12, 2]), ((1,), []),
 ])
 def test_abelian_invariants_by_p_power_counts(orders, factors):
     table = _product_table(orders, seed=sum(orders))
-    assert nf._abelian_invariants(table) == factors
+    assert nf._abelian_invariants([_table_order(table, g) for g in range(len(table))]) == factors
     assert abelian_invariants_by_quotients(table) == factors
 
 
@@ -627,7 +678,7 @@ def test_principal_form_keys_the_ring_of_integers():
         if is_squarefree(D):
             F = make_field(D)
             for narrow in (False, True):
-                assert nf._class_key(F.unit_ideal(), narrow) == quadforms.principal_form(F.disc)
+                assert _class_key(F.unit_ideal(), narrow) == quadforms.principal_form(F.disc)
 
 
 # --- quotients / canonical associates ----------------------------------------
@@ -821,7 +872,7 @@ P7 = nf.factor_rational_prime(F, 7).primes[0]  # inert, so narrow principal
 P41 = F.ideal(F.element(9, 2))  # 9 + 2w has norm 41, and 41 splits
 cases = [
     # a step that stays on the reduced forms of disc 40 but never returns to P's form
-    ("rho", lambda f, Delta: (-1, 6, 1), lambda: nf.is_principal(P)),
+    ("rho", lambda f, Delta: (-1, 6, 1), lambda: nf._rho_walk(P)),
     ("_sqrt_mod_prime", lambda n, p: None, lambda: nf.factor_rational_prime(F, 13)),
     ("principal_totally_positive_generator", lambda I: -I.field.one(),
      lambda: nf.narrow_square_witness(P7)),
