@@ -25,7 +25,7 @@ from .errors import (
     InvariantViolation,
     ModulusZero,
 )
-from .numberfield import Field, _splitting_codes, is_rational_prime, rational_primes_upto
+from .numberfield import Field, _splitting_type, is_rational_prime, rational_primes_upto
 
 SIEVE_CAP = 10**8  # largest cutoff X whose primes euler_product_tail sieves
 
@@ -168,6 +168,29 @@ def _tail_log_bound(exponent: float, X: int, per_norm_multiplicity: int) -> floa
     top = X**exponent  # largest possible factor argument
     s_int = X ** (exponent + 1.0) / (-exponent - 1.0) + top
     return per_norm_multiplicity * s_int / (1.0 - top)
+
+
+_SPLITTING_TAGS = ("split", "ramified", "inert")  # the order of _splitting_codes
+
+
+def _splitting_codes(field: Field, primes: np.ndarray) -> np.ndarray:
+    """Index into _SPLITTING_TAGS of each prime's tag, one _splitting_type per class mod |disc|.
+
+    A prime's tag is the Kronecker symbol (disc / p), a character mod |disc|,
+    so the least prime of a class stands for all of them.  A ramified p
+    divides disc and is alone in its class.  The class table is never longer
+    than `primes`: when |disc| is larger, only the classes that occur get a
+    row, so the cost does not grow with the discriminant.
+    """
+    n = len(primes)
+    classes = primes % abs(field.disc)
+    if abs(field.disc) > n:
+        _, classes = np.unique(classes, return_inverse=True)  # renumbered 0, 1, ...
+    first = np.full(int(classes.max(initial=-1)) + 1, n)
+    np.minimum.at(first, classes, np.arange(n))  # least prime of each class; n if none
+    table = [_SPLITTING_TAGS.index(_splitting_type(field, int(primes[i]))) if i < n else 0
+             for i in first.tolist()]
+    return np.array(table, dtype=np.int8)[classes]
 
 
 @lru_cache(maxsize=4, typed=True)  # typed: X = 100.0 must not reuse X = 100

@@ -6,6 +6,9 @@ configuration, so identical invocations produce identical bytes.  CSV and
 plot-data output are projections of the same report.  Exit codes: 0 on
 success, 1 on a domain error (stable machine-readable code), 2 on usage
 errors.
+
+Each command imports the library modules it calls when it runs, so `field`,
+`ideal` and `hecke cosets|descent|delta` start without numpy.
 """
 
 from __future__ import annotations
@@ -17,13 +20,17 @@ import io
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import EnumerationTooLarge, HeckedistError, InvalidParameter, UnsupportedFormat
-from . import bounds as bounds_mod
-from . import datasource, equidist, heckealg, kloosterman, measures
+from . import datasource
 from .datasource import canonical_json
-from . import numberfield as nf
+
+if TYPE_CHECKING:
+    from . import bounds as bounds_mod
+    from . import measures
+    from . import numberfield as nf
 
 CONFIG_ENV_DEFAULTS = {
     "cache_dir": "",
@@ -65,6 +72,8 @@ def parse_interval(text: str) -> tuple[float, float]:
 
 
 def parse_field(dspec: str) -> nf.Field:
+    from . import numberfield as nf
+
     if dspec in ("rational", "q", "Q", "1"):
         return nf.make_field("rational")
     try:
@@ -135,6 +144,8 @@ def emit_report(report, fmt: str) -> bytes:
 
 
 def cmd_field(args) -> dict:
+    from . import numberfield as nf
+
     f = parse_field(args.D)
     out = {"degree": f.degree, "discriminant": f.disc}
     if f.degree == 2:
@@ -158,6 +169,8 @@ def cmd_field(args) -> dict:
 
 
 def cmd_ideal(args) -> dict:
+    from . import numberfield as nf
+
     f = parse_field(args.D)
     if args.op == "factor":
         fac = nf.factor_rational_prime(f, args.p)
@@ -182,6 +195,9 @@ def cmd_ideal(args) -> dict:
 
 
 def cmd_kloosterman(args) -> dict:
+    from . import kloosterman
+    from . import numberfield as nf
+
     if args.mode == "sweep":
         f = parse_field(args.D)
         rows = kloosterman.quadratic_weil_sweep(f, args.bound, args.m, args.n, eps=args.eps)
@@ -218,6 +234,8 @@ def cmd_kloosterman(args) -> dict:
 
 
 def _measure_spec(args) -> measures.MeasureSpec:
+    from . import measures
+
     tag = args.tag
     if tag in ("sato-tate", "sato_tate", "st"):
         return measures.MeasureSpec.sato_tate()
@@ -237,6 +255,8 @@ def _measure_spec(args) -> measures.MeasureSpec:
 
 
 def cmd_measure(args) -> dict:
+    from . import measures
+
     spec = _measure_spec(args)
     out = {"tag": spec.tag}
     if args.interval:
@@ -251,12 +271,17 @@ def cmd_measure(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
+    from . import measures
+
     spec = _measure_spec(args)
     xs = measures.sample(spec, args.n, args.seed)
     return {"samples": [float(x) for x in xs], "n": args.n}
 
 
 def cmd_hecke(args) -> dict:
+    from . import heckealg
+    from . import numberfield as nf
+
     if args.action == "power":
         lam = parse_number(args.lam)
         val = heckealg.hecke_power_eigenvalue(lam, args.ell)
@@ -304,6 +329,8 @@ def cmd_hecke(args) -> dict:
 
 
 def _bound_params(args) -> bounds_mod.BoundParams:
+    from . import bounds as bounds_mod
+
     places = []
     for part in args.places.split(","):
         bits = part.split(":")
@@ -318,6 +345,8 @@ def _bound_params(args) -> bounds_mod.BoundParams:
 
 
 def cmd_bound(args) -> dict:
+    from . import bounds as bounds_mod
+
     params = _bound_params(args)
     out = {
         "tau": params.tau,
@@ -386,6 +415,9 @@ def cmd_fetch(args) -> dict:
 
 
 def cmd_test_dist(args) -> dict:
+    from . import equidist
+    from . import numberfield as nf
+
     # before any dataset is built or fetched
     lo, hi = equidist._check_interval(parse_interval(args.interval))
     if args.synthetic:
@@ -578,6 +610,9 @@ def run_command(argv: list[str]) -> tuple[int, bytes]:
         out = emit_report(report, args.format)
     except HeckedistError as exc:
         return _error(exc)
+    except ValueError as exc:
+        # a float result that overflowed to inf (or NaN): strict JSON has no spelling for it
+        return _error(InvalidParameter(f"parameter out of float range: {exc}"))
     return (0, out)
 
 

@@ -28,8 +28,6 @@ from .errors import (
     RamanujanViolation,
     SchemaError,
 )
-from .equidist import DataPoint, Dataset
-from .measures import RAMANUJAN_SLACK, MeasureSpec
 
 CACHE_ENV_VAR = "HECKEDIST_CACHE_DIR"
 OFFLINE_ENV_VAR = "HECKEDIST_OFFLINE"
@@ -71,6 +69,8 @@ class EigenvalueRecord:
 
 def normalize(record: EigenvalueRecord, prime_key: str) -> float:
     """lambda_p = a_p / N(p)^((k-1)/2), Deligne-checked."""
+    from .measures import RAMANUJAN_SLACK  # here: every CLI command imports datasource
+
     key = str(prime_key)
     if key not in record.eigenvalues:
         raise MissingEigenvalue(f"{record.label} has no eigenvalue at {key}")
@@ -153,6 +153,8 @@ def _parse_record(obj: dict, label) -> list[EigenvalueRecord]:
                 value = float(raw[0]) * one + float(raw[1]) * wemb
             else:
                 raise SchemaError(f"record {label}: bad eigenvalue at {key}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SchemaError(f"record {label}: eigenvalue {value} at {key} is not finite")
             eigs[str(key)] = (value, norm)
         out.append(
             EigenvalueRecord(
@@ -172,8 +174,11 @@ def _parse_record(obj: dict, label) -> list[EigenvalueRecord]:
 
 
 def canonical_json(obj) -> str:
-    """Sorted keys, no whitespace: the bytes of cache files, cache keys and CLI output."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted keys, no whitespace: the bytes of cache files, cache keys and CLI output.
+
+    Strict JSON: a NaN or infinite float raises ValueError.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _read_jsonl(path: str) -> list[dict]:
@@ -358,9 +363,11 @@ class DataClient:
     # --- main entry ----------------------------------------------------------
 
     def fetch_records(self, query: Query, mode: str = "fixture") -> list[EigenvalueRecord]:
-        """Fetch, cache and parse; idempotent, sorted by label."""
+        """Fetch, parse and cache; idempotent, sorted by label.  Network rows are
+        cached only once they all parse, so the cache never holds a bad row."""
         if mode not in ("network", "cache_only", "fixture"):
             raise InvalidParameter(f"unknown mode {mode!r}")
+        fetched = False
         if mode == "fixture":
             rows = self._fixture_rows(query)
         else:
@@ -368,11 +375,12 @@ class DataClient:
             if rows is None:
                 if mode == "cache_only":
                     raise CacheMiss(f"no cache entry for {query.canonical()}")
-                rows = self._network_rows(query)
-                self.cache_store(query, rows)
+                rows, fetched = self._network_rows(query), True
         records: list[EigenvalueRecord] = []
         for obj in rows:
             records.extend(parse_record_json(obj))
+        if fetched:
+            self.cache_store(query, rows)
         records.sort(key=lambda r: r.label)
         return records
 
@@ -388,6 +396,9 @@ def to_dataset(
     weights: str = "unit",
 ) -> Dataset:
     """Dataset of normalized eigenvalues at one prime, ordered by label."""
+    from .equidist import DataPoint, Dataset
+    from .measures import MeasureSpec
+
     pts = []
     for rec in sorted(records, key=lambda r: r.label):
         lam = normalize(rec, prime_key)

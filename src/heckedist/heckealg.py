@@ -25,7 +25,6 @@ from .errors import (
     RamanujanViolation,
     ZeroArgument,
 )
-from .measures import RAMANUJAN_SLACK, chebyshev_eval
 from .numberfield import (
     FieldElement,
     FractionalIdeal,
@@ -44,6 +43,8 @@ COSET_CAP = 10**6  # most coset representatives coset_reps enumerates
 
 def hecke_power_eigenvalue(lam_p: Union[float, Fraction], ell: int):
     """Normalized eigenvalue at the ell-th prime power: X_ell(lam_p)."""
+    from .measures import RAMANUJAN_SLACK, chebyshev_eval  # cosets and descent need no numpy
+
     if abs(float(lam_p)) > 2.0 + RAMANUJAN_SLACK:
         raise RamanujanViolation(f"|lambda| = {abs(float(lam_p))} exceeds 2")
     return chebyshev_eval(ell, lam_p)
@@ -202,6 +203,8 @@ def verify_coefficient_relation(lam_p: Union[int, Fraction], p: int, ell: int,
     c(prod q^(m_q)) = prod X_(m_q)(lam_q), with lam_q = lam_p at q = p and
     lam_other (default: lam_p as well) at the other primes.
     """
+    from .measures import chebyshev_eval
+
     if not is_rational_prime(p):
         raise NotPrime(f"{p} is not prime")
     if r == 0:

@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-import numpy as np
-
 from .errors import (
     DegreeUnsupported,
     InvalidParameter,
@@ -76,6 +74,8 @@ def is_rational_prime(p: int) -> bool:
 def rational_primes_upto(bound: int) -> list[int]:
     if bound < 2:
         return []
+    import numpy as np  # here, so that importing numberfield loads no numpy
+
     sieve = np.ones(bound + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
@@ -743,29 +743,6 @@ def _splitting_type(field: Field, p: int) -> str:
     return "split" if pow(field.disc, (p - 1) // 2, p) == 1 else "inert"
 
 
-_SPLITTING_TAGS = ("split", "ramified", "inert")  # the order of _splitting_codes
-
-
-def _splitting_codes(field: Field, primes: np.ndarray) -> np.ndarray:
-    """Index into _SPLITTING_TAGS of each prime's tag, one _splitting_type per class mod |disc|.
-
-    A prime's tag is the Kronecker symbol (disc / p), a character mod |disc|,
-    so the least prime of a class stands for all of them.  A ramified p
-    divides disc and is alone in its class.  The class table is never longer
-    than `primes`: when |disc| is larger, only the classes that occur get a
-    row, so the cost does not grow with the discriminant.
-    """
-    n = len(primes)
-    classes = primes % abs(field.disc)
-    if abs(field.disc) > n:
-        _, classes = np.unique(classes, return_inverse=True)  # renumbered 0, 1, ...
-    first = np.full(int(classes.max(initial=-1)) + 1, n)
-    np.minimum.at(first, classes, np.arange(n))  # least prime of each class; n if none
-    table = [_SPLITTING_TAGS.index(_splitting_type(field, int(primes[i]))) if i < n else 0
-             for i in first.tolist()]
-    return np.array(table, dtype=np.int8)[classes]
-
-
 def factor_rational_prime(field: Field, p: int) -> PrimeFactorization:
     """Factor (p) into prime ideals via roots of x^2 - t x + n mod p."""
     if not is_rational_prime(p):
@@ -824,7 +801,7 @@ def is_prime_ideal(I: FractionalIdeal) -> bool:
 def prime_ideals_of_norm_upto(field: Field, bound: int) -> list[FractionalIdeal]:
     """All prime ideals with norm <= bound, ascending by norm."""
     out = []
-    for p in rational_primes_upto(bound):
+    for p in filter(is_rational_prime, range(2, bound + 1)):
         fac = _factor_prime(field, p)
         for P in fac.primes:
             if P.norm() <= bound:
@@ -910,13 +887,15 @@ def ideal_valuation(arg, P: FractionalIdeal) -> int:
 # Different
 
 
-@lru_cache(maxsize=None)
 def different_ideal(field: Field) -> FractionalIdeal:
     """The different; its trace-dual inverse satisfies S(x*O) in Z (cached per field)."""
-    if field.degree == 1:
-        return field.unit_ideal()
-    t = field.omega_trace
-    return field.ideal(field.element(-t, 2))  # f'(w) = 2w - t
+    if "different" not in field._cache:
+        if field.degree == 1:
+            field._cache["different"] = field.unit_ideal()
+        else:
+            t = field.omega_trace
+            field._cache["different"] = field.ideal(field.element(-t, 2))  # f'(w) = 2w - t
+    return field._cache["different"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import heckedist
-from heckedist import bounds, cli, datasource
+from heckedist import bounds, cli, datasource, equidist
 from heckedist.cli import emit_report, run_command
 from heckedist.errors import UnsupportedFormat
 
@@ -321,8 +321,8 @@ def test_test_dist_reads_the_interval_before_building_a_dataset(monkeypatch):
     def no_dataset(*args, **kw):
         raise AssertionError("a dataset was built or fetched for a malformed interval")
 
-    monkeypatch.setattr(cli.equidist, "synthesize_dataset", no_dataset)
-    monkeypatch.setattr(cli.datasource.DataClient, "fetch_records", no_dataset)
+    monkeypatch.setattr(equidist, "synthesize_dataset", no_dataset)
+    monkeypatch.setattr(datasource.DataClient, "fetch_records", no_dataset)
     for argv in (["test-dist", "--synthetic", "-n", "3000000", "--interval", "1"],
                  ["test-dist", "--degree", "1", "--mode", "fixture", "--interval", "1"]):
         code, out = run_command(argv)
@@ -341,11 +341,12 @@ def test_test_dist_reads_the_interval_before_building_a_dataset(monkeypatch):
                 "code": "InvalidParameter", "message": message}
 
 
-def _strict_json(out):
-    def no_constant(name):
-        raise AssertionError(f"{name} is not JSON")
+def _no_json_constant(name):
+    raise AssertionError(f"{name} is not JSON")
 
-    return json.loads(out.decode(), parse_constant=no_constant)
+
+def _strict_json(out):
+    return json.loads(out.decode(), parse_constant=_no_json_constant)
 
 
 def test_test_dist_prints_null_for_undefined_z_and_ratio():
@@ -493,6 +494,31 @@ def test_cli_import_loads_no_numpy_fft():
     assert proc.stdout.strip() == "[]"
 
 
+_ARRAY_MODULES = ["heckedist.numberfield", "heckedist.kloosterman", "heckedist.bounds",
+                  "heckedist.heckealg", "heckedist.equidist"]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["field", "--D", "26"], ["numpy"]),
+    (["ideal", "--D", "29", "--op", "factor", "--p", "5"], ["numpy"]),
+    (["hecke", "descent", "--D", "5", "--p", "11", "--ell", "2"], ["numpy"]),
+    (["measure", "phi", "--ord", "2", "--interval=-1,1"], _ARRAY_MODULES),
+    (["sample", "sato-tate", "-n", "5"], _ARRAY_MODULES),
+    (["kloosterman", "classical", "--c", "7"], ["heckedist.measures", "heckedist.equidist"]),
+    (["kloosterman", "sweep", "--D", "5", "--c-max", "20"],
+     ["heckedist.measures", "heckedist.equidist"]),
+], ids=["field", "ideal-factor", "hecke-descent", "measure", "sample", "kloosterman-classical",
+        "kloosterman-sweep"])
+def test_each_command_imports_only_what_it_runs(argv, absent):
+    code = ("import json, sys; from heckedist.cli import run_command; "
+            f"code, _ = run_command({argv!r}); print(json.dumps([code, sorted(sys.modules)]))")
+    proc = _run_python("-c", code, text=True)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, loaded = json.loads(proc.stdout)
+    assert exit_code == 0
+    assert sorted(set(absent) & set(loaded)) == []
+
+
 @pytest.mark.parametrize("argv, code", [
     (["measure", "v1", "--xi", "0", "--interval=-1e308,1e308"], 0),
     (["measure", "tilde-pl", "--xi", "0", "--interval=-1e9,1e9"], 0),
@@ -507,6 +533,13 @@ def test_wide_measure_intervals_finish(argv, code):
         assert rep["mass"] == 1e18
     if code == 1:
         assert rep["error"]["code"] == "EnumerationTooLarge"
+
+
+def test_measure_mass_past_float_range_is_an_error_not_infinity():
+    # the atom sum of tilde_pl over this interval is past float range
+    code, out = run_command(["measure", "tilde-pl", "--xi", "0", "--interval=-1e200,1e200"])
+    assert code == 1
+    assert _strict_json(out)["error"]["code"] == "InvalidParameter"
 
 
 def test_empty_tilde_interval_mass_prints_as_a_float():
@@ -574,7 +607,7 @@ _PREFIXES = [[], ["--format", "csv"], ["--format", "plot-data"], ["--format", "x
 
 def _output_parses(fmt: str, text: str) -> bool:
     if fmt == "json":
-        return isinstance(json.loads(text), dict)
+        return isinstance(json.loads(text, parse_constant=_no_json_constant), dict)
     lines = text.rstrip("\n").split("\n")
     if fmt == "csv" or lines[0] == "x,empirical_cdf,target_cdf":
         return all(line.count(",") == lines[0].count(",") for line in lines)

@@ -285,6 +285,33 @@ def test_network_schema_error(tmp_path, monkeypatch):
         client.fetch_records(Query(level_min=3, level_max=3), mode="network")
 
 
+def test_non_finite_eigenvalue_is_a_schema_error_and_is_not_cached(tmp_path, monkeypatch):
+    good = {"label": "x", "degree": 1, "field": "rational", "weight": 2, "level_norm": 11,
+            "ap": {"2": -2}}
+    for bad in (dict(good, ap={"2": math.nan}), dict(good, ap={"2": -math.inf}),
+                dict(good, ap={"2": {"ap": math.inf, "norm": 2}}),
+                # finite coordinates whose embedding overflows
+                dict(good, hecke_field=5, ap={"2": {"coeffs": [1e308, 1e308], "norm": 2}})):
+        with pytest.raises(SchemaError, match="not finite"):
+            parse_record_json(bad)
+    # the same value from the network fails before the cache write
+    monkeypatch.delenv("HECKEDIST_OFFLINE", raising=False)
+    row = {"label": "7.4.a.a", "weight": 4, "level": 7, "traces": {"2": math.nan}}
+    client = DataClient(cache_dir=str(tmp_path), transport=lambda u, p: {"data": [row]})
+    q = Query(level_min=7, level_max=7, weight_min=4, weight_max=4)
+    with pytest.raises(SchemaError):
+        client.fetch_records(q, mode="network")
+    with pytest.raises(CacheMiss):
+        client.fetch_records(q, mode="cache_only")
+
+
+def test_canonical_json_refuses_non_finite_floats():
+    assert datasource.canonical_json({"b": 1.5, "a": [0.0]}) == '{"a":[0.0],"b":1.5}'
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            datasource.canonical_json({"mass": bad})
+
+
 def test_http_retries_then_gives_up(monkeypatch):
     import requests
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckedist import numberfield as nf, quadforms
+from heckedist import bounds, numberfield as nf, quadforms
 from heckedist.errors import (
     DegreeUnsupported,
     InvalidParameter,
@@ -397,7 +397,7 @@ def test_splitting_by_residue_class_matches_the_kronecker_symbol():
     tag = {1: "split", 0: "ramified", -1: "inert"}
 
     def tags(F):
-        return [nf._SPLITTING_TAGS[k] for k in nf._splitting_codes(F, arr).tolist()]
+        return [bounds._SPLITTING_TAGS[k] for k in bounds._splitting_codes(F, arr).tolist()]
 
     for D in range(2, 200):
         if is_squarefree(D):
@@ -429,6 +429,20 @@ def test_different_examples():
     d2 = different_ideal(F2)
     assert d2.norm() == 8
     assert d2 == ideal_from_elements(F2, [F2.element(0, 2)])  # (2 sqrt 2)
+
+
+def test_different_is_memoised_per_field_and_is_2w_minus_t():
+    assert different_ideal(Q) is different_ideal(Q)
+    for D in range(2, 120):
+        if not is_squarefree(D):
+            continue
+        F = make_field(D)
+        d = different_ideal(F)
+        assert different_ideal(F) is d, D
+        # 2w - t is sqrt(D) when w = (1 + sqrt(D))/2, and 2 sqrt(D) when w = sqrt(D)
+        root = F.sqrt_D() * (1 if D % 4 == 1 else 2)
+        assert d == ideal_from_elements(F, [root]), D
+        assert d.norm() == F.disc, D
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3, F5, F10])
