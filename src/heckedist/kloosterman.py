@@ -7,32 +7,32 @@ x*x^(-1) = 1 mod (c)*c_frak, and e(y) = exp(2 pi i y).  Over Q with the
 trivial twist this is the classical sum S(r, r'; c).
 
 Residues are integer coordinates over the Z-bases of the two modules, held
-in numpy int64 arrays and made canonical by numberfield.QuotientModule.
+as tuples of Python ints and made canonical by numberfield.QuotientModule.
 The modulus picks one of two paths.  When O/modulus and both modules are
 cyclic of order N = N(modulus), generated by their first basis elements e_1
 and f_1 (always over Q; over O for every modulus of prime norm), the units
-are i*e_1 for the units i of Z/N, from the one Z/N enumeration that
-classical_weil_table shares at prime powers, and their inverses are j*f_1
-with j = i^(-1) * g^(-1) mod N, g = e_1*f_1 mod modulus; i*i^(-1) = 1 mod N is
+are i*e_1 for the units i of Z/N, and their inverses are j*f_1 with
+j = i^(-1) * g^(-1) mod N, g = e_1*f_1 mod modulus; i*i^(-1) = 1 mod N is
 checked for every pair and gcd(g, N) = 1 once.  Otherwise the units are the
-residues outside P*L for every prime P dividing the modulus, inverses come
-from one inverse found by an exact scan and numberfield's square-and-multiply
-in O/modulus, and x*x^(-1) = 1 in O/modulus is checked for every pair.
-Every check raises InvariantViolation, also under python -O.  The exponent is
-linear in the coordinates, so each term's phase is an integer numerator
-modulo one common denominator, reduced exactly before any exponential is
-taken; the terms are then accumulated in unit order with Kahan
-compensation.  An int64 product that could overflow raises
-EnumerationTooLarge instead of wrapping.
+residues outside P*L for every prime P dividing the modulus, struck out one
+arithmetic progression at a time.  An exact scan finds the first f in
+L^(-1) with x0*f a unit of O/modulus, x0 the first unit; then every
+x^(-1) = f * (x*f)^(-1), and x*x^(-1) = 1 in O/modulus is checked for every
+pair.  Both paths invert in batch: the prefix products of the units are
+inverted from one power u^(phi-1), three products per unit.  Every check
+raises InvariantViolation, also under python -O.  The exponent is linear in
+the coordinates, so each term's phase is an integer numerator modulo one
+common denominator, reduced exactly before any exponential is taken; the
+terms are then accumulated in unit order with Kahan compensation.
 
 Q is the degree-1 case of one path: ks_twisted and weil_check share one sum
 core, and both Weil sweeps are one loop over elements_of_norm that builds
 the twists' gcd ideals once.  Only the vectorised classical_weil_table has
-its own sum: one inverse DFT per prime power q <= c_max gives S(m, j; q)
-for every j mod q, and every other modulus is a product of those rows by
-twisted multiplicativity, S(m, n; c1*c2) = S(m, n*c2b^2; c1) *
-S(m, n*c1b^2; c2) for coprime c1, c2 with c1*c1b = 1 mod c2 and
-c2*c2b = 1 mod c1.
+its own sum, and only it imports numpy: one inverse DFT per prime power
+q <= c_max gives S(m, j; q) for every j mod q, and every other modulus is a
+product of those rows by twisted multiplicativity, S(m, n; c1*c2) =
+S(m, n*c2b^2; c1) * S(m, n*c1b^2; c2) for coprime c1, c2 with c1*c1b = 1
+mod c2 and c2*c2b = 1 mod c1.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     EnumerationTooLarge,
@@ -87,10 +85,10 @@ class ResidueUnitGroup:
     """Generators x of L = a*c_frak^(-1) modulo a*(c), with verified inverses.
 
     Row k of `units` holds the coordinates (i, j) of x over the Z-basis of
-    L, canonical for `quotient`; row k of `inverses` holds those of x^(-1)
-    over the Z-basis of L^(-1) = a^(-1)*c_frak, reduced for
-    `inverse_quotient`.  When both quotients are cyclic (always over Q) the
-    second coordinate is 0.
+    L, canonical for `quotient` and in ascending order; row k of `inverses`
+    holds those of x^(-1) over the Z-basis of L^(-1) = a^(-1)*c_frak, reduced
+    for `inverse_quotient`.  When both quotients are cyclic (always over Q)
+    the second coordinate is 0.
     """
 
     field: Field
@@ -98,8 +96,8 @@ class ResidueUnitGroup:
     c: FieldElement
     c_ideal: FractionalIdeal
     modulus: FractionalIdeal  # (c) * c_frak
-    units: np.ndarray  # (phi, 2) int64
-    inverses: np.ndarray  # (phi, 2) int64
+    units: tuple[tuple[int, int], ...]
+    inverses: tuple[tuple[int, int], ...]
     quotient: QuotientModule
     inverse_quotient: QuotientModule
 
@@ -109,7 +107,7 @@ class ResidueUnitGroup:
     def elements(self) -> list[tuple[FieldElement, FieldElement]]:
         """The pairs (x, x^(-1)) as field elements."""
         return [(self.quotient.element(*x), self.inverse_quotient.element(*y))
-                for x, y in zip(self.units.tolist(), self.inverses.tolist())]
+                for x, y in zip(self.units, self.inverses)]
 
 
 def _distinct_prime_divisors(field: Field, I: FractionalIdeal) -> list[FractionalIdeal]:
@@ -121,46 +119,48 @@ def _distinct_prime_divisors(field: Field, I: FractionalIdeal) -> list[Fractiona
     return out
 
 
-def _combine(elems, coeffs, mod: QuotientModule):
-    """sum of coeffs[n] * elems[n] for O-elements elems[n] = (u, v), reduced in O/modulus."""
-    return mod.reduce((coeffs[0] * elems[0][0] + coeffs[1] * elems[1][0],
-                       coeffs[0] * elems[0][1] + coeffs[1] * elems[1][1]))
-
-
-def _check_int64(bound: int):
-    if bound > _INT64_LIMIT:
-        raise EnumerationTooLarge(f"integer coordinates up to {bound} would overflow int64")
-
-
 def _pow_mod(field: Field, base, e: int, mod: QuotientModule):
     """base**e in O/modulus by square-and-multiply, reducing after every product."""
-    return _power(base, e, lambda p, q: mod.reduce(_mul_coords(field, p, q)),
-                  (np.full_like(base[0], 1 % mod.shape[0]), np.zeros_like(base[1])))
+    return _power(base, e, lambda p, q: mod.reduce(_mul_coords(field, p, q)), mod.reduce((1, 0)))
 
 
-def _units_mod(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units x of Z/N in increasing order and their inverses x^(phi(N)-1) mod N.
+def _batch_inverse(units: list, mul, inverse) -> list:
+    """The inverses of `units` under the product `mul`, from one call of `inverse`.
+
+    With the prefix products P_k = u_0 ... u_k, the P_k^(-1) follow from
+    P_(k-1)^(-1) = P_k^(-1) * u_k back to front, and u_k^(-1) = P_k^(-1) *
+    P_(k-1): three products per unit.  A list passed as a temporary is
+    freed before the inverses are built.
+    """
+    prefix = list(itertools.accumulate(units, mul))
+    inv = list(itertools.accumulate(units[:0:-1], mul, initial=inverse(prefix[-1])))
+    del units
+    inv.reverse()  # inv[k] = P_k^(-1)
+    return [inv[0], *map(mul, inv[1:], prefix)]
+
+
+def _zn_units(N: int) -> tuple[list[int], list[int]]:
+    """The units x of Z/N in increasing order and their inverses mod N.
 
     Z/1 has the one unit 0, its own inverse.  Every pair is checked against
     x * x^(-1) = 1 mod N.
     """
-    _check_int64(N * N)  # bounds every product below
-    keep = np.ones(N, dtype=bool)
+    keep = bytearray(b"\x01") * N
     for p in _rational_factorization(N):
-        keep[::p] = False
-    x = np.flatnonzero(keep).astype(np.int64)
-    y = _power(x, len(x) - 1, lambda p, q: p * q % N, np.full_like(x, 1 % N))
-    if not np.all(x * y % N == 1 % N):
+        keep[::p] = bytes(len(range(0, N, p)))
+    x = list(itertools.compress(range(N), keep))
+    y = _batch_inverse(x, lambda a, b: a * b % N, lambda a: pow(a, len(x) - 1, N))
+    one = 1 % N
+    if any(a * b % N != one for a, b in zip(x, y)):
         raise InvariantViolation("inverse congruence x * x^(-1) = 1 failed")
     return x, y
 
 
-def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule,
-                 mod: QuotientModule) -> tuple[np.ndarray, np.ndarray]:
+def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, mod: QuotientModule):
     """Units of quo = L/L*modulus and their inverses in quo_inv = L^(-1)/L^(-1)*modulus.
 
-    mod is O/modulus.  Returns two (phi, 2) int64 arrays of coordinates over
-    the Z-bases of L and L^(-1).
+    mod is O/modulus.  Returns two tuples of phi rows (i, j): coordinates
+    over the Z-bases of L and L^(-1).
     """
     field, L, Linv = quo.field, quo.L, quo_inv.L
     den = L.den * Linv.den
@@ -180,47 +180,76 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule,
         g = product(L.int_rows()[0], Linv.int_rows()[0])[0]
         if math.gcd(g, N) != 1:
             raise InvariantViolation("e_1 * f_1 is not a unit modulo the modulus")
-        x, y = _units_mod(N)
+        x, y = _zn_units(N)
         if g != 1:  # g = 1 over Q
-            y = y * pow(g, -1, N) % N
-        zero = np.zeros_like(x)
-        return np.stack((x, zero), axis=1), np.stack((y, zero), axis=1)
-    # every intermediate below is at most this many times N(modulus)^2
-    _check_int64((abs(field.omega_norm) + abs(field.omega_trace) + 4) * quo.index**2)
+            g_inv = pow(g, -1, N)
+            y = [v * g_inv % N for v in y]
+        return tuple(zip(x, itertools.repeat(0))), tuple(zip(y, itertools.repeat(0)))
+    # products and reductions in O/modulus = Z^2 / (Z*(a, 0) + Z*(b, c)) run
+    # several times per unit, so they are written out here: mul is
+    # _mul_coords, and (u, v) reduces to ((u - (v // c)*b) % a, v % c) as in
+    # QuotientModule.reduce
+    a, b, c = mod.sub_hnf
+    tr, nm = field.omega_trace, field.omega_norm
     one = mod.reduce((1, 0))
 
+    def mul(p, q):
+        (x1, y1), (x2, y2) = p, q
+        yy = y1 * y2
+        v = x1 * y2 + y1 * x2 + tr * yy
+        return (x1 * x2 - nm * yy - v // c * b) % a, v % c
+
+    # x*y = i*k*(e_1 f_1) + j*k*(e_2 f_1) + i*l*(e_1 f_2) + j*l*(e_2 f_2) in
+    # O/modulus for x = (i, j) in L and y = (k, l) in L^(-1)
+    (u11, v11), (u21, v21), (u12, v12), (u22, v22) = (
+        product(e, f) for f in Linv.int_rows() for e in L.int_rows())
+
+    def times(x, y):
+        (i, j), (k, l) = x, y
+        ik, jk, il, jl = i * k, j * k, i * l, j * l
+        v = ik * v11 + jk * v21 + il * v12 + jl * v22
+        return (ik * u11 + jk * u21 + il * u12 + jl * u22 - v // c * b) % a, v % c
+
     # x generates L/L*modulus iff (x) L^(-1) is coprime to the modulus, i.e.
-    # x avoids P*L for every prime P dividing the modulus
+    # x avoids P*L for every prime P dividing the modulus.  Residue (i, j)
+    # has index i*c1 + j, and in column j the residues of P*L are those with
+    # i = (j/pc)*pb mod pa, for P*L = Z*(pa, 0) + Z*(pb, pc) in the coordinates of L
     a1, c1 = quo.shape
-    i, j = np.divmod(np.arange(a1 * c1, dtype=np.int64), c1)
-    keep = np.ones(len(i), dtype=bool)
+    keep = bytearray(b"\x01") * quo.index
     for P in _distinct_prime_divisors(field, mod.Lsub):
-        keep &= ~QuotientModule(L, P * L).contains((i, j))
-    x = (i[keep], j[keep])
-    phi = len(x[0])
+        pa, pb, pc = QuotientModule(L, P * L).sub_hnf
+        for j in range(0, c1, pc):
+            start = (j // pc * pb % pa) * c1 + j
+            keep[start::pa * c1] = bytes(len(range(start, quo.index, pa * c1)))
+    x = list(map(divmod, itertools.compress(range(quo.index), keep), itertools.repeat(c1)))
 
-    prod = [[product(e, f) for e in L.int_rows()] for f in Linv.int_rows()]
-    # x * f_n for every unit x; then x * y = sum over n of y_n * (x * f_n)
-    xf = [_combine(p, x, mod) for p in prod]
+    # f: the first residue of L^(-1)/L^(-1)*modulus with x0*f a unit u of
+    # O/modulus, i.e. u * u^(phi-1) = 1.  The inverse of x0 is such an f, so
+    # the scan fails only when x0 has no inverse
+    phi = len(x)
 
-    # one inverse y0 of x0 by an exact scan of L^(-1)/L^(-1)*modulus
+    def is_unit(u):
+        return mul(u, _pow_mod(field, u, phi - 1, mod)) == one
+
     b1, d1 = quo_inv.shape
-    k, l = np.divmod(np.arange(b1 * d1, dtype=np.int64), d1)
-    scan = _combine([(u[:1], v[:1]) for u, v in xf], (k, l), mod)
-    hit = np.flatnonzero((scan[0] == one[0]) & (scan[1] == one[1]))
-    if len(hit) == 0:
+    f = next((f for f in itertools.product(range(b1), range(d1)) if is_unit(times(x[0], f))), None)
+    if f is None:
         raise InvariantViolation("no inverse of the first unit residue")
-    y0 = (int(k[hit[0]]), int(l[hit[0]]))
 
-    # x^(-1) = y0 * u^(phi-1) with u = x*y0 a unit of O/modulus, u^phi = 1
-    s, t = _pow_mod(field, _combine(xf, y0, mod), phi - 1, mod)
-    yw = quo_inv.reduce(Linv.element_coords(quo_inv.element(*y0) * field.omega()))
-    y = quo_inv.reduce((s * y0[0] + t * yw[0], s * y0[1] + t * yw[1]))
-
-    check = _combine(xf, y, mod)
-    if not (np.all(check[0] == one[0]) and np.all(check[1] == one[1])):
+    # x^(-1) = f * u^(-1) with u = x*f, a unit of O/modulus for every unit x;
+    # u and f*(s + t*w) are linear in the coordinates (i, j) of x and (s, t),
+    # and the u^(-1) come from one power by _batch_inverse
+    (p1, q1), (p2, q2) = times((1, 0), f), times((0, 1), f)  # e_1*f, e_2*f
+    u_inv = _batch_inverse(
+        [((i * p1 + j * p2 - (v := i * q1 + j * q2) // c * b) % a, v % c) for i, j in x],
+        mul, lambda u: _pow_mod(field, u, phi - 1, mod))
+    ia, ib, ic = quo_inv.sub_hnf
+    (k0, l0), (kw, lw) = f, quo_inv.reduce(
+        Linv.element_coords(quo_inv.element(*f) * field.omega()))  # f and f*w
+    y = [((s * k0 + t * kw - (v := s * l0 + t * lw) // ic * ib) % ia, v % ic) for s, t in u_inv]
+    if any(map(one.__ne__, map(times, x, y))):
         raise InvariantViolation("inverse congruence x * x^(-1) = 1 failed")
-    return np.stack(x, axis=1), np.stack(y, axis=1)
+    return tuple(x), tuple(y)
 
 
 def residue_unit_group(
@@ -245,8 +274,6 @@ def residue_unit_group(
     Linv = a_ideal.inverse() * c_ideal
     Qinv = QuotientModule(Linv, Linv * modulus)
     units, inverses = _unit_coords(Q, Qinv, QuotientModule(field.unit_ideal(), modulus))
-    units.setflags(write=False)
-    inverses.setflags(write=False)
     return ResidueUnitGroup(field, a_ideal, c, c_ideal, modulus, units, inverses, Q, Qinv)
 
 
@@ -265,7 +292,11 @@ class TwistCharacter:
     def __init__(self, table: Optional[dict] = None):
         self.table = table
         for k, v in (table or {}).items():
-            if abs(abs(complex(v)) - 1.0) > _UNIT_TOL:
+            try:
+                v = complex(v)
+            except (TypeError, ValueError):
+                raise InvalidParameter(f"character value at {k} is not a number") from None
+            if not abs(abs(v) - 1.0) <= _UNIT_TOL:  # also refuses NaN
                 raise InvalidParameter(f"character value at {k} is not unimodular")
 
     @staticmethod
@@ -282,17 +313,19 @@ class TwistCharacter:
         """chi(x) for the units x of the group, in their order."""
         if self.table is None:
             return [1.0 + 0.0j] * len(group)
-        return self._lookup(group, (group.units[:, 0], group.units[:, 1]))
+        return self._lookup(group, group.units)
 
-    def _lookup(self, group: ResidueUnitGroup, co) -> list[complex]:
+    def _lookup(self, group: ResidueUnitGroup, rows) -> list[complex]:
         # tables are defined on the O/(c)*c_frak coordinates; this requires
         # the residue module to be the ring of integers itself
         if group.quotient.L != group.field.unit_ideal():
             raise PreconditionViolation(
                 "explicit twist tables need a*c_frak^(-1) = O (module = O/(c)c_frak)"
             )
-        i, j = group.quotient.reduce(co)
-        keys = zip(i.tolist()) if group.field.degree == 1 else zip(i.tolist(), j.tolist())
+        red = group.quotient.reduce
+        keys = (red(x) for x in rows)
+        if group.field.degree == 1:
+            keys = ((i,) for i, _ in keys)
         out = []
         for key in keys:
             if key not in self.table:
@@ -304,27 +337,20 @@ class TwistCharacter:
         """chi(xy) = chi(x) chi(y) over all unit pairs of the group, within _UNIT_TOL."""
         if self.table is None:
             return True
-        chi = np.array(self.values(group))
+        chi = self.values(group)
         # the residue module is O here, so unit coordinates are O-coordinates
-        x = group.quotient.reduce((group.units[:, 0], group.units[:, 1]))
-        xy = _mul_coords(group.field, (x[0][:, None], x[1][:, None]), (x[0][None, :], x[1][None, :]))
-        lhs = np.array(self._lookup(group, (xy[0].ravel(), xy[1].ravel())))
-        return bool(np.all(np.abs(lhs - np.outer(chi, chi).ravel()) <= _UNIT_TOL))
+        x = [group.quotient.reduce(u) for u in group.units]
+        lhs = self._lookup(group, [_mul_coords(group.field, p, q) for p in x for q in x])
+        return all(abs(v - a * b) <= _UNIT_TOL
+                   for v, (a, b) in zip(lhs, itertools.product(chi, chi)))
 
 
 # ---------------------------------------------------------------------------
 # The twisted sum
 
 
-def _kahan_add(acc, comp, term):
-    y = term - comp
-    t = acc + y
-    comp = (t - acc) - y
-    return t, comp
-
-
 def _phase_numerators(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement,
-                      c: FieldElement) -> tuple[np.ndarray, int]:
+                      c: FieldElement) -> tuple[list[int], int]:
     """(p, den) with Tr((r*x + r'*x^(-1))/c) = p[k]/den mod 1 for the k-th unit.
 
     The trace is linear in the coordinates of x and x^(-1), so four
@@ -343,10 +369,9 @@ def _phase_numerators(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement
             g = math.gcd(num, d) if d > 0 else -math.gcd(num, d)
             fracs.append((num // g, d // g))
     den = math.lcm(*(d for _, d in fracs))
-    nums = [n * (den // d) % den for n, d in fracs]
-    co = (group.units[:, 0], group.units[:, 1], group.inverses[:, 0], group.inverses[:, 1])
-    _check_int64(den * sum(int(np.abs(a).max(initial=0)) for a in co))
-    p = sum(n * a for n, a in zip(nums, co)) % den
+    n0, n1, n2, n3 = (n * (den // d) % den for n, d in fracs)
+    p = [(n0 * i + n1 * j + n2 * k + n3 * l) % den
+         for (i, j), (k, l) in zip(group.units, group.inverses)]
     return p, den
 
 
@@ -374,11 +399,15 @@ def _twisted_sum(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement,
                  c: FieldElement, chi: Optional[TwistCharacter]) -> complex:
     """The sum over the units of a group, for twists already checked."""
     phases, den = _phase_numerators(group, r, rp, c)
+    tau, exp = 2j * math.pi, cmath.exp
     acc, comp = 0.0 + 0.0j, 0.0 + 0.0j
-    for p, v in zip(phases.tolist(), (chi or TwistCharacter()).values(group)):
-        # p/den is the exact phase in [0, 1), rounded once to a float
-        term = cmath.exp(2j * math.pi * (p / den)) * v.conjugate()
-        acc, comp = _kahan_add(acc, comp, term)
+    for p, v in zip(phases, map(complex.conjugate, (chi or TwistCharacter()).values(group))):
+        # p/den is the exact phase in [0, 1), rounded once to a float; the
+        # term is added with Kahan compensation
+        y = exp(tau * (p / den)) * v - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
     return acc
 
 
@@ -483,12 +512,37 @@ class SweepRow:
     ratio: float
 
 
+def _check_int64(bound: int):
+    if bound > _INT64_LIMIT:
+        raise EnumerationTooLarge(f"integer coordinates up to {bound} would overflow int64")
+
+
+def _units_mod(N: int):
+    """The units x of Z/N in increasing order and their inverses x^(phi(N)-1) mod N,
+    as numpy int64 arrays: the vectorised twin of _zn_units for the table.
+
+    Z/1 has the one unit 0, its own inverse.  Every pair is checked against
+    x * x^(-1) = 1 mod N.
+    """
+    import numpy as np
+
+    _check_int64(N * N)  # bounds every product below
+    keep = np.ones(N, dtype=bool)
+    for p in _rational_factorization(N):
+        keep[::p] = False
+    x = np.flatnonzero(keep).astype(np.int64)
+    y = _power(x, len(x) - 1, lambda p, q: p * q % N, np.full_like(x, 1 % N))
+    if not np.all(x * y % N == 1 % N):
+        raise InvariantViolation("inverse congruence x * x^(-1) = 1 failed")
+    return x, y
+
+
 def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
     """S(m, n; c) for all m <= m_max, n <= n_max, c <= c_max, vectorized.
 
     High-volume path for sweeps.  Direct sums are taken only at the prime
-    powers q = p^k <= c_max.  There the Z/q unit enumeration that
-    residue_unit_group also uses over Q places e(p^e x/q) at index x^(-1),
+    powers q = p^k <= c_max.  There a vectorised Z/q unit enumeration
+    (`_units_mod`, on numpy) places e(p^e x/q) at index x^(-1),
     and one inverse DFT turns it into the row S(p^e, j; q) for every j
     mod q; a row is made for each p-adic valuation e <= k that some m has,
     since S(m, j; q) = S(p^e, u*j; q) for m = p^e*u with p not dividing u
@@ -498,7 +552,8 @@ def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
     as one gather per prime power into an accumulator of every (c, m, n);
     c = 1 takes 1.  The sums are real, so the rows keep their real part.
     The test suite checks the table against a direct cosine-table sum per
-    modulus and a subsample against the general ks_twisted path.
+    modulus, on the residue groups' own Z/N enumeration, and a subsample
+    against the general ks_twisted path.
 
     Yields (c, m, n, value) with value = S(m, n; c) as a float, in
     ascending (c, m, n) order.  More than TABLE_CAP accumulator cells
@@ -510,6 +565,8 @@ def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
     if cells > TABLE_CAP:
         raise EnumerationTooLarge(f"{cells} table cells exceeds cap {TABLE_CAP}")
     _check_int64(max(m_max, n_max) * c_max)  # bounds every index product below
+    import numpy as np
+
     ms = np.arange(1, m_max + 1, dtype=np.int64)
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     acc = np.ones((c_max + 1, m_max, n_max))

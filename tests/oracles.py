@@ -3,9 +3,10 @@
 Everything here is deliberately primitive: exact integer power series for
 the classical level-one eigenforms, affine point counting for the level-11
 elliptic curve, direct-loop Kloosterman sums over Q and Q(sqrt D), the
-classical Kloosterman table summed directly at every modulus, a
-smallest-unit search, the continued-fraction fundamental unit, the Pell-type
-y-scan for principal generators and elements of a given norm, the
+classical Kloosterman table summed directly at every modulus, the residue
+unit groups on numpy int64 arrays with one vectorised power for every
+inverse, a smallest-unit search, the continued-fraction fundamental unit,
+the Pell-type y-scan for principal generators and elements of a given norm, the
 narrow-square witness by a walk over the narrow representatives, real
 embeddings bracketed by integer square roots, P-adic valuations by
 multiplying P^j out and prime ideals by their norm, invariant
@@ -123,24 +124,111 @@ def kloosterman_direct(m: int, n: int, c: int) -> complex:
 def classical_weil_table_direct(c_max: int, m_max: int = 5, n_max: int = 5):
     """The classical table summed directly at every modulus c.
 
-    Per modulus, the Z/c unit enumeration of the library, then one
-    cosine-table lookup for all (m, n) together; yields (c, m, n, value)
-    in ascending order, value = S(m, n; c) as a float.
+    Per modulus, the Python-int Z/c unit enumeration of the residue groups
+    (not the table's vectorised one), then one cosine-table lookup for all
+    (m, n) together; yields (c, m, n, value) in ascending order, value =
+    S(m, n; c) as a float.
     """
     import numpy as np
 
-    from heckedist.kloosterman import _units_mod
+    from heckedist.kloosterman import _zn_units
 
     ms = np.arange(1, m_max + 1, dtype=np.int64)[:, None]
     ns = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
     mn = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
     for c in range(1, c_max + 1):
-        x, x_inv = _units_mod(c)
+        x, x_inv = (np.asarray(v, dtype=np.int64) for v in _zn_units(c))
         # (m*x mod c) + (n*x^(-1) mod c) < 2c indexes the table tiled twice
         cos_table = np.tile(np.cos(2.0 * np.pi * np.arange(c) / c), 2)
         idx = (ms * x % c)[:, None, :] + (ns * x_inv % c)[None, :, :]
         for (m, n), value in zip(mn, cos_table[idx].sum(axis=2).ravel().tolist()):
             yield (c, m, n, value)
+
+
+# --- the residue unit engine on numpy int64 arrays -------------------------
+
+
+def units_mod_numpy(N: int):
+    """The units x of Z/N in increasing order and their inverses x^(phi(N)-1)
+    mod N, as int64 arrays, by one square-and-multiply over every unit."""
+    import numpy as np
+
+    from heckedist.numberfield import _power, _rational_factorization
+
+    if N * N > 2**63 - 1:
+        raise OverflowError(f"products mod {N} overflow int64")
+    keep = np.ones(N, dtype=bool)
+    for p in _rational_factorization(N):
+        keep[::p] = False
+    x = np.flatnonzero(keep).astype(np.int64)
+    y = _power(x, len(x) - 1, lambda p, q: p * q % N, np.full_like(x, 1 % N))
+    if not np.all(x * y % N == 1 % N):
+        raise AssertionError("inverse congruence x * x^(-1) = 1 failed")
+    return x, y
+
+
+def unit_coords_numpy(quo, quo_inv, mod):
+    """Units of quo = L/L*modulus and their inverses in quo_inv = L^(-1)/L^(-1)*modulus,
+    as two (phi, 2) int64 arrays; mod is O/modulus.
+
+    When all three quotients are cyclic, the units of Z/N times e_1 and the
+    inverses times g^(-1) f_1, g = e_1*f_1.  Otherwise a mask of the
+    residues outside P*L for every prime P over the modulus, one inverse
+    y0 of the first unit found by a scan, and x^(-1) = y0 * (x*y0)^(phi-1)
+    by square-and-multiply over every unit at once in O/modulus.
+    """
+    import numpy as np
+
+    from heckedist.kloosterman import _distinct_prime_divisors
+    from heckedist.numberfield import QuotientModule, _mul_coords, _power
+
+    field, L, Linv = quo.field, quo.L, quo_inv.L
+    den = L.den * Linv.den
+
+    def product(e, f):
+        u, v = _mul_coords(field, e, f)
+        if u % den or v % den:
+            raise AssertionError("L * L^(-1) is not the ring of integers")
+        return mod.reduce((u // den, v // den))
+
+    def combine(elems, coeffs):
+        return mod.reduce((coeffs[0] * elems[0][0] + coeffs[1] * elems[1][0],
+                           coeffs[0] * elems[0][1] + coeffs[1] * elems[1][1]))
+
+    if mod.shape[1] == quo.shape[1] == quo_inv.shape[1] == 1:
+        N = mod.index
+        g = product(L.int_rows()[0], Linv.int_rows()[0])[0]
+        x, y = units_mod_numpy(N)
+        if g != 1:
+            y = y * pow(g, -1, N) % N
+        zero = np.zeros_like(x)
+        return np.stack((x, zero), axis=1), np.stack((y, zero), axis=1)
+    if (abs(field.omega_norm) + abs(field.omega_trace) + 4) * quo.index**2 > 2**63 - 1:
+        raise OverflowError("residue products overflow int64")
+    one = mod.reduce((1, 0))
+    a1, c1 = quo.shape
+    i, j = np.divmod(np.arange(a1 * c1, dtype=np.int64), c1)
+    keep = np.ones(len(i), dtype=bool)
+    for P in _distinct_prime_divisors(field, mod.Lsub):
+        keep &= ~QuotientModule(L, P * L).contains((i, j))
+    x = (i[keep], j[keep])
+    phi = len(x[0])
+    prod = [[product(e, f) for e in L.int_rows()] for f in Linv.int_rows()]
+    xf = [combine(p, x) for p in prod]
+    b1, d1 = quo_inv.shape
+    k, l = np.divmod(np.arange(b1 * d1, dtype=np.int64), d1)
+    scan = combine([(u[:1], v[:1]) for u, v in xf], (k, l))
+    hit = np.flatnonzero((scan[0] == one[0]) & (scan[1] == one[1]))
+    y0 = (int(k[hit[0]]), int(l[hit[0]]))
+    base = combine(xf, y0)
+    s, t = _power(base, phi - 1, lambda p, q: mod.reduce(_mul_coords(field, p, q)),
+                  (np.full_like(base[0], one[0]), np.zeros_like(base[1])))
+    yw = quo_inv.reduce(Linv.element_coords(quo_inv.element(*y0) * field.omega()))
+    y = quo_inv.reduce((s * y0[0] + t * yw[0], s * y0[1] + t * yw[1]))
+    check = combine(xf, y)
+    if not (np.all(check[0] == one[0]) and np.all(check[1] == one[1])):
+        raise AssertionError("inverse congruence x * x^(-1) = 1 failed")
+    return np.stack(x, axis=1), np.stack(y, axis=1)
 
 
 def _ring(D: int) -> tuple[int, int]:

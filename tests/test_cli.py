@@ -504,11 +504,15 @@ _ARRAY_MODULES = ["heckedist.numberfield", "heckedist.kloosterman", "heckedist.b
     (["hecke", "descent", "--D", "5", "--p", "11", "--ell", "2"], ["numpy"]),
     (["measure", "phi", "--ord", "2", "--interval=-1,1"], _ARRAY_MODULES),
     (["sample", "sato-tate", "-n", "5"], _ARRAY_MODULES),
-    (["kloosterman", "classical", "--c", "7"], ["heckedist.measures", "heckedist.equidist"]),
+    (["kloosterman", "classical", "--c", "7"],
+     ["numpy", "heckedist.measures", "heckedist.equidist"]),
     (["kloosterman", "sweep", "--D", "5", "--c-max", "20"],
-     ["heckedist.measures", "heckedist.equidist"]),
+     ["numpy", "heckedist.measures", "heckedist.equidist"]),
+    # 6 + 6w is not primitive, so O/(c) is not cyclic: the general path
+    (["kloosterman", "twisted", "--D", "2", "--c-elem=6,6"],
+     ["numpy", "heckedist.measures", "heckedist.equidist"]),
 ], ids=["field", "ideal-factor", "hecke-descent", "measure", "sample", "kloosterman-classical",
-        "kloosterman-sweep"])
+        "kloosterman-sweep", "kloosterman-twisted"])
 def test_each_command_imports_only_what_it_runs(argv, absent):
     code = ("import json, sys; from heckedist.cli import run_command; "
             f"code, _ = run_command({argv!r}); print(json.dumps([code, sorted(sys.modules)]))")
