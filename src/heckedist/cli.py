@@ -8,7 +8,8 @@ success, 1 on a domain error (stable machine-readable code), 2 on usage
 errors.
 
 Each command imports the library modules it calls when it runs, so `field`,
-`ideal` and `hecke cosets|descent|delta` start without numpy.
+`ideal`, `hecke` (every action), `kloosterman classical|twisted|sweep` and
+`fetch` (with or without `--prime`) start without numpy.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def cmd_sample(args) -> dict:
 
     spec = _measure_spec(args)
     xs = measures.sample(spec, args.n, args.seed)
-    return {"samples": [float(x) for x in xs], "n": args.n}
+    return {"samples": xs.tolist(), "n": args.n}
 
 
 def cmd_hecke(args) -> dict:
@@ -429,9 +430,7 @@ def cmd_test_dist(args) -> dict:
         ds, (lo, hi), args.ord, ell_max=args.ell_max,
         ks_threshold=args.ks_threshold,
     )
-    report["plot_data"] = [] if not args.plot else [
-        list(row) for row in equidist.plot_data(ds)
-    ]
+    report["plot_data"] = equidist.plot_data(ds).tolist() if args.plot else []
     return report
 
 

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from .chebyshev import RAMANUJAN_SLACK
 from .errors import (
     CacheMiss,
     EnumerationTooLarge,
@@ -69,8 +70,6 @@ class EigenvalueRecord:
 
 def normalize(record: EigenvalueRecord, prime_key: str) -> float:
     """lambda_p = a_p / N(p)^((k-1)/2), Deligne-checked."""
-    from .measures import RAMANUJAN_SLACK  # here: every CLI command imports datasource
-
     key = str(prime_key)
     if key not in record.eigenvalues:
         raise MissingEigenvalue(f"{record.label} has no eigenvalue at {key}")

@@ -17,9 +17,10 @@ from typing import Optional
 
 import numpy as np
 
+from .chebyshev import RAMANUJAN_SLACK, _chebyshev
 from .errors import EmptyDataset, InvalidParameter, TotalWeightZero, ZeroMassRegion
 from . import measures
-from .measures import RAMANUJAN_SLACK, MeasureSpec, SpectralBox, phi_moment
+from .measures import MeasureSpec, SpectralBox, phi_moment
 from .numberfield import class_group
 
 Z_THRESHOLD = 3.0  # largest moment |z| an equidist_report passes
@@ -33,32 +34,34 @@ class DataPoint:
     casimir: Optional[tuple[float, ...]] = None
 
 
-def _column(values, dtype) -> np.ndarray:
-    col = np.array(values, dtype=dtype)
-    col.flags.writeable = False
-    return col
-
-
 class Dataset:
     """Weighted normalized eigenvalues, stored as read-only numpy columns.
 
     `lams` and `weights` are float64, `labels` a unicode array and `casimir`
-    an n x d float64 array of per-place Casimir values, or None.  `points`
-    rebuilds the DataPoints on demand; `from_points` goes the other way.
+    an n x d float64 array of per-place Casimir values, or None.  The
+    constructor copies every array it is given, so no caller can write a
+    column.  `points` rebuilds the DataPoints on demand; `from_points` goes
+    the other way.
     """
 
     __slots__ = ("_lams", "_weights", "labels", "casimir", "target", "meta")
 
     def __init__(self, lams, weights, labels, target: MeasureSpec, casimir=None,
                  meta: tuple[tuple[str, object], ...] = ()):
-        lams, weights, labels = (_column(lams, np.float64), _column(weights, np.float64),
-                                 _column(labels, str))
+        self._adopt(np.array(lams, dtype=np.float64), np.array(weights, dtype=np.float64),
+                    np.array(labels, dtype=str), target,
+                    None if casimir is None else np.array(casimir, dtype=np.float64), meta)
+
+    def _adopt(self, lams, weights, labels, target, casimir, meta):
+        """Check the columns, then keep them uncopied and read-only.
+
+        Only arrays that no caller holds may be passed: `__init__` passes
+        its own copies, `synthesize_dataset` the columns it has just drawn.
+        """
         if not len(lams) == len(weights) == len(labels):
             raise InvalidParameter("lambda, weight and label columns differ in length")
-        if casimir is not None:
-            casimir = _column(casimir, np.float64)
-            if casimir.ndim != 2 or len(casimir) != len(lams):
-                raise InvalidParameter("casimir values must be an n x d array")
+        if casimir is not None and (casimir.ndim != 2 or len(casimir) != len(lams)):
+            raise InvalidParameter("casimir values must be an n x d array")
         # NaN fails both comparisons, so it is rejected with the out-of-range values
         bad_lam = ~(np.abs(lams) <= 2.0 + RAMANUJAN_SLACK)
         bad = bad_lam | ~(np.isfinite(weights) & (weights >= 0))
@@ -69,6 +72,9 @@ class Dataset:
             raise InvalidParameter(f"weight {weights[i]} negative or not finite at {labels[i]}")
         if len(lams) and np.sum(weights) <= 0.0:
             raise TotalWeightZero("dataset has zero total weight")
+        for col in (lams, weights, labels, casimir):
+            if col is not None:
+                col.flags.writeable = False
         for name, value in zip(self.__slots__, (lams, weights, labels, casimir, target, meta)):
             object.__setattr__(self, name, value)
 
@@ -171,7 +177,7 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
     denom = W - ws
     loo_denom = np.where(denom > 0, denom, np.nan)
     out = []
-    for ell, vals in zip(range(ell_max + 1), measures._chebyshev(lams)):
+    for ell, vals in zip(range(ell_max + 1), _chebyshev(lams)):
         S = float(np.dot(ws, vals))
         M = S / W
         expected = phi_moment(ord, ell)
@@ -246,7 +252,9 @@ def synthesize_dataset(
         ("seed", seed),
         ("n", n),
     )
-    return Dataset(lams, np.ones(n), labels, spec, casimirs, meta)
+    ds = Dataset.__new__(Dataset)
+    ds._adopt(lams, np.ones(n), labels, spec, casimirs, meta)  # every column is new here
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +330,13 @@ def equidist_report(
     return report
 
 
-def plot_data(ds: Dataset, spec: Optional[MeasureSpec] = None) -> list[tuple[float, float, float]]:
-    """(x, empirical cdf, target cdf) rows for external plotting."""
+def plot_data(ds: Dataset, spec: Optional[MeasureSpec] = None) -> np.ndarray:
+    """(x, empirical cdf, target cdf) rows for external plotting, one per
+    distinct lambda in ascending order, as an (n, 3) read-only float64 array."""
     _require_nonempty(ds)
     spec = spec or ds.target
     xs, emp = _sorted_empirical(ds)
-    target = measures.cdf(spec, xs)
-    return list(zip(xs.tolist(), emp.tolist(), target.tolist()))
+    rows = np.stack((xs, emp, measures.cdf(spec, xs)), axis=1)
+    rows.flags.writeable = False
+    return rows
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .chebyshev import RAMANUJAN_SLACK, chebyshev_eval
 from .errors import (
     DivisibilityViolation,
     EnumerationTooLarge,
@@ -43,8 +44,6 @@ COSET_CAP = 10**6  # most coset representatives coset_reps enumerates
 
 def hecke_power_eigenvalue(lam_p: Union[float, Fraction], ell: int):
     """Normalized eigenvalue at the ell-th prime power: X_ell(lam_p)."""
-    from .measures import RAMANUJAN_SLACK, chebyshev_eval  # cosets and descent need no numpy
-
     if abs(float(lam_p)) > 2.0 + RAMANUJAN_SLACK:
         raise RamanujanViolation(f"|lambda| = {abs(float(lam_p))} exceeds 2")
     return chebyshev_eval(ell, lam_p)
@@ -203,8 +202,6 @@ def verify_coefficient_relation(lam_p: Union[int, Fraction], p: int, ell: int,
     c(prod q^(m_q)) = prod X_(m_q)(lam_q), with lam_q = lam_p at q = p and
     lam_other (default: lam_p as well) at the other primes.
     """
-    from .measures import chebyshev_eval
-
     if not is_rational_prime(p):
         raise NotPrime(f"{p} is not prime")
     if r == 0:

@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .chebyshev import _chebyshev, chebyshev_eval
 from .errors import (
     EnumerationTooLarge,
     InvalidParameter,
@@ -43,30 +44,7 @@ from .errors import (
 
 Interval = tuple[float, float]
 
-# tolerance on the Ramanujan bound |lambda| <= 2 for normalized eigenvalues
-RAMANUJAN_SLACK = 1e-6
-
 ATOM_CAP = 10**6  # most atoms that sampling and tilde_v1's mass enumerate
-
-# ---------------------------------------------------------------------------
-# Chebyshev polynomials X_l, orthonormal for the semicircle measure
-
-
-def _chebyshev(x):
-    """X_0(x), X_1(x), ... without end, via X_0 = 1, X_1 = x, X_{m+1} = x X_m - X_{m-1}."""
-    prev, cur = x * 0 + 1, x
-    yield prev
-    while True:
-        yield cur
-        prev, cur = cur, x * cur - prev
-
-
-def chebyshev_eval(ell: int, x):
-    """X_ell(x) for floats, numpy arrays and exact Fractions alike."""
-    if ell < 0:
-        raise InvalidParameter("ell must be >= 0")
-    return next(itertools.islice(_chebyshev(x), ell, None))
-
 
 # ---------------------------------------------------------------------------
 # Adaptive Gauss-Legendre quadrature

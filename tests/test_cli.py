@@ -496,23 +496,32 @@ def test_cli_import_loads_no_numpy_fft():
 
 _ARRAY_MODULES = ["heckedist.numberfield", "heckedist.kloosterman", "heckedist.bounds",
                   "heckedist.heckealg", "heckedist.equidist"]
+_STATS_MODULES = ["numpy", "heckedist.measures", "heckedist.equidist"]
 
 
+# one case for each row of the README table of what each command loads
 @pytest.mark.parametrize("argv, absent", [
     (["field", "--D", "26"], ["numpy"]),
     (["ideal", "--D", "29", "--op", "factor", "--p", "5"], ["numpy"]),
     (["hecke", "descent", "--D", "5", "--p", "11", "--ell", "2"], ["numpy"]),
+    (["hecke", "power", "--lambda", "1/2", "--ell", "3"], _STATS_MODULES),
+    (["hecke", "relation", "--lambda", "1/2", "--p", "2", "--ell", "2", "--r", "12"],
+     _STATS_MODULES),
     (["measure", "phi", "--ord", "2", "--interval=-1,1"], _ARRAY_MODULES),
     (["sample", "sato-tate", "-n", "5"], _ARRAY_MODULES),
-    (["kloosterman", "classical", "--c", "7"],
-     ["numpy", "heckedist.measures", "heckedist.equidist"]),
-    (["kloosterman", "sweep", "--D", "5", "--c-max", "20"],
-     ["numpy", "heckedist.measures", "heckedist.equidist"]),
+    (["kloosterman", "classical", "--c", "7"], _STATS_MODULES),
+    (["kloosterman", "sweep", "--D", "5", "--c-max", "20"], _STATS_MODULES),
     # 6 + 6w is not primitive, so O/(c) is not cyclic: the general path
-    (["kloosterman", "twisted", "--D", "2", "--c-elem=6,6"],
-     ["numpy", "heckedist.measures", "heckedist.equidist"]),
-], ids=["field", "ideal-factor", "hecke-descent", "measure", "sample", "kloosterman-classical",
-        "kloosterman-sweep", "kloosterman-twisted"])
+    (["kloosterman", "twisted", "--D", "2", "--c-elem=6,6"], _STATS_MODULES),
+    (["bound", "euler", "--D", "5", "--X", "1000"],
+     ["heckedist.measures", "heckedist.equidist", "heckedist.kloosterman", "heckedist.heckealg"]),
+    (["fetch"], _STATS_MODULES + _ARRAY_MODULES + ["heckedist.quadforms"]),
+    (["fetch", "--prime", "2"], _STATS_MODULES + _ARRAY_MODULES + ["heckedist.quadforms"]),
+    (["test-dist", "--synthetic", "-n", "50"],
+     ["heckedist.kloosterman", "heckedist.bounds", "heckedist.heckealg"]),
+], ids=["field", "ideal-factor", "hecke-descent", "hecke-power", "hecke-relation", "measure",
+        "sample", "kloosterman-classical", "kloosterman-sweep", "kloosterman-twisted", "bound",
+        "fetch", "fetch-prime", "test-dist"])
 def test_each_command_imports_only_what_it_runs(argv, absent):
     code = ("import json, sys; from heckedist.cli import run_command; "
             f"code, _ = run_command({argv!r}); print(json.dumps([code, sorted(sys.modules)]))")

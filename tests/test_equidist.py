@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,13 +79,56 @@ def test_columns_match_the_per_point_construction(seed, boxed):
     assert ds.points == pts
     assert np.array_equal(ds.lambdas(), oracles.point_lambdas(pts))
     assert np.array_equal(ds.weights(), oracles.point_weights(pts))
-    assert plot_data(ds) == oracles.point_plot_data(pts, ds.target)
+    assert plot_data(ds).tolist() == [list(row) for row in oracles.point_plot_data(pts, ds.target)]
 
     def report_bytes(d):
         rep = equidist_report(d, (-1.0, 0.5), 1, field=F, box=box)
         return json.dumps(rep, sort_keys=True).encode()
 
     assert report_bytes(ds) == report_bytes(Dataset.from_points(pts, ds.target))
+
+
+def test_plot_data_is_a_read_only_array_of_the_point_rows():
+    pts = oracles.synthesize_points(2, None, 2000, 4)
+    rows = plot_data(Dataset.from_points(pts, PHI0))
+    assert rows.dtype == np.float64 and rows.shape == (2000, 3)
+    assert not rows.flags.writeable
+    assert rows.tolist() == [list(row) for row in oracles.point_plot_data(pts, PHI0)]
+
+
+def test_dataset_copies_the_arrays_it_is_given():
+    lams, weights, cas = np.zeros(3), np.ones(3), np.zeros((3, 1))
+    labels = np.array(["a", "b", "c"])
+    ds = Dataset(lams, weights, labels, PHI0, cas)
+    for given, kept in ((lams, ds.lambdas()), (weights, ds.weights()), (labels, ds.labels),
+                        (cas, ds.casimir)):
+        assert given.flags.writeable and not np.shares_memory(given, kept)
+
+
+def _traced(f, *args):
+    """(result, bytes it keeps, peak bytes) of one call under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
+def test_synthetic_dataset_and_plot_rows_memory():
+    # numpy reports its buffers to tracemalloc, so these figures repeat exactly;
+    # the small calls first fill the samplers' and CDFs' caches
+    F = make_field(5)
+    box = SpectralBox((PlaceBox(-4.0, 6.0, "Q+", 0), PlaceBox(-0.5, 3.0, "Q+", 0)))
+    plot_data(synthesize_dataset(F, "2", 1, box, 1000, 7))
+    # 11.2 MB: 8.0 MB of columns (4.8 MB of them labels) and the samplers' work
+    # arrays; 18.5 MB when the dataset copied the columns it was handed
+    ds, _, peak = _traced(synthesize_dataset, F, "2", 1, box, 100_000, 7)
+    assert peak < 12_000_000
+    # 2.4 MB: the (n, 3) float64 rows; 14.3 MB as a list of float tuples
+    _, kept, _ = _traced(plot_data, ds)
+    assert kept <= 3_000_000
 
 
 def test_synthetic_labels_past_six_digits():

@@ -53,6 +53,15 @@ def test_chebyshev_sine_identity():
             assert abs(lhs - rhs) < 1e-10
 
 
+def test_chebyshev_names_have_one_definition():
+    from heckedist import chebyshev, datasource, equidist, heckealg
+
+    assert measures._chebyshev is equidist._chebyshev is chebyshev._chebyshev
+    assert measures.chebyshev_eval is heckealg.chebyshev_eval is chebyshev.chebyshev_eval
+    assert equidist.RAMANUJAN_SLACK is heckealg.RAMANUJAN_SLACK \
+        is datasource.RAMANUJAN_SLACK is chebyshev.RAMANUJAN_SLACK
+
+
 # --- densities ---------------------------------------------------------------
 
 
