@@ -81,6 +81,11 @@ class Dataset:
     def __setattr__(self, name, value):
         raise AttributeError(f"Dataset is immutable; cannot set {name}")
 
+    def __reduce__(self):
+        # pickle, copy and deepcopy rebuild through the constructor, which copies
+        return (Dataset, (self._lams, self._weights, self.labels, self.target, self.casimir,
+                          self.meta))
+
     @classmethod
     def from_points(cls, points, target: MeasureSpec,
                     meta: tuple[tuple[str, object], ...] = ()) -> "Dataset":

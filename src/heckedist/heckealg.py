@@ -31,6 +31,7 @@ from .numberfield import (
     FractionalIdeal,
     QuotientModule,
     _rational_factorization,
+    _valuation,
     _witness,
     find_generator,
     ideal_from_elements,
@@ -115,19 +116,19 @@ class DescentData:
     def verify(self) -> bool:
         """Exact check of every membership/valuation invariant; raises InvariantViolation."""
         P, ell = self.prime, self.ell
+        vb = ideal_valuation(self.b_ideal, P)  # NotPrime unless P is a prime ideal
         if not self.eta.is_totally_positive():
             raise InvariantViolation("eta is not totally positive")
         f = P.field
         if P * self.b_ideal * self.b_ideal != ideal_from_elements(f, [self.eta]):
             raise InvariantViolation("P * b^2 != (eta)")
-        vb = ideal_valuation(self.b_ideal, P)
         target = self.b_ideal**ell  # P^s b^ell, one more P per s
         for s, (a_s, bt_s) in enumerate(zip(self.a_elems, self.b_shifts)):
             if s:
                 target = target * P
             if not target.contains(a_s):
                 raise InvariantViolation(f"a_{s} not in P^s b^ell")
-            if ideal_valuation(a_s, P) != s + ell * vb:
+            if _valuation(a_s, P) != s + ell * vb:
                 raise InvariantViolation(f"a_{s} has wrong valuation")
             if not bt_s.is_integral():
                 raise InvariantViolation(f"b~_{s} not integral")
@@ -142,7 +143,7 @@ def _element_with_exact_valuation(J: FractionalIdeal, P: FractionalIdeal,
                                   target: int) -> FieldElement:
     """Element of J with v_P equal to v_P(J); one of the basis elements works."""
     for g in J.basis_elements():
-        if ideal_valuation(g, P) == target:
+        if _valuation(g, P) == target:
             return g
     raise InvariantViolation("no basis element attains the minimal valuation")
 
@@ -159,7 +160,7 @@ def descent_data(P: FractionalIdeal, ell: int) -> DescentData:
             "prime is not a square in the narrow class group; no descent data"
         )
     b_ideal, eta = witness
-    vb = ideal_valuation(b_ideal, P)
+    vb = _valuation(b_ideal, P)
     a_elems = []
     J = b_ideal**ell  # P^s b^ell, one more P per s
     for s in range(ell + 1):

@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Integral
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -114,10 +115,10 @@ class MeasureSpec:
     literal_middle: bool = False  # keep the weightless middle term of v1 verbatim
 
     def __post_init__(self):
-        if self.tag == "padic_sato_tate" and (self.p is None or self.p < 2):
-            raise InvalidParameter("padic_sato_tate needs a prime p >= 2")
-        if self.tag == "phi" and (self.ord is None or self.ord < 0):
-            raise InvalidParameter("phi needs ord >= 0")
+        if self.tag == "padic_sato_tate" and not (isinstance(self.p, Integral) and self.p >= 2):
+            raise InvalidParameter(f"padic_sato_tate needs an integer p >= 2, got {self.p!r}")
+        if self.tag == "phi" and not (isinstance(self.ord, Integral) and self.ord >= 0):
+            raise InvalidParameter(f"phi needs an integer ord >= 0, got {self.ord!r}")
         if self.tag in _SPECTRAL_TAGS + _TILDE_TAGS and self.xi not in (0, 1):
             raise InvalidParameter(f"{self.tag} needs xi in {{0, 1}}")
         if self.tag == "tilde_v1" and not 2 < self.A < math.inf:

@@ -747,54 +747,51 @@ def factor_rational_prime(field: Field, p: int) -> PrimeFactorization:
     """Factor (p) into prime ideals via roots of x^2 - t x + n mod p."""
     if not is_rational_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return _split_prime(field, p)  # afresh, so every call rechecks the roots
+    return _factor_prime(field, p)
 
 
 def _factor_prime(field: Field, p: int) -> PrimeFactorization:
-    """factor_rational_prime for a p already known to be prime, memoised per field."""
+    """factor_rational_prime for a p already known to be prime, checked once
+    and memoised per field."""
     key = ("factor_prime", p)
     if key not in field._cache:
-        field._cache[key] = _split_prime(field, p)
+        tag = _splitting_type(field, p)
+        if tag == "inert":  # every p over Q
+            ideals = (field.ideal(p),)
+        else:
+            # split or ramified: (p, w - r) for the roots r of x^2 - t x + n mod p
+            t, n = field.omega_trace, field.omega_norm
+            if p == 2:
+                roots = [r for r in (0, 1) if (r * r - t * r + n) % 2 == 0]
+            else:
+                inv2 = pow(2, p - 2, p)
+                s = _sqrt_mod_prime((t * t - 4 * n) % p, p)
+                if s is None:
+                    raise InvariantViolation(f"no square root of the discriminant mod {p}")
+                roots = sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
+            ideals = tuple(field.ideal(p, field.omega() - r) for r in roots)
+            if len(ideals) != (1 if tag == "ramified" else 2):
+                raise InvariantViolation(f"{len(ideals)} roots mod {p} for a {tag} prime")
+        degree = field.degree if tag == "inert" else 1
+        field._cache[key] = PrimeFactorization(p, tag, ideals, (degree,) * len(ideals))
     return field._cache[key]
-
-
-def _split_prime(field: Field, p: int) -> PrimeFactorization:
-    tag = _splitting_type(field, p)
-    if field.degree == 1:
-        return PrimeFactorization(p, "inert", (field.ideal(p),), (1,))
-    t, n = field.omega_trace, field.omega_norm
-    if tag == "inert":
-        return PrimeFactorization(p, tag, (field.ideal(p),), (2,))
-    # split or ramified: find a root of x^2 - t x + n mod p
-    if p == 2:
-        roots = [r for r in (0, 1) if (r * r - t * r + n) % 2 == 0]
-    else:
-        inv2 = pow(2, p - 2, p)
-        s = _sqrt_mod_prime((t * t - 4 * n) % p, p)
-        if s is None:
-            raise InvariantViolation(f"no square root of the discriminant mod {p}")
-        roots = sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
-    w = field.omega()
-    ideals = tuple(field.ideal(field.element(p), w - r) for r in roots)
-    if len(ideals) != (1 if tag == "ramified" else 2):
-        raise InvariantViolation(f"{len(ideals)} roots mod {p} for a {tag} prime")
-    return PrimeFactorization(p, tag, ideals, (1,) if tag == "ramified" else (1, 1))
 
 
 def is_prime_ideal(I: FractionalIdeal) -> bool:
     """Whether I is a nonzero integral prime ideal, read off its integer HNF.
 
-    Over Q, (a,) is prime iff a is.  Over Q(sqrt(D)) the norm is a*c: a
-    prime norm makes I prime, and of the ideals of norm p^2 only (p) =
-    (p, 0, p) at an inert p is.
+    Over Q, (a,) is prime iff a is.  Over Q(sqrt(D)) the prime ideals are
+    Z*p + Z*(b + w) with p | N(b + w), of norm p at a split or ramified
+    p, and (p) = (p, 0, p) at an inert p.  No other HNF is one, ideal or
+    not.
     """
     if I.is_zero() or not I.is_integral():
         return False
     if I.field.degree == 1:
         return is_rational_prime(I.hnf[0])
-    a, _, c = I.hnf
-    if is_rational_prime(a * c):
-        return True
+    a, b, c = I.hnf
+    if c == 1:
+        return is_rational_prime(a) and _row_norm(I.field, (b, 1)) % a == 0
     return I.hnf == (a, 0, a) and is_rational_prime(a) and _splitting_type(I.field, a) == "inert"
 
 
@@ -852,14 +849,13 @@ def ideal_valuation(arg, P: FractionalIdeal) -> int:
     """
     if not is_prime_ideal(P):
         raise NotPrime("valuation requires a prime ideal")
+    return _valuation(arg, P)
+
+
+def _valuation(arg, P: FractionalIdeal) -> int:
+    """ideal_valuation for a P already known to be a prime ideal."""
     field, hnf = P.field, P.hnf
     p = hnf[0]
-    # is_prime_ideal also passes Z-modules of prime norm that are not
-    # ideals, such as (1, 0, p): Z*p + Z*(b + w) is one iff -b is a root of
-    # w's polynomial mod p, that is p | N(b + w)
-    if field.degree == 2 and hnf != (p, 0, p) and not (
-            hnf[2] == 1 and _row_norm(field, (hnf[1], 1)) % p == 0):
-        raise InvariantViolation(f"{hnf} is not the Hermite form of a prime ideal")
     if isinstance(arg, FieldElement):
         if arg.is_zero():
             raise ZeroArgument("valuation of zero")
@@ -1227,15 +1223,7 @@ def narrow_square_witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal,
     """(b, eta) with P*b^2 = (eta), eta totally positive; None if no witness."""
     if not is_prime_ideal(P):
         raise NotPrime("witness requires a prime ideal")
-    return _build_witness(P)  # afresh, so every call rechecks the generator
-
-
-def _witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement]]:
-    """narrow_square_witness for a P already known to be prime, memoised per field."""
-    key = ("witness", P)
-    if key not in P.field._cache:
-        P.field._cache[key] = _build_witness(P)
-    return P.field._cache[key]
+    return _witness(P)
 
 
 def _square_classes(field: Field) -> dict[Form, FractionalIdeal]:
@@ -1250,17 +1238,21 @@ def _square_classes(field: Field) -> dict[Form, FractionalIdeal]:
     return field._cache["square_classes"]
 
 
-def _build_witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement]]:
-    field = P.field
-    if field.degree == 1:
-        return (field.unit_ideal(), field.element(int(P.norm())))
-    # P*conj(P) = (N(P)) is narrowly principal, so P*b^2 is iff b^2 lies in
-    # the narrow class of conj(P)
-    b = _square_classes(field).get(_rho_walk(P.conjugate()))
-    if b is None:
-        return None
-    eta = principal_totally_positive_generator(P * b * b)
-    if eta is None or not (eta.is_integral() and eta.is_totally_positive()):
-        raise InvariantViolation("a narrow-principal ideal has no totally positive "
-                                 "integral generator")
-    return (b, eta)
+def _witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement]]:
+    """narrow_square_witness for a P already known to be prime, checked once
+    and memoised per field."""
+    field, key = P.field, ("witness", P)
+    if key not in field._cache:
+        witness = None
+        if field.degree == 1:
+            witness = (field.unit_ideal(), field.element(int(P.norm())))
+        # P*conj(P) = (N(P)) is narrowly principal, so P*b^2 is iff b^2 lies
+        # in the narrow class of conj(P)
+        elif (b := _square_classes(field).get(_rho_walk(P.conjugate()))) is not None:
+            eta = principal_totally_positive_generator(P * b * b)
+            if eta is None or not (eta.is_integral() and eta.is_totally_positive()):
+                raise InvariantViolation("a narrow-principal ideal has no totally positive "
+                                         "integral generator")
+            witness = (b, eta)
+        field._cache[key] = witness
+    return field._cache[key]

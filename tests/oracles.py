@@ -528,10 +528,14 @@ def ideal_valuation_by_products(arg, P) -> int:
 
 def is_prime_ideal_by_norm(I) -> bool:
     """A nonzero integral ideal is prime iff its norm is a prime, or it is
-    (r) for an inert prime r."""
+    (r) for an inert prime r; a Z-module is an ideal iff w times each basis
+    element lies in it."""
     from heckedist.numberfield import _splitting_type, is_rational_prime
 
     if I.is_zero() or not I.is_integral():
+        return False
+    if I.field.degree == 2 and not all(I.contains(e * I.field.omega())
+                                       for e in I.basis_elements()):
         return False
     nrm = int(I.norm())
     if is_rational_prime(nrm):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -103,6 +105,21 @@ def test_dataset_copies_the_arrays_it_is_given():
     for given, kept in ((lams, ds.lambdas()), (weights, ds.weights()), (labels, ds.labels),
                         (cas, ds.casimir)):
         assert given.flags.writeable and not np.shares_memory(given, kept)
+
+
+def test_dataset_pickles_and_copies():
+    box = SpectralBox((PlaceBox(-4.0, 6.0, "Q+", 0),))
+    for ds in (synthesize_dataset(make_field(5), "2", 1, box, 50, 3),
+               _ds([DataPoint("one", 0.5, 2.0)])):
+        for twin in (pickle.loads(pickle.dumps(ds)), copy.copy(ds), copy.deepcopy(ds)):
+            assert (twin.target, twin.meta) == (ds.target, ds.meta)
+            for given, kept in ((ds.lambdas(), twin.lambdas()), (ds.weights(), twin.weights()),
+                                (ds.labels, twin.labels), (ds.casimir, twin.casimir)):
+                if given is None:
+                    assert kept is None
+                    continue
+                assert np.array_equal(given, kept) and given.dtype == kept.dtype
+                assert not kept.flags.writeable and not np.shares_memory(given, kept)
 
 
 def _traced(f, *args):

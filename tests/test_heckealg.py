@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -109,6 +110,16 @@ def test_coset_cap(monkeypatch):
 def test_coset_requires_prime():
     with pytest.raises(NotPrime):
         coset_reps(Q.ideal(6), 1)
+    # Z-modules of norm 5 that are not ideals: N(1 + w) = 1 and N(w) = -1 are
+    # prime to 5, and c = 5 does not divide a = 1
+    dd = descent_data(factor_rational_prime(F5, 11).primes[0], 1)
+    for hnf in ((5, 1, 1), (1, 0, 5), (5, 0, 1)):
+        M = nf.FractionalIdeal(F5, 1, hnf)
+        for call in (lambda: coset_reps(M, 1), lambda: narrow_square_witness(M),
+                     lambda: descent_data(M, 1), lambda: nf.ideal_valuation(F5.element(10), M),
+                     lambda: dataclasses.replace(dd, prime=M).verify()):
+            with pytest.raises(NotPrime):
+                call()
 
 
 # --- descent data -----------------------------------------------------------------
@@ -217,18 +228,17 @@ def test_descent_with_nonprincipal_witness_ideal():
 
 
 def test_descent_builds_each_witness_once(monkeypatch):
-    # descent_data reads the per-field witness memo; narrow_square_witness
-    # builds afresh on every call
+    # descent_data and narrow_square_witness read one per-field witness memo
     P = factor_rational_prime(make_field(79), 5).primes[0]
     P.field._cache.pop(("witness", P), None)
     builds = []
-    real = nf._build_witness
-    monkeypatch.setattr(nf, "_build_witness", lambda Q: builds.append(Q) or real(Q))
+    real = nf.principal_totally_positive_generator
+    monkeypatch.setattr(nf, "principal_totally_positive_generator",
+                        lambda I: builds.append(I) or real(I))
     for ell in (1, 2, 3):
         assert descent_data(P, ell).ell == ell
-    assert builds == [P]
     assert narrow_square_witness(P) == nf._witness(P)
-    assert builds == [P, P]
+    assert len(builds) == 1
 
 
 # b, eta and the a_s (or the error code) of descent_data at every prime above

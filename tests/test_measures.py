@@ -186,6 +186,16 @@ def test_literal_middle_spec_is_not_sampled():
             sample_spectral(MeasureSpec.v1(1, literal_middle=True), low, high, 5, rng)
 
 
+@pytest.mark.parametrize("make, arg", [
+    (MeasureSpec.padic, math.nan), (MeasureSpec.padic, math.inf), (MeasureSpec.padic, 2.5),
+    (MeasureSpec.padic, 3.0), (MeasureSpec.padic, 1), (MeasureSpec.padic, None),
+    (MeasureSpec.phi, 1.5), (MeasureSpec.phi, math.nan), (MeasureSpec.phi, -1),
+])
+def test_measure_spec_needs_integral_parameters(make, arg):
+    with pytest.raises(InvalidParameter):
+        make(arg)
+
+
 def test_unbounded_region_rejected():
     with pytest.raises(UnboundedRegion):
         mass(MeasureSpec.plancherel(0), (0.0, math.inf))

@@ -334,12 +334,14 @@ def test_valuation_matches_ideal_products():
                 for arg in cases:
                     assert ideal_valuation(arg, P) == ideal_valuation_by_products(arg, P), \
                         (D, P, arg)
-    # Z-modules of prime norm that are not ideals fail in the products too
+    # Z-modules of prime norm that are not ideals are not prime, and they
+    # fail in the products too
     for hnf in ((1, 0, 5), (5, 0, 1)):
         P = nf.FractionalIdeal(F5, 1, hnf)
-        for valuation in (ideal_valuation, ideal_valuation_by_products):
-            with pytest.raises(InvariantViolation):
-                valuation(F5.element(10), P)
+        with pytest.raises(NotPrime):
+            ideal_valuation(F5.element(10), P)
+        with pytest.raises(InvariantViolation):
+            ideal_valuation_by_products(F5.element(10), P)
 
 
 def test_is_prime_ideal_matches_the_norm_definition():
@@ -365,6 +367,21 @@ def test_is_prime_ideal_matches_the_norm_definition():
         for den in (1, 2, 3):
             I = nf.FractionalIdeal(Q, den, (a,))
             assert is_prime_ideal(I) == is_prime_ideal_by_norm(I), I
+
+
+def test_inert_prime_near_10_to_the_12_is_prime_without_stalling():
+    # p = 10^12 + 63 is inert in Q(sqrt5); a test on the norm p^2 would
+    # trial-divide about p times before it reached the factor p
+    src = os.path.dirname(os.path.dirname(nf.__file__))
+    script = ("import heckedist.numberfield as nf\n"
+              "F = nf.make_field(5)\n"
+              "p = 10**12 + 63\n"
+              "assert nf.factor_rational_prime(F, p).tag == 'inert'\n"
+              "print(nf.is_prime_ideal(F.ideal(p)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_factorization_reconstructs_all_p_up_to_100():
@@ -880,7 +897,7 @@ _BREAK_NUMBERFIELD_INVARIANTS = """
 import heckedist.numberfield as nf
 from heckedist.errors import InvariantViolation
 
-F = nf.make_field(10)
+F = nf.Field(2, 10)  # not make_field's: the memo of splittings and witnesses starts cold
 P = nf.factor_rational_prime(F, 3).primes[0]  # not principal
 P7 = nf.factor_rational_prime(F, 7).primes[0]  # inert, so narrow principal
 P41 = F.ideal(F.element(9, 2))  # 9 + 2w has norm 41, and 41 splits
