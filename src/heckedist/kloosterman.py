@@ -28,11 +28,10 @@ terms are then accumulated in unit order with Kahan compensation.
 Q is the degree-1 case of one path: ks_twisted and weil_check share one sum
 core, and both Weil sweeps are one loop over elements_of_norm that builds
 the twists' gcd ideals once.  Only the vectorised classical_weil_table has
-its own sum, and only it imports numpy: one inverse DFT per prime power
-q <= c_max gives S(m, j; q) for every j mod q, and every other modulus is a
-product of those rows by twisted multiplicativity, S(m, n; c1*c2) =
-S(m, n*c2b^2; c1) * S(m, n*c1b^2; c2) for coprime c1, c2 with c1*c1b = 1
-mod c2 and c2*c2b = 1 mod c1.
+its own sum, and only it imports numpy: one inverse DFT per prime power q
+gives S(m, j; q) for every j, on the units h^i of Z/q with inverses h^(o-i)
+read off the reversed exponent (h a generator, a block of prime powers per
+doubling pass), and the other moduli follow by twisted multiplicativity.
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ from .numberfield import (
 
 RESIDUE_CAP = 10**6  # most residues residue_unit_group enumerates
 TABLE_CAP = 10**7  # most (c, m, n) cells classical_weil_table accumulates
-_INT64_LIMIT = 2**63 - 1
 _UNIT_TOL = 1e-12  # how far a twist value may stray from the unit circle
+_UNIT_BLOCK = 2**15  # most generator powers one doubling pass fills
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +110,8 @@ class ResidueUnitGroup:
 
 
 def _distinct_prime_divisors(field: Field, I: FractionalIdeal) -> list[FractionalIdeal]:
-    out = []
-    for p in sorted(_rational_factorization(int(I.norm()))):
-        for P in _factor_prime(field, p).primes:
-            if P.contains_ideal(I):
-                out.append(P)
-    return out
-
-
-def _pow_mod(field: Field, base, e: int, mod: QuotientModule):
-    """base**e in O/modulus by square-and-multiply, reducing after every product."""
-    return _power(base, e, lambda p, q: mod.reduce(_mul_coords(field, p, q)), mod.reduce((1, 0)))
+    return [P for p in sorted(_rational_factorization(int(I.norm())))
+            for P in _factor_prime(field, p).primes if P.contains_ideal(I)]
 
 
 def _batch_inverse(units: list, mul, inverse) -> list:
@@ -150,8 +140,7 @@ def _zn_units(N: int) -> tuple[list[int], list[int]]:
         keep[::p] = bytes(len(range(0, N, p)))
     x = list(itertools.compress(range(N), keep))
     y = _batch_inverse(x, lambda a, b: a * b % N, lambda a: pow(a, len(x) - 1, N))
-    one = 1 % N
-    if any(a * b % N != one for a, b in zip(x, y)):
+    if any(a * b % N != 1 % N for a, b in zip(x, y)):
         raise InvariantViolation("inverse congruence x * x^(-1) = 1 failed")
     return x, y
 
@@ -229,7 +218,7 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, mod: QuotientModu
     phi = len(x)
 
     def is_unit(u):
-        return mul(u, _pow_mod(field, u, phi - 1, mod)) == one
+        return mul(u, _power(u, phi - 1, mul, one)) == one
 
     b1, d1 = quo_inv.shape
     f = next((f for f in itertools.product(range(b1), range(d1)) if is_unit(times(x[0], f))), None)
@@ -242,7 +231,7 @@ def _unit_coords(quo: QuotientModule, quo_inv: QuotientModule, mod: QuotientModu
     (p1, q1), (p2, q2) = times((1, 0), f), times((0, 1), f)  # e_1*f, e_2*f
     u_inv = _batch_inverse(
         [((i * p1 + j * p2 - (v := i * q1 + j * q2) // c * b) % a, v % c) for i, j in x],
-        mul, lambda u: _pow_mod(field, u, phi - 1, mod))
+        mul, lambda u: _power(u, phi - 1, mul, one))
     ia, ib, ic = quo_inv.sub_hnf
     (k0, l0), (kw, lw) = f, quo_inv.reduce(
         Linv.element_coords(quo_inv.element(*f) * field.omega()))  # f and f*w
@@ -304,10 +293,8 @@ class TwistCharacter:
         """Quadratic residue character mod an odd prime p (over Q)."""
         if p == 2 or not is_rational_prime(p):
             raise InvalidParameter(f"legendre twist needs an odd prime, got {p}")
-        table = {}
-        for x in range(1, p):
-            table[(x,)] = complex(1.0 if pow(x, (p - 1) // 2, p) == 1 else -1.0)
-        return TwistCharacter(table)
+        return TwistCharacter({(x,): complex(1.0 if pow(x, (p - 1) // 2, p) == 1 else -1.0)
+                               for x in range(1, p)})
 
     def values(self, group: ResidueUnitGroup) -> list[complex]:
         """chi(x) for the units x of the group, in their order."""
@@ -319,19 +306,13 @@ class TwistCharacter:
         # tables are defined on the O/(c)*c_frak coordinates; this requires
         # the residue module to be the ring of integers itself
         if group.quotient.L != group.field.unit_ideal():
-            raise PreconditionViolation(
-                "explicit twist tables need a*c_frak^(-1) = O (module = O/(c)c_frak)"
-            )
-        red = group.quotient.reduce
-        keys = (red(x) for x in rows)
-        if group.field.degree == 1:
-            keys = ((i,) for i, _ in keys)
-        out = []
-        for key in keys:
-            if key not in self.table:
-                raise PreconditionViolation(f"character table missing residue {key}")
-            out.append(complex(self.table[key]))
-        return out
+            raise PreconditionViolation("explicit twist tables need a*c_frak^(-1) = O "
+                                        "(module = O/(c)c_frak)")
+        keys = (group.quotient.reduce(x)[:group.field.degree] for x in rows)
+        try:
+            return [complex(self.table[key]) for key in keys]
+        except KeyError as exc:
+            raise PreconditionViolation(f"character table missing residue {exc.args[0]}") from None
 
     def verify_multiplicative(self, group: ResidueUnitGroup) -> bool:
         """chi(xy) = chi(x) chi(y) over all unit pairs of the group, within _UNIT_TOL."""
@@ -465,9 +446,7 @@ def _weil_parts(r: FieldElement, a_ideal: FractionalIdeal, rp: FieldElement,
     if not r.is_zero():
         parts.append(ideal_from_elements(field, [r]) * a_ideal * d)
     if not rp.is_zero():
-        parts.append(
-            ideal_from_elements(field, [rp]) * c_ideal * c_ideal * a_ideal.inverse() * d
-        )
+        parts.append(ideal_from_elements(field, [rp]) * c_ideal * c_ideal * a_ideal.inverse() * d)
     return parts
 
 
@@ -513,85 +492,106 @@ class SweepRow:
 
 
 def _check_int64(bound: int):
-    if bound > _INT64_LIMIT:
+    if bound >= 2**63:  # past the int64 range
         raise EnumerationTooLarge(f"integer coordinates up to {bound} would overflow int64")
 
 
-def _units_mod(N: int):
-    """The units x of Z/N in increasing order and their inverses x^(phi(N)-1) mod N,
-    as numpy int64 arrays: the vectorised twin of _zn_units for the table.
+def _generator_powers(h, q, n: int):
+    """h^i mod q for i < n, a row per entry of the int64 arrays h and q,
+    filled by doubling: pw[:, s:2s] = pw[:, :s] * h^s mod q."""
+    import numpy as np
 
-    Z/1 has the one unit 0, its own inverse.  Every pair is checked against
-    x * x^(-1) = 1 mod N.
+    pw = np.empty((len(q), n), dtype=np.int64)
+    pw[:, 0], q, hs, s = 1, q[:, None], h[:, None], 1  # hs = h^s mod q
+    while s < n:
+        np.remainder(pw[:, :min(s, n - s)] * hs, q, out=pw[:, s:2 * s])
+        hs, s = hs * hs % q, 2 * s
+    return pw
+
+
+def _prime_power_units(c_max: int):
+    """Yield (p, k, q, x, y) for each prime power q = p^k <= c_max, by p and
+    then k: the units x of Z/q and their inverses y, as int64 arrays.
+
+    x = h^i for i < o, y = h^(o-i) off the reversed exponent; h of order o is
+    the least primitive root g mod p, or g + p if g^(p-1) = 1 mod p^2, and
+    for q = 2^k, k >= 2, x = +-5^i, o = 2^(k-2).  One doubling pass fills
+    h^0, ..., h^o for a block of consecutive prime powers, up to _UNIT_BLOCK
+    powers.  Every pair is checked against x * x^(-1) = 1 mod q, and the
+    number of distinct units against phi(q).
     """
     import numpy as np
 
-    _check_int64(N * N)  # bounds every product below
-    keep = np.ones(N, dtype=bool)
-    for p in _rational_factorization(N):
-        keep[::p] = False
-    x = np.flatnonzero(keep).astype(np.int64)
-    y = _power(x, len(x) - 1, lambda p, q: p * q % N, np.full_like(x, 1 % N))
-    if not np.all(x * y % N == 1 % N):
-        raise InvariantViolation("inverse congruence x * x^(-1) = 1 failed")
-    return x, y
+    rows = []  # (p, k, q, h, o)
+    for p in rational_primes_upto(c_max):
+        exps = [(p - 1) // ell for ell in _rational_factorization(p - 1)]
+        g = next(g for g in itertools.count(2) if all(pow(g, e, p) != 1 for e in exps))
+        h, q, k = 5 if p == 2 else g + p * (pow(g, p - 1, p * p) == 1), p, 1
+        while q <= c_max:
+            rows.append((p, k, q, h % q, q // p * (p - 1) // (2 if p == 2 < q else 1)))
+            q, k = q * p, k + 1
+    step = max(1, _UNIT_BLOCK // c_max)  # o + 1 <= q <= c_max powers per row
+    for block in (rows[b:b + step] for b in range(0, len(rows), step)):
+        q, h, o = np.array([row[2:] for row in block], dtype=np.int64).T
+        for (p, k, qb, _, ob), pw in zip(block, _generator_powers(h, q, o.max() + 1)):
+            x, y = pw[:ob], pw[ob:0:-1]
+            if p == 2 < qb:  # the units +-5^i
+                x, y = np.concatenate((x, qb - x)), np.concatenate((y, qb - y))
+            if not np.all(x * y % qb == 1):
+                raise InvariantViolation("inverse congruence x * x^(-1) = 1 failed")
+            if np.count_nonzero(np.bincount(x, minlength=qb)) != qb // p * (p - 1):
+                raise InvariantViolation("the units of Z/q are not phi(q) in number")
+            yield p, k, qb, x, y
 
 
 def classical_weil_table(c_max: int, m_max: int = 5, n_max: int = 5):
     """S(m, n; c) for all m <= m_max, n <= n_max, c <= c_max, vectorized.
 
     High-volume path for sweeps.  Direct sums are taken only at the prime
-    powers q = p^k <= c_max.  There a vectorised Z/q unit enumeration
-    (`_units_mod`, on numpy) places e(p^e x/q) at index x^(-1),
-    and one inverse DFT turns it into the row S(p^e, j; q) for every j
-    mod q; a row is made for each p-adic valuation e <= k that some m has,
-    since S(m, j; q) = S(p^e, u*j; q) for m = p^e*u with p not dividing u
-    (e capped at k, where p^k = 0 mod q).  Every c = q*r with p not dividing
-    r then takes its q-part by twisted multiplicativity,
-    S(m, n; c) = prod over q of S(m, n*rbar^2; q), rbar = r^(-1) mod q,
-    as one gather per prime power into an accumulator of every (c, m, n);
-    c = 1 takes 1.  The sums are real, so the rows keep their real part.
-    The test suite checks the table against a direct cosine-table sum per
-    modulus, on the residue groups' own Z/N enumeration, and a subsample
-    against the general ks_twisted path.
+    powers q = p^k <= c_max, in order of p and then k.  There the units
+    x = h^i of Z/q, generator powers from `_prime_power_units`, place
+    e(p^e x/q) at index x^(-1) = h^(o-i), and one inverse DFT turns it into
+    the row S(p^e, j; q) for every j mod q; a row is made for each p-adic
+    valuation e <= k that some m has, since S(m, j; q) = S(p^e, u*j; q) for
+    m = p^e*u with p not dividing u (e capped at k, where p^k = 0 mod q).
+    Every c = q*r with p not dividing r then takes its q-part by twisted
+    multiplicativity, S(m, n; c1*c2) = S(m, n*c2b^2; c1) * S(m, n*c1b^2; c2)
+    for coprime c1, c2 with c1*c1b = 1 mod c2 and c2*c2b = 1 mod c1: one
+    gather per prime power at n*rbar^2, rbar = pow(r, -1, q), into an
+    accumulator of every (c, m, n); c = 1 takes 1.  The sums are real, so
+    the rows keep their real part.  Tests check it against a direct sum per
+    modulus and against ks_twisted.
 
-    Yields (c, m, n, value) with value = S(m, n; c) as a float, in
-    ascending (c, m, n) order.  More than TABLE_CAP accumulator cells
-    raises EnumerationTooLarge before anything is allocated.
+    Yields (c, m, n, value), value = S(m, n; c) as a float, in ascending
+    (c, m, n) order.  More than TABLE_CAP accumulator cells, or products
+    beyond int64, raise EnumerationTooLarge before anything is allocated.
     """
     if min(c_max, m_max, n_max) < 1:
         return
     cells = (c_max + 1) * m_max * n_max
     if cells > TABLE_CAP:
         raise EnumerationTooLarge(f"{cells} table cells exceeds cap {TABLE_CAP}")
-    _check_int64(max(m_max, n_max) * c_max)  # bounds every index product below
+    _check_int64(max(m_max, n_max, c_max) * c_max)  # bounds every product below
     import numpy as np
 
-    ms = np.arange(1, m_max + 1, dtype=np.int64)
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    ms, ns = (np.arange(1, v + 1, dtype=np.int64) for v in (m_max, n_max))
     acc = np.ones((c_max + 1, m_max, n_max))
-    for p in rational_primes_upto(c_max):
-        # m = p^val * u with p not dividing u
-        val, u = np.zeros_like(ms), ms.copy()
-        while np.any(hit := u % p == 0):
-            val += hit
-            u[hit] //= p
-        q, k = p, 1
-        while q <= c_max:
-            x, y = _units_mod(q)
-            e = np.minimum(val, k)
-            f = np.zeros((e.max() + 1, q), dtype=complex)
-            f[:, y] = np.exp(2j * np.pi / q * (p ** np.arange(len(f))[:, None] * x % q))
-            rows = (q * np.fft.ifft(f, axis=1)).real
-            inv = np.empty(q, dtype=np.int64)
-            inv[x] = y
-            r = np.arange(1, c_max // q + 1, dtype=np.int64)
-            r = r[r % p != 0]
-            t = inv[r % q] ** 2 % q
-            # index (R, M, N): u_m * (n * t_r mod q) mod q
-            j = u[:, None] * (ns * t[:, None, None] % q) % q
-            acc[q * r] *= rows[e[:, None], j]
-            q, k = q * p, k + 1
+    for p, k, q, x, y in _prime_power_units(c_max):
+        if k == 1:
+            # m = p^val * u with p not dividing u; no m <= m_max < p has p
+            val, u = np.zeros_like(ms), ms.copy()
+            while p <= m_max and np.any(hit := u % p == 0):
+                val += hit
+                u[hit] //= p
+        e = np.minimum(val, k)
+        f = np.zeros((e.max() + 1, q), dtype=complex)
+        f[:, y] = np.exp(2j * np.pi / q * (p ** np.arange(len(f))[:, None] * x % q))
+        rows = (q * np.fft.ifft(f, axis=1)).real
+        r, t = np.array([(r, pow(r, -2, q)) for r in range(1, c_max // q + 1) if r % p],
+                        dtype=np.int64).T  # t = rbar^2 mod q
+        # index (R, M, N): u_m * (n * t_r mod q) mod q
+        j = u[:, None] * (ns * t[:, None, None] % q) % q
+        acc[q * r] *= rows[e[:, None], j]
     cmn = itertools.product(range(1, c_max + 1), range(1, m_max + 1), range(1, n_max + 1))
     for (c, m, n), value in zip(cmn, acc[1:].ravel().tolist()):
         yield (c, m, n, value)

@@ -735,13 +735,24 @@ def abelian_invariants_by_quotients(table: list[list[int]]) -> list[int]:
 # --- Euler product over prime ideals from a sieve and the Kronecker symbol ------
 
 
-def kronecker(disc: int, p: int) -> int:
-    """(disc / p) for a prime p: 0 ramified, 1 split, -1 inert."""
-    if disc % p == 0:
-        return 0
-    if p == 2:
-        return 1 if disc % 8 in (1, 7) else -1
-    return 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
+def kronecker(disc: int, n: int) -> int:
+    """The Kronecker symbol (disc / n) for n >= 1, the product of (disc / p)
+    over the primes p dividing n with multiplicity; at a prime, 0 ramified,
+    1 split, -1 inert."""
+    out, p = 1, 2
+    while n > 1 and out:
+        if p * p > n:
+            p = n  # n is prime
+        while n % p == 0:
+            n //= p
+            if disc % p == 0:
+                out = 0
+            elif p == 2:
+                out *= 1 if disc % 8 in (1, 7) else -1
+            else:
+                out *= 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
+        p += 1
+    return out
 
 
 def prime_discriminants(disc: int) -> list[int]:

@@ -1,6 +1,8 @@
 import cmath
 import contextlib
+import hashlib
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -31,6 +33,7 @@ from heckedist.numberfield import (
     elements_of_norm,
     factor_rational_prime,
     ideal_from_elements,
+    is_rational_prime,
     make_field,
     prime_ideals_of_norm_upto,
 )
@@ -230,6 +233,60 @@ def test_weil_table_size_guard(monkeypatch):
     monkeypatch.setattr(K, "TABLE_CAP", 2**200)
     with pytest.raises(EnumerationTooLarge, match="overflow int64"):
         list(classical_weil_table(10, 2**62, 1))
+
+
+# sha256 of the repr of every row, one per line; (128, 8, 8) has m sharing
+# the prime of 2^7, 3^4, 5^3 and 7^2
+_TABLE_DIGESTS = {
+    (300, 5, 5): "45e4b1029cbf208adcf3fdb5e6804afb506cac344a32ed01b7d0ec843cfcf230",
+    (128, 8, 8): "67d4cfd44a2734000425ea82656f3da100fd4df7adc3f153d8b028a48f0ee4b3",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_TABLE_DIGESTS))
+def test_weil_table_bytes_are_pinned(shape):
+    rows = "\n".join(map(repr, classical_weil_table(*shape)))
+    assert hashlib.sha256(rows.encode()).hexdigest() == _TABLE_DIGESTS[shape]
+
+
+def test_weil_table_int64_guard_allocates_nothing():
+    import heckedist
+
+    # products of two residues mod q <= c_max must fit int64; the guard has to
+    # fire before the (c_max + 1)-row accumulator exists, so the address space
+    # is capped at 1 GiB and a late guard dies of MemoryError instead
+    script = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+import heckedist.kloosterman as K
+from heckedist.errors import EnumerationTooLarge
+K.TABLE_CAP = 2**200
+try:
+    list(K.classical_weil_table(3_100_000_000, 1, 1))
+except EnumerationTooLarge as exc:
+    print(exc)
+"""
+    src = os.path.dirname(os.path.dirname(heckedist.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "overflow int64" in proc.stdout
+
+
+def test_prime_power_units_match_zn_units():
+    import heckedist.kloosterman as K
+
+    # the table's generator powers and the residue groups' Z/N enumeration
+    # check each other at every prime power q <= 4096
+    seen = []
+    for p, k, q, x, y in K._prime_power_units(4096):
+        pairs = sorted(zip(x.tolist(), y.tolist()))
+        assert q == p**k and [list(v) for v in zip(*pairs)] == list(K._zn_units(q)), (p, k)
+        seen.append(q)
+    assert seen == [q for p in range(2, 4097) if is_rational_prime(p)
+                    for q in itertools.takewhile(lambda q: q <= 4096,
+                                                 (p**k for k in itertools.count(1)))]
 
 
 def _shift_by_submodule(coords, sub_hnf, k0):
@@ -605,7 +662,7 @@ import heckedist.kloosterman as K
 from heckedist.errors import InvariantViolation
 from heckedist.numberfield import make_field
 
-real_batch_inverse, real_power = K._batch_inverse, K._power
+real_batch_inverse, real_generator_powers = K._batch_inverse, K._generator_powers
 
 
 def corrupt_batch_inverse(units, mul, inverse):
@@ -614,10 +671,10 @@ def corrupt_batch_inverse(units, mul, inverse):
     return y
 
 
-def corrupt_power(base, k, mul, one):
-    y = real_power(base, k, mul, one).copy()
-    y[0] += 1  # the inverse of the unit 1 of Z/N becomes 2
-    return y
+def corrupt_generator_powers(h, q, n):
+    pw = real_generator_powers(h, q, n)
+    pw[-1, 1] += 1  # h^1 of the last prime power in the block becomes h + 1
+    return pw
 
 
 def corrupt_mul_coords(field, p, q):
@@ -627,13 +684,15 @@ def corrupt_mul_coords(field, p, q):
 F, Q = make_field(5), make_field("rational")
 O = F.unit_ideal()
 # c = 3 is inert in Q(sqrt5), so O/(3) is not cyclic and takes the general
-# path; c = 3 + w has norm 11, and Q, in a group and in the table, is cyclic
+# path; c = 3 + w has norm 11, and Q in a group is cyclic; the table reads
+# each inverse h^(o-i) of a unit h^i of Z/q off its generator powers
 runs = (
     ("_batch_inverse", corrupt_batch_inverse, lambda: K.residue_unit_group(O, F.element(3), O)),
     ("_batch_inverse", corrupt_batch_inverse, lambda: K.residue_unit_group(O, F.element(3, 1), O)),
     ("_batch_inverse", corrupt_batch_inverse,
      lambda: K.residue_unit_group(Q.ideal(2), Q.element(7), Q.unit_ideal())),
-    ("_power", corrupt_power, lambda: list(K.classical_weil_table(7, 1, 1))),
+    ("_generator_powers", corrupt_generator_powers,
+     lambda: list(K.classical_weil_table(7, 1, 1))),
     ("_mul_coords", corrupt_mul_coords, lambda: K.residue_unit_group(O, F.element(3, 1), O)),
 )
 for name, corrupt, run in runs:
@@ -653,7 +712,7 @@ def test_corrupted_inverse_raises(monkeypatch):
     import heckedist.kloosterman as K
 
     # restored after the script patches them
-    for name in ("_batch_inverse", "_power", "_mul_coords"):
+    for name in ("_batch_inverse", "_generator_powers", "_mul_coords"):
         monkeypatch.setattr(K, name, getattr(K, name))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
