@@ -335,13 +335,12 @@ def equidist_report(
     return report
 
 
-def plot_data(ds: Dataset, spec: Optional[MeasureSpec] = None) -> np.ndarray:
+def plot_data(ds: Dataset) -> np.ndarray:
     """(x, empirical cdf, target cdf) rows for external plotting, one per
     distinct lambda in ascending order, as an (n, 3) read-only float64 array."""
     _require_nonempty(ds)
-    spec = spec or ds.target
     xs, emp = _sorted_empirical(ds)
-    rows = np.stack((xs, emp, measures.cdf(spec, xs)), axis=1)
+    rows = np.stack((xs, emp, measures.cdf(ds.target, xs)), axis=1)
     rows.flags.writeable = False
     return rows
 

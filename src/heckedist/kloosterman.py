@@ -451,10 +451,9 @@ def _weil_parts(r: FieldElement, a_ideal: FractionalIdeal, rp: FieldElement,
 
 
 def _weil_row(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement, c: FieldElement,
-              chi: Optional[TwistCharacter], eps: float,
-              parts: list[FractionalIdeal]) -> WeilCheck:
+              eps: float, parts: list[FractionalIdeal]) -> WeilCheck:
     """weil_check on a group, for the gcd parts `_weil_parts` returned."""
-    ks = _twisted_sum(group, r, rp, c, chi)
+    ks = _twisted_sum(group, r, rp, c, None)
     gcd_norm = float(sum(parts, group.modulus).norm())
     mod_norm = float(group.modulus.norm())
     rhs = math.sqrt(gcd_norm) * mod_norm ** (0.5 + eps)
@@ -468,13 +467,12 @@ def weil_check(
     rp: FieldElement,
     c: FieldElement,
     c_ideal: FractionalIdeal,
-    chi: Optional[TwistCharacter] = None,
     eps: float = 0.0,
     group: Optional[ResidueUnitGroup] = None,
 ) -> WeilCheck:
     """|KS| against N(gcd(r a d, r' c_frak^2 a^(-1) d, c c_frak))^(1/2) N(c c_frak)^(1/2+eps)."""
     parts = _weil_parts(r, a_ideal, rp, c_ideal, eps)
-    return _weil_row(_group_for(a_ideal, c, c_ideal, group), r, rp, c, chi, eps, parts)
+    return _weil_row(_group_for(a_ideal, c, c_ideal, group), r, rp, c, eps, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +607,16 @@ def _weil_sweep(field: Field, bound: int, r: int, rp: int, eps: float) -> list[S
     rows = []
     for n in range(1, bound + 1):
         for c in elements_of_norm(field, n):
-            chk = _weil_row(residue_unit_group(O, c, O), r_el, rp_el, c, None, eps, parts)
+            chk = _weil_row(residue_unit_group(O, c, O), r_el, rp_el, c, eps, parts)
             label = str(c.x) if field.degree == 1 else f"{c.x}+{c.y}w"
             rows.append(SweepRow(label, float(abs(c.norm())), chk.ks_abs,
                                  abs(chk.value.imag), chk.rhs, chk.ratio))
     return rows
 
 
-def classical_weil_sweep(c_max: int, m: int = 1, n: int = 1,
-                         eps: float = 0.0) -> list[SweepRow]:
-    """Classical sums S(m, n; c) for c <= c_max with Weil-bound ratios."""
-    return _weil_sweep(make_field("rational"), c_max, m, n, eps)
+def classical_weil_sweep(c_max: int, m: int = 1, n: int = 1) -> list[SweepRow]:
+    """Classical sums S(m, n; c) for c <= c_max with Weil-bound ratios (eps = 0)."""
+    return _weil_sweep(make_field("rational"), c_max, m, n, 0.0)
 
 
 def quadratic_weil_sweep(field: Field, norm_max: int, r_val: int = 1,

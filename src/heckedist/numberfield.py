@@ -7,7 +7,8 @@ over its denominator in lowest terms, (u + v*w)/den; a fractional ideal is
 a Hermite-reduced 2-row module basis over its least denominator.  So
 equality is a structural comparison, and products, norms, conjugates and
 signs of elements and ideals alike come from the same row helpers; powers of
-both, and kloosterman's powers mod an ideal, from one square-and-multiply.
+both, kloosterman's powers mod an ideal and square roots mod p from one
+square-and-multiply.
 Ideal classes are keyed by cycles of reduced binary quadratic forms, and
 principal generators are read off the same rho-walk.  Everything is
 immutable and exact; floating point appears only in `embeddings`.
@@ -19,11 +20,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Optional, Union
 
 from .errors import (
     DegreeUnsupported,
+    EnumerationTooLarge,
     InvalidParameter,
     InvariantViolation,
     NotPrime,
@@ -67,8 +69,32 @@ def is_squarefree(n: int) -> bool:
     return n >= 1 and all(e == 1 for e in _rational_factorization(n).values())
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_rational_prime(p: int) -> bool:
-    return p >= 2 and _rational_factorization(p) == {p: 1}
+    """Trial division by the first 13 primes, then Miller-Rabin to those
+    bases, which is exact below _MR_BOUND (Sorenson and Webster 2015); a
+    larger p with no factor among them raises EnumerationTooLarge."""
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    if p >= _MR_BOUND:
+        raise EnumerationTooLarge(f"{p} is past the deterministic primality bound {_MR_BOUND}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 def rational_primes_upto(bound: int) -> list[int]:
@@ -85,35 +111,22 @@ def rational_primes_upto(bound: int) -> list[int]:
 
 
 def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
-    """Square root of n mod p (p prime), or None.  Tonelli-Shanks."""
+    """Square root of n mod an odd prime p, or None.  Cipolla: for the first
+    a >= 1 with d = a^2 - n a non-residue, (a + sqrt(d))^((p+1)/2) in
+    F_p(sqrt(d)) lies in F_p and squares to n."""
     n %= p
     if n == 0:
         return 0
-    if p == 2:
-        return n
     if pow(n, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 1, (t * t) % p
-        while t2 != 1:
-            t2 = (t2 * t2) % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = (r * b) % p
-        c = (b * b) % p
-        t = (t * c) % p
-        m = i
-    return r
+    a = 1
+    while pow(d := a * a - n, (p - 1) // 2, p) != p - 1:
+        a += 1
+
+    def mul(x, y):
+        return (x[0] * y[0] + x[1] * y[1] * d) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+    return _power((a, 1), (p + 1) // 2, mul, (1, 0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +144,6 @@ class Field:
     def __init__(self, degree: int, D: Optional[int]):
         self.degree = degree
         self.D = D
-        self._cache: dict = {}
         if degree == 1:
             self.disc = 1
             self.omega_trace = 0
@@ -214,7 +226,7 @@ class Field:
         return hash((self.degree, self.D))
 
 
-@lru_cache(maxsize=None)
+@cache
 def make_field(D) -> Field:
     """Build Q (D == "rational") or Q(sqrt(D)) for squarefree D > 1."""
     if D == "rational" or D == 1:
@@ -750,31 +762,29 @@ def factor_rational_prime(field: Field, p: int) -> PrimeFactorization:
     return _factor_prime(field, p)
 
 
+@cache
 def _factor_prime(field: Field, p: int) -> PrimeFactorization:
     """factor_rational_prime for a p already known to be prime, checked once
-    and memoised per field."""
-    key = ("factor_prime", p)
-    if key not in field._cache:
-        tag = _splitting_type(field, p)
-        if tag == "inert":  # every p over Q
-            ideals = (field.ideal(p),)
+    and memoised per (field, p)."""
+    tag = _splitting_type(field, p)
+    if tag == "inert":  # every p over Q
+        ideals = (field.ideal(p),)
+    else:
+        # split or ramified: (p, w - r) for the roots r of x^2 - t x + n mod p
+        t, n = field.omega_trace, field.omega_norm
+        if p == 2:
+            roots = [r for r in (0, 1) if (r * r - t * r + n) % 2 == 0]
         else:
-            # split or ramified: (p, w - r) for the roots r of x^2 - t x + n mod p
-            t, n = field.omega_trace, field.omega_norm
-            if p == 2:
-                roots = [r for r in (0, 1) if (r * r - t * r + n) % 2 == 0]
-            else:
-                inv2 = pow(2, p - 2, p)
-                s = _sqrt_mod_prime((t * t - 4 * n) % p, p)
-                if s is None:
-                    raise InvariantViolation(f"no square root of the discriminant mod {p}")
-                roots = sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
-            ideals = tuple(field.ideal(p, field.omega() - r) for r in roots)
-            if len(ideals) != (1 if tag == "ramified" else 2):
-                raise InvariantViolation(f"{len(ideals)} roots mod {p} for a {tag} prime")
-        degree = field.degree if tag == "inert" else 1
-        field._cache[key] = PrimeFactorization(p, tag, ideals, (degree,) * len(ideals))
-    return field._cache[key]
+            inv2 = pow(2, p - 2, p)
+            s = _sqrt_mod_prime((t * t - 4 * n) % p, p)
+            if s is None:
+                raise InvariantViolation(f"no square root of the discriminant mod {p}")
+            roots = sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
+        ideals = tuple(field.ideal(p, field.omega() - r) for r in roots)
+        if len(ideals) != (1 if tag == "ramified" else 2):
+            raise InvariantViolation(f"{len(ideals)} roots mod {p} for a {tag} prime")
+    degree = field.degree if tag == "inert" else 1
+    return PrimeFactorization(p, tag, ideals, (degree,) * len(ideals))
 
 
 def is_prime_ideal(I: FractionalIdeal) -> bool:
@@ -883,15 +893,12 @@ def _valuation(arg, P: FractionalIdeal) -> int:
 # Different
 
 
+@cache
 def different_ideal(field: Field) -> FractionalIdeal:
     """The different; its trace-dual inverse satisfies S(x*O) in Z (cached per field)."""
-    if "different" not in field._cache:
-        if field.degree == 1:
-            field._cache["different"] = field.unit_ideal()
-        else:
-            t = field.omega_trace
-            field._cache["different"] = field.ideal(field.element(-t, 2))  # f'(w) = 2w - t
-    return field._cache["different"]
+    if field.degree == 1:
+        return field.unit_ideal()
+    return field.ideal(field.element(-field.omega_trace, 2))  # f'(w) = 2w - t
 
 
 # ---------------------------------------------------------------------------
@@ -1062,8 +1069,9 @@ class ClassGroupDescription:
     narrow: bool
 
 
+@cache
 def _class_structure(field: Field):
-    """(cyclic_factors, representatives) of Cl+, then of Cl.
+    """(cyclic_factors, representatives) of Cl+, then of Cl, memoised per field.
 
     Narrow classes are indexed by their `_rho_walk` keys.  The primes below
     the Minkowski bound generate Cl, and (sqrt(D)) is the product of the
@@ -1141,14 +1149,10 @@ def _abelian_invariants(orders: list[int]) -> list[int]:
 
 
 def class_group(field: Field, narrow: bool = False) -> ClassGroupDescription:
-    """The wide or narrow class group; the first call builds and caches both."""
-    key = ("class_group", narrow)
-    if key not in field._cache:
-        narrow_cg, wide_cg = _class_structure(field)
-        for variant, (fac, reps) in ((False, wide_cg), (True, narrow_cg)):
-            field._cache[("class_group", variant)] = ClassGroupDescription(
-                len(wide_cg[1]), len(narrow_cg[1]), fac, reps, variant)
-    return field._cache[key]
+    """The wide or narrow class group; the first call builds both."""
+    narrow_cg, wide_cg = _class_structure(field)
+    fac, reps = narrow_cg if narrow else wide_cg
+    return ClassGroupDescription(len(wide_cg[1]), len(narrow_cg[1]), fac, reps, narrow)
 
 
 def _abs_embedding_cmp(field: Field, p: tuple[int, int]) -> int:
@@ -1226,33 +1230,30 @@ def narrow_square_witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal,
     return _witness(P)
 
 
+@cache
 def _square_classes(field: Field) -> dict[Form, FractionalIdeal]:
     """The least narrow representative b, by (norm, hnf), of each narrow
     class of b^2, keyed by `_rho_walk(b*b)`; memoised per field."""
-    if "square_classes" not in field._cache:
-        roots: dict[Form, FractionalIdeal] = {}
-        for b in sorted(class_group(field, narrow=True).representatives,
-                        key=lambda I: (I.norm(), I.hnf)):
-            roots.setdefault(_rho_walk(b * b), b)
-        field._cache["square_classes"] = roots
-    return field._cache["square_classes"]
+    roots: dict[Form, FractionalIdeal] = {}
+    for b in sorted(class_group(field, narrow=True).representatives,
+                    key=lambda I: (I.norm(), I.hnf)):
+        roots.setdefault(_rho_walk(b * b), b)
+    return roots
 
 
+@cache
 def _witness(P: FractionalIdeal) -> Optional[tuple[FractionalIdeal, FieldElement]]:
     """narrow_square_witness for a P already known to be prime, checked once
-    and memoised per field."""
-    field, key = P.field, ("witness", P)
-    if key not in field._cache:
-        witness = None
-        if field.degree == 1:
-            witness = (field.unit_ideal(), field.element(int(P.norm())))
-        # P*conj(P) = (N(P)) is narrowly principal, so P*b^2 is iff b^2 lies
-        # in the narrow class of conj(P)
-        elif (b := _square_classes(field).get(_rho_walk(P.conjugate()))) is not None:
-            eta = principal_totally_positive_generator(P * b * b)
-            if eta is None or not (eta.is_integral() and eta.is_totally_positive()):
-                raise InvariantViolation("a narrow-principal ideal has no totally positive "
-                                         "integral generator")
-            witness = (b, eta)
-        field._cache[key] = witness
-    return field._cache[key]
+    and memoised per P."""
+    field = P.field
+    if field.degree == 1:
+        return field.unit_ideal(), field.element(int(P.norm()))
+    # P*conj(P) = (N(P)) is narrowly principal, so P*b^2 is iff b^2 lies
+    # in the narrow class of conj(P)
+    if (b := _square_classes(field).get(_rho_walk(P.conjugate()))) is None:
+        return None
+    eta = principal_totally_positive_generator(P * b * b)
+    if eta is None or not (eta.is_integral() and eta.is_totally_positive()):
+        raise InvariantViolation("a narrow-principal ideal has no totally positive "
+                                 "integral generator")
+    return b, eta

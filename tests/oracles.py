@@ -735,22 +735,26 @@ def abelian_invariants_by_quotients(table: list[list[int]]) -> list[int]:
 # --- Euler product over prime ideals from a sieve and the Kronecker symbol ------
 
 
+def kronecker_at_prime(disc: int, p: int) -> int:
+    """The Kronecker symbol (disc / p) at a prime p: 0 ramified, 1 split,
+    -1 inert; by disc mod 8 at p = 2, else by Euler's criterion."""
+    if disc % p == 0:
+        return 0
+    if p == 2:
+        return 1 if disc % 8 in (1, 7) else -1
+    return 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
+
+
 def kronecker(disc: int, n: int) -> int:
     """The Kronecker symbol (disc / n) for n >= 1, the product of (disc / p)
-    over the primes p dividing n with multiplicity; at a prime, 0 ramified,
-    1 split, -1 inert."""
+    over the primes p dividing n with multiplicity."""
     out, p = 1, 2
     while n > 1 and out:
         if p * p > n:
             p = n  # n is prime
         while n % p == 0:
             n //= p
-            if disc % p == 0:
-                out = 0
-            elif p == 2:
-                out *= 1 if disc % 8 in (1, 7) else -1
-            else:
-                out *= 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
+            out *= kronecker_at_prime(disc, p)
         p += 1
     return out
 
@@ -809,15 +813,16 @@ def euler_product_loop(params, field, X: int, level_norms=()):
     for p in primes_upto(X):
         if p in skip:
             continue
-        rational *= 1.0 / (1.0 - float(p) ** e)
+        factor = 1.0 / (1.0 - float(p) ** e)
+        rational *= factor
         if field.degree == 1:
             prod = rational
             continue
-        chi = kronecker(field.disc, p)
+        chi = kronecker_at_prime(field.disc, p)
         if chi == 1:
-            prod *= (1.0 / (1.0 - float(p) ** e)) ** 2
+            prod *= factor ** 2
         elif chi == 0:
-            prod *= 1.0 / (1.0 - float(p) ** e)
+            prod *= factor
         elif p * p <= X:
             prod *= 1.0 / (1.0 - float(p * p) ** e)
 

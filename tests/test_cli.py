@@ -548,6 +548,17 @@ def test_wide_measure_intervals_finish(argv, code):
         assert rep["error"]["code"] == "EnumerationTooLarge"
 
 
+@pytest.mark.parametrize("argv", [
+    ["ideal", "--D", "5", "--op", "factor", "--p", "10000001400000049"],
+    ["hecke", "cosets", "--D", "5", "--p", "10000001400000049", "--ell", "0"],
+])
+def test_a_square_of_a_large_prime_is_refused_as_not_prime(argv):
+    # 100000007^2: trial division once took about 10 s to find its factor
+    proc = _run_python("-m", "heckedist.cli", *argv)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert json.loads(proc.stdout.decode())["error"]["code"] == "NotPrime"
+
+
 def test_measure_mass_past_float_range_is_an_error_not_infinity():
     # the atom sum of tilde_pl over this interval is past float range
     code, out = run_command(["measure", "tilde-pl", "--xi", "0", "--interval=-1e200,1e200"])

@@ -228,9 +228,9 @@ def test_descent_with_nonprincipal_witness_ideal():
 
 
 def test_descent_builds_each_witness_once(monkeypatch):
-    # descent_data and narrow_square_witness read one per-field witness memo
+    # descent_data and narrow_square_witness read one witness memo
     P = factor_rational_prime(make_field(79), 5).primes[0]
-    P.field._cache.pop(("witness", P), None)
+    nf._witness.cache_clear()
     builds = []
     real = nf.principal_totally_positive_generator
     monkeypatch.setattr(nf, "principal_totally_positive_generator",

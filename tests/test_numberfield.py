@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from heckedist import bounds, numberfield as nf, quadforms
 from heckedist.errors import (
     DegreeUnsupported,
+    EnumerationTooLarge,
     InvalidParameter,
     InvariantViolation,
     NotPrime,
@@ -433,6 +434,37 @@ def test_rational_primes_upto_matches_trial_division():
     primes = nf.rational_primes_upto(99_991)
     assert primes == _primes_by_trial_division(99_991)
     assert primes[-1] == 99_991 and all(type(p) is int for p in primes)
+
+
+def test_is_rational_prime_matches_the_sieve():
+    primes = [n for n in range(-2, 200_000) if nf.is_rational_prime(n)]
+    assert primes == list(primes_upto(200_000))
+
+
+def test_is_rational_prime_refuses_pseudoprimes_and_stops_at_its_bound():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601]
+    # strong pseudoprimes to every prime base up to 7, 23 and 37
+    strong = [3215031751, 3825123056546413051, 318665857834031151167461]
+    assert not any(nf.is_rational_prime(n) for n in carmichael + strong)
+    assert nf.is_rational_prime(2**61 - 1) and nf.is_rational_prime(2**79 - 67)
+    assert not nf.is_rational_prime(100000007**2)
+    assert not nf.is_rational_prime(2**90)  # a factor among the bases decides it past the bound
+    with pytest.raises(EnumerationTooLarge):
+        nf.is_rational_prime(2**89 - 1)
+
+
+def test_sqrt_mod_prime_matches_a_square_scan():
+    for p in primes_upto(2000)[1:]:
+        squares = {x * x % p for x in range(p)}
+        for n in range(p):
+            r = nf._sqrt_mod_prime(n, p)
+            assert (r is not None and r * r % p == n) if n in squares else r is None, (n, p)
+    for p in (998244353, 2**61 - 1):
+        for x in (1, 3, 12345, p - 2):
+            r = nf._sqrt_mod_prime(x * x, p)
+            assert r in (x, p - x)
+        nonresidue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        assert nf._sqrt_mod_prime(nonresidue, p) is None
 
 
 # --- different --------------------------------------------------------------
@@ -915,7 +947,10 @@ _BREAK_NUMBERFIELD_INVARIANTS = """
 import heckedist.numberfield as nf
 from heckedist.errors import InvariantViolation
 
-F = nf.Field(2, 10)  # not make_field's: the memo of splittings and witnesses starts cold
+# cold memos, so each splitting and witness below is built under its patch
+for memo in (nf._factor_prime, nf._witness, nf._square_classes, nf._class_structure):
+    memo.cache_clear()
+F = nf.make_field(10)
 P = nf.factor_rational_prime(F, 3).primes[0]  # not principal
 P7 = nf.factor_rational_prime(F, 7).primes[0]  # inert, so narrow principal
 P41 = F.ideal(F.element(9, 2))  # 9 + 2w has norm 41, and 41 splits
