@@ -135,7 +135,8 @@ def _sorted_empirical(ds: Dataset):
         order = np.lexsort((ds.labels, lams))
         xs = lams[order]
     ws = ds.weights()[order]
-    cum = np.cumsum(ws) / np.sum(ws)
+    cum = np.cumsum(ws)
+    cum /= np.sum(ws)
     keep = np.append(~tied, True)
     return xs[keep], cum[keep]
 
@@ -181,15 +182,20 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
     n = len(ds)
     denom = W - ws
     loo_denom = np.where(denom > 0, denom, np.nan)
+    loo = np.empty(n)  # the leave-one-out means of each ell, then their squared deviations
     out = []
     for ell, vals in zip(range(ell_max + 1), _chebyshev(lams)):
         S = float(np.dot(ws, vals))
         M = S / W
         expected = phi_moment(ord, ell)
         if n > 1:
-            loo = (S - ws * vals) / loo_denom
-            loo = np.where(np.isfinite(loo), loo, M)
-            se = math.sqrt(max((n - 1) / n * float(np.sum((loo - np.mean(loo)) ** 2)), 0.0))
+            np.multiply(ws, vals, out=loo)
+            np.subtract(S, loo, out=loo)
+            np.divide(loo, loo_denom, out=loo)
+            np.copyto(loo, M, where=~np.isfinite(loo))
+            loo -= np.mean(loo)
+            np.square(loo, out=loo)
+            se = math.sqrt(max((n - 1) / n * float(np.sum(loo)), 0.0))
         else:
             se = 0.0
         z = (M - expected) / se if se > 0 else (0.0 if M == expected else None)
@@ -211,13 +217,20 @@ def _synth_labels(n: int) -> np.ndarray:
     start = len(prefix)
     digits = max(6, len(str(n - 1)))
     buf = np.zeros((n, start + digits), dtype=np.uint32)
-    buf[:, :start] = [ord(c) for c in prefix]
-    for width in range(6, digits + 1):  # the rows [lo, hi) have `width` digits
-        lo, hi = 0 if width == 6 else 10 ** (width - 1), min(n, 10 ** width)
-        q = np.arange(lo, hi)
-        for col in range(start + width - 1, start - 1, -1):
-            q, buf[lo:hi, col] = np.divmod(q, 10)
-        buf[lo:hi, start:start + width] += ord("0")
+
+    def fill(lo: int, hi: int):
+        buf[lo:hi, :start] = [ord(c) for c in prefix]
+        for width in range(6, digits + 1):  # the rows [a, b) have `width` digits
+            a = max(lo, 0 if width == 6 else 10 ** (width - 1))
+            b = min(hi, 10 ** width)
+            if a >= b:
+                continue
+            q = np.arange(a, b)
+            for col in range(start + width - 1, start - 1, -1):
+                q, buf[a:b, col] = np.divmod(q, 10)
+            buf[a:b, start:start + width] += ord("0")
+
+    measures._over_slices(fill, n)
     return buf.view(f"U{start + digits}")[:, 0]
 
 

@@ -497,6 +497,8 @@ def test_cli_import_loads_no_numpy_fft():
 _ARRAY_MODULES = ["heckedist.numberfield", "heckedist.kloosterman", "heckedist.bounds",
                   "heckedist.heckealg", "heckedist.equidist"]
 _STATS_MODULES = ["numpy", "heckedist.measures", "heckedist.equidist"]
+# the samplers start plain threads; a pool would import logging at every start
+_THREAD_POOLS = ["concurrent.futures", "logging"]
 
 
 # one case for each row of the README table of what each command loads
@@ -507,8 +509,8 @@ _STATS_MODULES = ["numpy", "heckedist.measures", "heckedist.equidist"]
     (["hecke", "power", "--lambda", "1/2", "--ell", "3"], _STATS_MODULES),
     (["hecke", "relation", "--lambda", "1/2", "--p", "2", "--ell", "2", "--r", "12"],
      _STATS_MODULES),
-    (["measure", "phi", "--ord", "2", "--interval=-1,1"], _ARRAY_MODULES),
-    (["sample", "sato-tate", "-n", "5"], _ARRAY_MODULES),
+    (["measure", "phi", "--ord", "2", "--interval=-1,1"], _ARRAY_MODULES + _THREAD_POOLS),
+    (["sample", "sato-tate", "-n", "5"], _ARRAY_MODULES + _THREAD_POOLS),
     (["kloosterman", "classical", "--c", "7"], _STATS_MODULES),
     (["kloosterman", "sweep", "--D", "5", "--c-max", "20"], _STATS_MODULES),
     # 6 + 6w is not primitive, so O/(c) is not cyclic: the general path
@@ -518,7 +520,7 @@ _STATS_MODULES = ["numpy", "heckedist.measures", "heckedist.equidist"]
     (["fetch"], _STATS_MODULES + _ARRAY_MODULES + ["heckedist.quadforms"]),
     (["fetch", "--prime", "2"], _STATS_MODULES + _ARRAY_MODULES + ["heckedist.quadforms"]),
     (["test-dist", "--synthetic", "-n", "50"],
-     ["heckedist.kloosterman", "heckedist.bounds", "heckedist.heckealg"]),
+     ["heckedist.kloosterman", "heckedist.bounds", "heckedist.heckealg"] + _THREAD_POOLS),
 ], ids=["field", "ideal-factor", "hecke-descent", "hecke-power", "hecke-relation", "measure",
         "sample", "kloosterman-classical", "kloosterman-sweep", "kloosterman-twisted", "bound",
         "fetch", "fetch-prime", "test-dist"])

@@ -18,6 +18,7 @@ from heckedist.equidist import (
     plot_data,
     synthesize_dataset,
 )
+from heckedist import measures
 from heckedist.errors import EmptyDataset, InvalidParameter, TotalWeightZero, ZeroMassRegion
 from heckedist.measures import MeasureSpec, PlaceBox, SpectralBox
 from heckedist.numberfield import make_field
@@ -148,6 +149,16 @@ def test_synthetic_dataset_and_plot_rows_memory():
     assert kept <= 3_000_000
 
 
+def test_report_memory():
+    # 5.10 MB: the three Chebyshev rows in flight, one jackknife buffer reused
+    # for every ell, and the sort in the KS distance; 5.70 MB with a new
+    # jackknife array for each ufunc
+    ds = synthesize_dataset(Q, "2", 1, None, 100_000, 7)
+    equidist_report(synthesize_dataset(Q, "2", 1, None, 1000, 7), (-1.0, 0.5), 1)
+    _, _, peak = _traced(equidist_report, ds, (-1.0, 0.5), 1)
+    assert peak < 5_400_000
+
+
 def test_synthetic_labels_past_six_digits():
     ds = synthesize_dataset(Q, "2", 0, None, 1_000_002, 5)
     assert ds.labels.tolist() == [f"synth-{i:06d}" for i in range(1_000_002)]
@@ -159,6 +170,18 @@ def test_synthetic_labels_equal_the_string_built_ones():
         assert got.dtype == ref.dtype and np.array_equal(got, ref), n
     ds = synthesize_dataset(Q, "2", 0, None, 1_000, 2)
     assert ds.labels.dtype == oracles.synth_labels_by_string_ops(1_000).dtype
+
+
+@pytest.mark.parametrize("n", [1, measures._SLICE - 1, measures._SLICE, measures._SLICE + 1,
+                               100_000])
+def test_synthetic_labels_are_the_same_for_every_cpu_count(monkeypatch, n):
+    with monkeypatch.context() as m:
+        m.setattr(measures, "_SLICE", 10**9)
+        whole = _synth_labels(n)
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(measures, "_CPUS", cpus)
+        got = _synth_labels(n)
+        assert got.dtype == whole.dtype and got.tobytes() == whole.tobytes(), cpus
 
 
 def _same_bits(a, b):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +96,18 @@ def test_densities_nonnegative():
     xs = np.linspace(-2.2, 2.2, 1001)
     for spec in (ST, MeasureSpec.padic(3), MeasureSpec.phi(3)):
         assert np.all(density(spec, xs) >= 0.0)
+
+
+def test_density_far_outside_warns_nothing():
+    # the formulas square x; at 1e200 that overflows unless only the points
+    # inside [-2, 2] are evaluated
+    for spec in (ST, MeasureSpec.padic(3), MeasureSpec.phi(2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e200, -1e200, 1e300, -1e300):
+                assert density(spec, x) == 0.0, (spec, x)
+            got = density(spec, np.array([1e300, 0.5, -1e200, 2.0]))
+        assert np.array_equal(got, [0.0, density(spec, 0.5), 0.0, density(spec, 2.0)]), spec
 
 
 def test_no_density_for_atomic_specs():
@@ -390,6 +405,67 @@ def test_sampler_equals_the_draw_order_search_on_tied_and_edge_draws():
                     0.0, 1.0 - 2.0 ** -53)
         assert np.array_equal(measures._inverse_angle_cdf(spec, u),
                               oracles.inverse_angle_cdf_draw_order(spec, u)), spec
+
+
+SLICE_SIZES = [1, measures._SLICE - 1, measures._SLICE, measures._SLICE + 1, 100_000]
+
+
+def _per_cpu_count(monkeypatch, draw):
+    """draw() with the whole range as one slice, then under 1, 2, 3 and 5 CPUs,
+    with the threads switched every microsecond."""
+    with monkeypatch.context() as m:
+        m.setattr(measures, "_SLICE", 10**9)
+        whole = draw()
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(measures, "_CPUS", cpus)
+            out.append(draw())
+    finally:
+        sys.setswitchinterval(interval)
+    return whole, out
+
+
+@pytest.mark.parametrize("n", SLICE_SIZES)
+def test_samplers_give_the_same_bytes_for_every_cpu_count(monkeypatch, n):
+    draws = [lambda spec=spec: sample(spec, n, 4)
+             for spec in (ST, MeasureSpec.padic(5), MeasureSpec.phi(0), MeasureSpec.phi(3))]
+    draws += [lambda spec=spec, lo=lo, hi=hi: sample_spectral(spec, lo, hi, n,
+                                                               np.random.default_rng(6))
+              for spec, lo, hi in ((MeasureSpec.plancherel(0), -3.0, 4.0),  # atoms
+                                   (MeasureSpec.plancherel(1), 0.3, 6.0))]  # no atoms
+    for draw in draws:
+        whole, per_cpus = _per_cpu_count(monkeypatch, draw)
+        for got in per_cpus:
+            assert got.dtype == whole.dtype and got.tobytes() == whole.tobytes()
+
+
+def test_over_slices_deals_each_slice_once(monkeypatch):
+    monkeypatch.setattr(measures, "_SLICE", 3)
+    monkeypatch.setattr(measures, "_CPUS", 2)
+    seen = []
+    measures._over_slices(lambda lo, hi: seen.append((lo, hi, threading.get_ident())), 10)
+    assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert len({ident for *_, ident in seen}) == 2
+    calls = []
+    measures._over_slices(lambda lo, hi: calls.append((lo, hi)), 0)
+    assert calls == []
+
+
+def test_over_slices_raises_a_worker_error_in_the_caller(monkeypatch):
+    monkeypatch.setattr(measures, "_SLICE", 4)
+    monkeypatch.setattr(measures, "_CPUS", 3)
+    before = threading.active_count()
+
+    def work(lo, hi):
+        if lo == 4:  # the second slice, which the first worker thread takes
+            raise ZeroDivisionError("slice 4")
+
+    with pytest.raises(ZeroDivisionError, match="slice 4"):
+        measures._over_slices(work, 20)
+    assert threading.active_count() == before
 
 
 def test_sample_ks_self_consistency():
