@@ -431,32 +431,16 @@ def _hnf_rows_deg2(rows: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
     Returns (a, b, c) describing Z*a + Z*(b + c*w) with a, c > 0 and
     0 <= b < a for full-rank modules; zero entries signal lower rank.
     """
-    ints: list[int] = []
-    cur: Optional[tuple[int, int]] = None
-    for (u, v) in rows:
-        if u == 0 and v == 0:
-            continue
-        if v == 0:
-            ints.append(u)
-            continue
-        if cur is None:
-            cur = (u, v)
-            continue
-        u1, v1 = cur
-        g, s, t = _xgcd(v1, v)
-        ints.append(u1 * (v // g) - u * (v1 // g))
-        cur = (s * u1 + t * u, g)
-    if cur is None:
-        a = 0
-        for u in ints:
+    a = b = c = 0
+    for u, v in rows:
+        # (b, c) and (u, v) span the same lattice as (s*b + t*u, g) and
+        # (v/g)*(b, c) - (c/g)*(u, v), whose second coordinate is 0
+        g, s, t = _xgcd(c, v)
+        if g:
+            a = math.gcd(a, b * (v // g) - u * (c // g))
+            b, c = s * b + t * u, g
+        else:
             a = math.gcd(a, u)
-        return (a, 0, 0)
-    b, c = cur
-    if c < 0:
-        b, c = -b, -c
-    a = 0
-    for u in ints:
-        a = math.gcd(a, u)
     if a:
         b %= a
     return (a, b, c)

@@ -976,9 +976,9 @@ def atoms_loop(spec, low: float, high: float) -> list[tuple[float, float]]:
 def sample_spectral_loop(spec, low: float, high: float, n: int, rng):
     """The per-sample loop that `measures.sample_spectral` vectorises.
 
-    It walks the atoms itself, takes the masses and the continuous-part grid
-    from the library and draws one u at a time: a running sum over the atoms,
-    then a scalar interpolation on the grid.
+    It walks the atoms itself, takes the masses and the continuous-part table
+    from the library, normalises the table and draws one u at a time: a
+    running sum over the atoms, then a scalar interpolation on the grid.
     """
     import numpy as np
 
@@ -992,7 +992,8 @@ def sample_spectral_loop(spec, low: float, high: float, n: int, rng):
     lower = 0.0 if spec.tag == "v1" and spec.xi == 0 else 0.25
     grid = None
     if cont > 1e-12 * total and high > lower:
-        grid = measures._spectral_cont_grid(spec, max(low, lower), high)
+        gx, gm = measures._cont_table(spec, max(low, lower), high)
+        grid = gx, gm / gm[-1]
     u = rng.random(n) * total
     out = np.empty(n)
     for i, ui in enumerate(u):

@@ -12,7 +12,6 @@ from heckedist.cli import run_command
 from heckedist.errors import (
     EnumerationTooLarge,
     InvalidParameter,
-    InvariantViolation,
     NoDensity,
     ParityMismatch,
     UnboundedRegion,
@@ -21,7 +20,6 @@ from heckedist.measures import (
     MeasureSpec,
     PlaceBox,
     SpectralBox,
-    adaptive_quad,
     cdf,
     chebyshev_eval,
     density,
@@ -498,6 +496,17 @@ def test_plancherel_continuous_part_against_reference():
         assert abs(gotc - refc) < 1e-8
 
 
+def test_plancherel_mass_matches_its_closed_form_up_to_large_lambda():
+    # int_0^U 2u tanh(pi u) du = U^2 - 1/12 and int_0^U 2u coth(pi u) du = U^2 + 1/6,
+    # from int_0^inf u/(e^(2 pi u) +- 1) du = 1/48, 1/24; the dropped tail is
+    # below 1e-25 for U >= 10, and U^2 = lambda - 1/4
+    for lam in (100.25, 1e4, 1e6, 1e8, 1e10, 1e12):
+        for xi, offset in ((0, -1.0 / 12.0), (1, 1.0 / 6.0)):
+            exact = (lam - 0.25) + offset
+            got = mass(MeasureSpec.plancherel(xi), (0.25, lam))
+            assert abs(got - exact) <= 1e-13 * exact, (lam, xi, got, exact)
+
+
 def _primes_upto(n):
     return [p for p in range(2, n + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
@@ -588,14 +597,3 @@ def test_spectral_sampler_equals_the_per_sample_loop_at_every_size(n):
             got = sample_spectral(spec, lo, hi, n, np.random.default_rng(seed))
             ref = oracles.sample_spectral_loop(spec, lo, hi, n, np.random.default_rng(seed))
             assert np.array_equal(got, ref), (spec, seed)
-
-
-def test_adaptive_quad_known_integral():
-    assert abs(adaptive_quad(lambda t: np.sin(t), 0.0, math.pi) - 2.0) < 1e-12
-
-
-def test_adaptive_quad_raises_at_the_subdivision_cap(monkeypatch):
-    monkeypatch.setattr(measures, "QUAD_MAX_SUBDIV", 4)
-    with pytest.raises(InvariantViolation, match="estimated error"):
-        adaptive_quad(lambda t: np.sqrt(np.abs(t)), -1.0, 1.0)
-    assert abs(adaptive_quad(lambda t: t * t, 0.0, 1.0) - 1.0 / 3.0) < 1e-12

@@ -828,6 +828,27 @@ def _ideal_pairs(draw):
     return F, ideal(), ideal()
 
 
+_hnf_coord = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_hnf_coord, _hnf_coord), min_size=1, max_size=5))
+def test_hnf_rows_deg2_spans_the_lattice_of_its_rows(rows):
+    # characterised without elimination: c is the gcd of the v's, a*c the gcd
+    # of the 2x2 minors, and every row lies in Z(a, 0) + Z(b, c)
+    a, b, c = nf._hnf_rows_deg2(rows)
+    assert c == math.gcd(*(v for _, v in rows))
+    minors = (u1 * v2 - u2 * v1 for (u1, v1), (u2, v2) in itertools.combinations(rows, 2))
+    assert a * c == math.gcd(*minors)
+    for u, v in rows:
+        k, rest = divmod(v, c) if c else (0, v)
+        assert rest == 0, (u, v)
+        rest = u - k * b
+        assert (rest % a if a else rest) == 0, (u, v)
+    if a:
+        assert 0 <= b < a
+
+
 @settings(max_examples=80, deadline=None)
 @given(_ideal_pairs())
 def test_integer_ideal_ops_match_elementwise_generators(pair):
