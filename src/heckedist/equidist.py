@@ -1,7 +1,7 @@
 """Weighted empirical statistics against the semicircle measure family.
 
-A Dataset is a weighted list of normalized Hecke eigenvalues (optionally
-with per-place Casimir eigenvalues).  The tests are the weighted
+A Dataset is a nonempty weighted list of normalized Hecke eigenvalues
+(optionally with per-place Casimir eigenvalues).  The tests are the weighted
 Kolmogorov-Smirnov distance against a target CDF, Chebyshev moment
 averages with jackknife z-scores, and a combined report comparing the
 observed mass of an interval with its predicted mass.  A synthetic
@@ -37,11 +37,12 @@ class DataPoint:
 class Dataset:
     """Weighted normalized eigenvalues, stored as read-only numpy columns.
 
-    `lams` and `weights` are float64, `labels` a unicode array and `casimir`
-    an n x d float64 array of per-place Casimir values, or None.  The
-    constructor copies every array it is given, so no caller can write a
-    column.  `points` rebuilds the DataPoints on demand; `from_points` goes
-    the other way.
+    A dataset is never empty: no points raise EmptyDataset, so no statistic
+    checks again.  `lams` and `weights` are float64, `labels` a unicode
+    array and `casimir` an n x d float64 array of per-place Casimir values,
+    or None.  The constructor copies every array it is given, so no caller
+    can write a column.  `points` rebuilds the DataPoints on demand;
+    `from_points` goes the other way.
     """
 
     __slots__ = ("_lams", "_weights", "labels", "casimir", "target", "meta")
@@ -60,6 +61,8 @@ class Dataset:
         """
         if not len(lams) == len(weights) == len(labels):
             raise InvalidParameter("lambda, weight and label columns differ in length")
+        if not len(lams):
+            raise EmptyDataset("dataset is empty")
         if casimir is not None and (casimir.ndim != 2 or len(casimir) != len(lams)):
             raise InvalidParameter("casimir values must be an n x d array")
         # NaN fails both comparisons, so it is rejected with the out-of-range values
@@ -70,7 +73,7 @@ class Dataset:
             if bad_lam[i]:
                 raise InvalidParameter(f"lambda {lams[i]} outside [-2, 2] at {labels[i]}")
             raise InvalidParameter(f"weight {weights[i]} negative or not finite at {labels[i]}")
-        if len(lams) and np.sum(weights) <= 0.0:
+        if np.sum(weights) <= 0.0:
             raise TotalWeightZero("dataset has zero total weight")
         for col in (lams, weights, labels, casimir):
             if col is not None:
@@ -91,11 +94,11 @@ class Dataset:
                     meta: tuple[tuple[str, object], ...] = ()) -> "Dataset":
         points = tuple(points)
         cas = [pt.casimir for pt in points]
-        if any(c is None for c in cas) and any(c is not None for c in cas):
+        given = [c is not None for c in cas]
+        if any(given) and not all(given):
             raise InvalidParameter("casimir values on some points but not on all")
         return cls([pt.lam for pt in points], [pt.weight for pt in points],
-                   [pt.label for pt in points], target,
-                   cas if points and cas[0] is not None else None, meta)
+                   [pt.label for pt in points], target, cas if any(given) else None, meta)
 
     @property
     def points(self) -> tuple[DataPoint, ...]:
@@ -111,11 +114,6 @@ class Dataset:
 
     def weights(self) -> np.ndarray:
         return self._weights
-
-
-def _require_nonempty(ds: Dataset):
-    if len(ds) == 0:
-        raise EmptyDataset("dataset is empty")
 
 
 def _sorted_empirical(ds: Dataset):
@@ -147,7 +145,6 @@ def _sorted_empirical(ds: Dataset):
 
 def ks_distance(ds: Dataset, spec: Optional[MeasureSpec] = None) -> float:
     """sup over sample points of |weighted empirical CDF - target CDF|."""
-    _require_nonempty(ds)
     spec = spec or ds.target
     xs, emp = _sorted_empirical(ds)
     return float(np.max(np.abs(emp - measures.cdf(spec, xs))))
@@ -173,7 +170,6 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
     zero standard error (one point, or all points equal) gives z = 0 when
     the mean is the expected moment and None otherwise.
     """
-    _require_nonempty(ds)
     if not 0 <= ell_max <= 40:
         raise InvalidParameter(f"ell_max must lie in [0, 40], got {ell_max}")
     lams = ds.lambdas()
@@ -305,10 +301,11 @@ def equidist_report(
     The prediction for the interval fraction is the Phi(ord) mass.  When a
     field and spectral box are supplied, the absolute count predicted by
     the main-term constant 2^d sqrt(disc) / (pi^d h) * Pl(box) * Phi(I) is
-    reported alongside.
+    reported alongside; the box lies in R^d, so it needs one place per degree.
     """
-    _require_nonempty(ds)
     lo, hi = _check_interval(interval)
+    if field is not None and box is not None and len(box.places) != field.degree:
+        raise InvalidParameter(f"{len(box.places)} box places for a field of degree {field.degree}")
     spec = MeasureSpec.phi(ord)
     lams = ds.lambdas()
     ws = ds.weights()
@@ -350,7 +347,6 @@ def equidist_report(
 def plot_data(ds: Dataset) -> np.ndarray:
     """(x, empirical cdf, target cdf) rows for external plotting, one per
     distinct lambda in ascending order, as an (n, 3) read-only float64 array."""
-    _require_nonempty(ds)
     xs, emp = _sorted_empirical(ds)
     rows = np.stack((xs, emp, measures.cdf(ds.target, xs)), axis=1)
     rows.flags.writeable = False

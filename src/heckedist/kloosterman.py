@@ -271,16 +271,17 @@ def residue_unit_group(
 
 
 class TwistCharacter:
-    """Character of the unit residues mod (c)*c_frak: a value table, or trivial without one.
+    """Character of the unit residues mod (c)*c_frak, given by its value table.
 
     Tables are keyed by the canonical residue coordinates of the quotient
     O/(c)*c_frak and are validated for |value| = 1.  Quadratic residue
-    (Legendre) twists over Q are provided as a constructor.
+    (Legendre) twists over Q are provided as a constructor.  The trivial
+    character is no TwistCharacter: the sums take chi=None for it.
     """
 
-    def __init__(self, table: Optional[dict] = None):
+    def __init__(self, table: dict):
         self.table = table
-        for k, v in (table or {}).items():
+        for k, v in table.items():
             try:
                 v = complex(v)
             except (TypeError, ValueError):
@@ -298,8 +299,6 @@ class TwistCharacter:
 
     def values(self, group: ResidueUnitGroup) -> list[complex]:
         """chi(x) for the units x of the group, in their order."""
-        if self.table is None:
-            return [1.0 + 0.0j] * len(group)
         return self._lookup(group, group.units)
 
     def _lookup(self, group: ResidueUnitGroup, rows) -> list[complex]:
@@ -316,8 +315,6 @@ class TwistCharacter:
 
     def verify_multiplicative(self, group: ResidueUnitGroup) -> bool:
         """chi(xy) = chi(x) chi(y) over all unit pairs of the group, within _UNIT_TOL."""
-        if self.table is None:
-            return True
         chi = self.values(group)
         # the residue module is O here, so unit coordinates are O-coordinates
         x = [group.quotient.reduce(u) for u in group.units]
@@ -382,7 +379,10 @@ def _twisted_sum(group: ResidueUnitGroup, r: FieldElement, rp: FieldElement,
     phases, den = _phase_numerators(group, r, rp, c)
     tau, exp = 2j * math.pi, cmath.exp
     acc, comp = 0.0 + 0.0j, 0.0 + 0.0j
-    for p, v in zip(phases, map(complex.conjugate, (chi or TwistCharacter()).values(group))):
+    # conj(chi(x)); conj(1 + 0j) = 1 - 0j, with its signed zero, for the trivial twist
+    chi_bar = (itertools.repeat(complex(1.0, -0.0)) if chi is None
+               else map(complex.conjugate, chi.values(group)))
+    for p, v in zip(phases, chi_bar):
         # p/den is the exact phase in [0, 1), rounded once to a float; the
         # term is added with Kahan compensation
         y = exp(tau * (p / den)) * v - comp

@@ -134,6 +134,8 @@ class SpectralBox:
     places: tuple[PlaceBox, ...]
 
     def __post_init__(self):
+        if not self.places:
+            raise InvalidParameter("a spectral box needs at least one place")
         for pl in self.places:
             if pl.place_class not in ("E", "Q+", "Q-"):
                 raise InvalidParameter(f"bad place class {pl.place_class!r}")

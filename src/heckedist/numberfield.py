@@ -3,8 +3,8 @@
 Everything is written over the integral basis (1, w), where
 w = (1+sqrt(D))/2 for D = 1 mod 4 and w = sqrt(D) otherwise, as integer
 rows (u, v) ~ u + v*w over a positive denominator.  An element is one row
-over its denominator in lowest terms, (u + v*w)/den; a fractional ideal is
-a Hermite-reduced 2-row module basis over its least denominator.  So
+over its denominator in lowest terms, (u + v*w)/den; a nonzero fractional
+ideal is a Hermite-reduced 2-row module basis over its least denominator.  So
 equality is a structural comparison, and products, norms, conjugates and
 signs of elements and ideals alike come from the same row helpers; powers of
 both, kloosterman's powers mod an ideal and square roots mod p from one
@@ -450,11 +450,11 @@ _UNIT_HNFS = ((1,), (1, 0, 1))  # the HNF of O over Q and over Q(sqrt(D)), at de
 
 
 class FractionalIdeal:
-    """Fractional ideal as (integral HNF module) / (positive denominator).
+    """Nonzero fractional ideal as (integral HNF module) / (positive denominator).
 
     Degree 2 stores (a, b, c): the module Z*a + Z*(b + c*w); degree 1
     stores (a,).  Canonical form has the denominator minimal, making
-    equality a plain tuple comparison.
+    equality a plain tuple comparison.  A zero basis raises ZeroIdeal.
     """
 
     __slots__ = ("field", "den", "hnf")
@@ -472,9 +472,6 @@ class FractionalIdeal:
         raise AttributeError("FractionalIdeal is immutable")
 
     # structure ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.hnf)
 
     def _is_unit_ideal(self) -> bool:
         return self.den == 1 and self.hnf in _UNIT_HNFS
@@ -498,8 +495,6 @@ class FractionalIdeal:
         return tuple(FieldElement(self.field, r, self.den) for r in rows)
 
     def norm(self) -> Fraction:
-        if self.is_zero():
-            raise ZeroIdeal("norm of zero ideal")
         if self.field.degree == 1:
             return Fraction(self.hnf[0], self.den)
         a, _, c = self.hnf
@@ -533,8 +528,6 @@ class FractionalIdeal:
             return other
         if other._is_unit_ideal():
             return self
-        if self.is_zero() or other.is_zero():
-            return _zero_ideal(self.field)
         # the pairwise products of two Z-bases span the product ideal over Z
         rows = [_mul_coords(self.field, p, q) for p in self.int_rows() for q in other.int_rows()]
         return _ideal_from_rows(self.field, self.den * other.den, rows)
@@ -549,10 +542,6 @@ class FractionalIdeal:
         """Ideal sum = gcd."""
         if self.field != other.field:
             raise ValueError("ideals of different fields")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         den = self.den * other.den // math.gcd(self.den, other.den)
         rows = [(u * (den // I.den), v * (den // I.den))
                 for I in (self, other) for (u, v) in I.int_rows()]
@@ -563,8 +552,6 @@ class FractionalIdeal:
         return _ideal_from_rows(self.field, self.den, rows)
 
     def inverse(self) -> "FractionalIdeal":
-        if self.is_zero():
-            raise ZeroIdeal("inverse of zero ideal")
         if self._is_unit_ideal():
             return self
         f = self.field
@@ -598,8 +585,6 @@ class FractionalIdeal:
         """Coordinates of (u + v*w)/d in the ideal's Z-basis, or None if not a member."""
         if u == 0 and v == 0:
             return (0,) if self.field.degree == 1 else (0, 0)
-        if self.is_zero():
-            return None
         x, y = u * self.den, v * self.den
         if x % d or y % d:
             return None
@@ -615,8 +600,8 @@ class FractionalIdeal:
 
 
 def _canonicalize(field: Field, den: int, hnf: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    if all(v == 0 for v in hnf):
-        return 1, hnf
+    if not any(hnf):
+        raise ZeroIdeal("the zero module is not a fractional ideal")
     if field.degree == 1:
         a = abs(hnf[0])
         g = math.gcd(den, a)
@@ -628,7 +613,7 @@ def _canonicalize(field: Field, den: int, hnf: tuple[int, ...]) -> tuple[int, tu
 
 
 def _ideal_from_rows(field: Field, den: int, rows: Iterable[tuple[int, int]]) -> FractionalIdeal:
-    """The ideal spanned over Z by the nonzero rows (u + v*w)/den."""
+    """The ideal spanned over Z by the rows (u + v*w)/den; ZeroIdeal below full rank."""
     if field.degree == 1:
         a = 0
         for u, _ in rows:
@@ -643,16 +628,9 @@ def _ideal_from_rows(field: Field, den: int, rows: Iterable[tuple[int, int]]) ->
     return FractionalIdeal(field, den, (a, b, c))
 
 
-def _zero_ideal(field: Field) -> FractionalIdeal:
-    hnf = (0,) if field.degree == 1 else (0, 0, 0)
-    return FractionalIdeal(field, 1, hnf, _canonical=True)
-
-
 def ideal_from_elements(field: Field, elems: Iterable[FieldElement]) -> FractionalIdeal:
-    """The fractional O_F-ideal generated by the given elements."""
-    elems = [e for e in elems if not e.is_zero()]
-    if not elems:
-        return _zero_ideal(field)
+    """The fractional O_F-ideal generated by the elements; ZeroIdeal if all are 0."""
+    elems = list(elems)
     den = math.lcm(*(e.den for e in elems))
     rows = []
     for e in elems:
@@ -779,7 +757,7 @@ def is_prime_ideal(I: FractionalIdeal) -> bool:
     p, and (p) = (p, 0, p) at an inert p.  No other HNF is one, ideal or
     not.
     """
-    if I.is_zero() or not I.is_integral():
+    if not I.is_integral():
         return False
     if I.field.degree == 1:
         return is_rational_prime(I.hnf[0])
@@ -858,8 +836,6 @@ def _valuation(arg, P: FractionalIdeal) -> int:
         row = (u // content, v // content)
         nrm = _row_norm(field, row)
     else:
-        if arg.is_zero():
-            raise ZeroArgument("valuation of zero ideal")
         den = arg.den
         if field.degree == 1:
             content, row, nrm = arg.hnf[0], (1, 0), 1
@@ -898,8 +874,6 @@ def find_generator(M: FractionalIdeal) -> Optional[FieldElement]:
     that least one.  It is checked by its exact norm and by membership.
     """
     field = M.field
-    if M.is_zero():
-        raise ZeroIdeal("generator of zero ideal")
     if not M.is_integral():
         raise InvalidParameter("find_generator needs an integral ideal")
     if field.degree == 1:
@@ -942,8 +916,6 @@ def totally_positive_adjust(g: FieldElement) -> Optional[FieldElement]:
 
 def principal_totally_positive_generator(I: FractionalIdeal) -> Optional[FieldElement]:
     """eta with (eta) = I and eta totally positive, or None."""
-    if I.is_zero():
-        raise ZeroIdeal("zero ideal has no generator")
     M = FractionalIdeal(I.field, 1, I.hnf)
     g = find_generator(M)
     if g is None:
@@ -1014,18 +986,16 @@ def _fundamental_unit(field: Field) -> FieldElement:
     The principal form has module O.  One rho-step from it carries
     O = (theta/e) * I_1, and the walk goes on to the next form with |a| = 1,
     whose module is O again, so the element it carries is a unit.  O is met
-    once per period of the cycle, so that unit is +-eps0^(+-1); exact
-    comparisons of the embeddings fix the direction and the sign.
+    once per period of the cycle, so that unit is +-eps0, already > 1 in
+    absolute value at the first place; its sign there is fixed exactly.
     """
     Delta, t = field.disc, field.omega_trace
     P = principal_form(Delta)
     p = _walk_from(field, rho(P, Delta), ((P[1] - t) // 2, 1), P[2], generator=True)
     if p is None or abs(_row_norm(field, p)) != 1:
         raise InvariantViolation(f"the principal rho-cycle of {field} carries no unit")
-    if _abs_embedding_cmp(field, p) < 0:
-        n = _row_norm(field, p)  # eps^(-1) = N(eps) * conj(eps)
-        u, v = _conj_row(field, p)
-        p = (n * u, n * v)
+    # no inversion: each theta = (b + sqrt(Delta))/2 walked in has 0 < b < sqrt(Delta),
+    # so |theta_1| > |theta_2|, and dividing by the rational e's keeps that
     eps = FieldElement(field, p)
     if eps.sign_at(0) < 0:
         eps = -eps

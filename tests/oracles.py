@@ -532,7 +532,7 @@ def is_prime_ideal_by_norm(I) -> bool:
     element lies in it."""
     from heckedist.numberfield import _splitting_type, is_rational_prime
 
-    if I.is_zero() or not I.is_integral():
+    if not any(I.hnf) or not I.is_integral():
         return False
     if I.field.degree == 2 and not all(I.contains(e * I.field.omega())
                                        for e in I.basis_elements()):

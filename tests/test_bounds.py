@@ -293,3 +293,9 @@ def test_empirical_tail_rejects_a_bad_sum_value(ks_abs):
 def test_empirical_tail_zero_modulus():
     with pytest.raises(ModulusZero):
         empirical_kloosterman_tail(_params(), {0: 1.0, 3: 1.0})
+
+
+@pytest.mark.parametrize("X", [1, 0, -5])
+def test_euler_product_needs_a_cutoff_of_at_least_two(X):
+    with pytest.raises(InvalidParameter, match="X must be >= 2"):
+        euler_product_tail(_params(), F5, X)

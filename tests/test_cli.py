@@ -658,3 +658,17 @@ def test_argv_fuzz_keeps_the_cli_contract(data):
         assert _output_parses(fmt, out.decode()), argv
     elif code == 1:
         assert isinstance(json.loads(out.decode())["error"]["code"], str), argv
+
+
+@pytest.mark.parametrize("argv, code, expect", [
+    (["ideal", "--D", "5", "--op", "product", "--gens", "0"], 1, "ZeroIdeal"),
+    (["measure", "phi", "--interval", "1,0"], 0, 0.0),
+    (["measure", "plancherel", "--xi", "0", "--interval", "1,0"], 0, 0.0),
+    (["test-dist", "--level-min", "2", "--level-max", "2"], 1, "EmptyDataset"),
+])
+def test_degenerate_input_keeps_the_cli_contract(argv, code, expect):
+    # no zero ideal and no empty dataset is ever built; an empty interval has mass 0
+    got, out = run_command(argv)
+    rep = json.loads(out.decode())
+    assert got == code
+    assert (rep["error"]["code"] if code else rep["mass"]) == expect

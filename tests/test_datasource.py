@@ -14,11 +14,11 @@ from heckedist.datasource import (
     parse_record_json,
     to_dataset,
 )
-from heckedist.equidist import ks_distance
 from heckedist.errors import (
     CacheMiss,
     EmptyDataset,
     EnumerationTooLarge,
+    InvalidParameter,
     MissingEigenvalue,
     NetworkError,
     RamanujanViolation,
@@ -158,9 +158,9 @@ def test_to_dataset_unit_weights():
 
 
 def test_to_dataset_empty_then_ks_raises():
-    ds = to_dataset([], "2")
-    with pytest.raises(EmptyDataset):
-        ks_distance(ds)
+    # an empty dataset is refused where it is built, before any statistic
+    with pytest.raises(EmptyDataset, match="dataset is empty"):
+        to_dataset([], "2")
 
 
 def test_to_dataset_zero_provided_weights():
@@ -327,3 +327,37 @@ def test_http_retries_then_gives_up(monkeypatch):
     with pytest.raises(NetworkError):
         client._http_get("http://example.invalid/api", {})
     assert len(attempts) == 3
+
+
+def _read_non_utf8_fixture(tmp_path):
+    (tmp_path / "bad.jsonl").write_bytes(b'{"label": "\xff"}\n')
+    DataClient(fixture_dir=str(tmp_path)).fetch_records(Query())
+
+
+def _fetch_network_row(row):
+    def fetch(tmp_path):
+        client = DataClient(cache_dir=str(tmp_path), transport=lambda u, p: {"data": [row]})
+        client.fetch_records(Query(level_min=7, level_max=7, weight_min=4, weight_max=4),
+                             mode="network")
+    return fetch
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tmp_path: parse_record_json({"label": "x", "degree": 2, "field": 5, "weight": 2,
+                                         "level_norm": 1, "ap": {"2": 1}}),
+     SchemaError, "no norm for prime 2"),
+    (_read_non_utf8_fixture, SchemaError, "not UTF-8"),
+    (lambda tmp_path: DataClient(cache_dir=str(tmp_path)).fetch_records(Query(), mode="ftp"),
+     InvalidParameter, "unknown mode"),
+    (_fetch_network_row({"weight": 4, "level": 7, "traces": {"2": 1}}),
+     SchemaError, "missing 'label'"),
+    (_fetch_network_row({"label": "7.4.a.a", "weight": 4, "level": 7}),
+     SchemaError, "missing 'traces'"),
+    (lambda tmp_path: DataClient(fixture_dir=str(tmp_path / "absent")).fetch_records(Query()),
+     InvalidParameter, "cannot list fixture directory"),
+], ids=["prime-key-without-norm", "non-utf8-file", "unknown-mode", "row-without-label",
+        "row-without-ap", "unreadable-fixture-directory"])
+def test_bad_input_is_refused_with_its_error(tmp_path, monkeypatch, call, error, match):
+    monkeypatch.delenv("HECKEDIST_OFFLINE", raising=False)
+    with pytest.raises(error, match=match):
+        call(tmp_path)

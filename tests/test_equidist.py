@@ -383,7 +383,7 @@ def test_report_deterministic_bytes():
 
 
 def test_report_with_main_term_constant():
-    box = SpectralBox((PlaceBox(-0.5, 3.0, "Q+", 0),))
+    box = SpectralBox((PlaceBox(-0.5, 3.0, "Q+", 0), PlaceBox(-0.5, 3.0, "Q+", 0)))
     ds = synthesize_dataset(make_field(5), "2", 0, box, 500, 9)
     rep = equidist_report(ds, (-1.0, 1.0), 0, field=make_field(5), box=box)
     d, disc, h = 2, 5, 1
@@ -399,3 +399,26 @@ def test_plot_data_shape():
     assert xs == sorted(xs)
     for _, e, t in rows:
         assert 0.0 <= e <= 1.0 and 0.0 <= t <= 1.0
+
+
+_ONE_PLACE = SpectralBox((PlaceBox(-0.5, 3.0, "Q+", 0),))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Dataset([0.1, 0.2], [1.0], ["a", "b"], PHI0), InvalidParameter),
+    (lambda: Dataset([0.1], [1.0], ["a"], PHI0, casimir=[1.0]), InvalidParameter),
+    (lambda: Dataset([0.1], [1.0], ["a"], PHI0, casimir=[[1.0], [2.0]]), InvalidParameter),
+    (lambda: Dataset([], [], [], PHI0), EmptyDataset),
+    (lambda: Dataset.from_points([], PHI0), EmptyDataset),
+    (lambda: synthesize_dataset(Q, "2", 0, None, 0, 1), InvalidParameter),
+    # Omega_t lies in R^d: a box over Q(sqrt 5) needs two places, one over Q one
+    (lambda: equidist_report(synthesize_dataset(Q, "2", 0, None, 50, 1), (-1.0, 1.0), 0,
+                             field=make_field(5), box=_ONE_PLACE), InvalidParameter),
+    (lambda: equidist_report(synthesize_dataset(Q, "2", 0, None, 50, 1), (-1.0, 1.0), 0,
+                             field=Q, box=SpectralBox(_ONE_PLACE.places * 2)),
+     InvalidParameter),
+], ids=["column-lengths", "casimir-not-2d", "casimir-rows", "empty", "empty-points",
+        "synthesize-n-0", "box-too-small", "box-too-large"])
+def test_degenerate_datasets_and_boxes_are_refused(call, error):
+    with pytest.raises(error):
+        call()

@@ -17,6 +17,7 @@ from heckedist.errors import (
     DivisibilityViolation,
     EnumerationTooLarge,
     HeckedistError,
+    InvalidParameter,
     NotNarrowSquare,
     NotPrime,
     RamanujanViolation,
@@ -352,3 +353,16 @@ def test_witness_descent_and_generators_over_fields_with_large_units(D):
                 least = min((u * g for u in assoc if (u * g).y >= 0),
                             key=lambda h: (h.y, h.norm() < 0, h.trace() < 0))
                 assert g == least, (D, M)
+
+
+_P11 = factor_rational_prime(F5, 11).primes[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coset_reps(_P11, -1),
+    lambda: descent_data(_P11, -1),
+    lambda: verify_coefficient_relation(1, 2, -1, 2),
+], ids=["coset_reps", "descent_data", "verify_coefficient_relation"])
+def test_a_negative_hecke_power_is_refused(call):
+    with pytest.raises(InvalidParameter, match="ell must be >= 0"):
+        call()

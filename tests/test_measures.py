@@ -597,3 +597,19 @@ def test_spectral_sampler_equals_the_per_sample_loop_at_every_size(n):
             got = sample_spectral(spec, lo, hi, n, np.random.default_rng(seed))
             ref = oracles.sample_spectral_loop(spec, lo, hi, n, np.random.default_rng(seed))
             assert np.array_equal(got, ref), (spec, seed)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: MeasureSpec("semicircle"), InvalidParameter),
+    (lambda: SpectralBox((PlaceBox(0.0, 1.0, "Q"),)), InvalidParameter),
+    (lambda: SpectralBox(()), InvalidParameter),
+    (lambda: tilde_singleton([0, 0], [4]), InvalidParameter),
+    (lambda: tilde_singleton([0], [0]), InvalidParameter),
+    (lambda: tilde_singleton([1], [4]), ParityMismatch),
+    (lambda: tilde_singleton([0], [4], measure="v1", A=2.0), InvalidParameter),
+    (lambda: tilde_singleton([0], [4], measure="nu"), InvalidParameter),
+], ids=["unknown-tag", "bad-place-class", "empty-box", "singleton-lengths",
+        "singleton-b-below-2", "singleton-parity", "singleton-A-at-2", "singleton-measure"])
+def test_measure_inputs_are_refused_where_they_are_built(call, error):
+    with pytest.raises(error):
+        call()

@@ -252,12 +252,13 @@ def test_ideal_arith_dispatch():
 
 
 def test_zero_ideal_errors():
-    z = ideal_from_elements(F5, [])
-    assert z.is_zero()
-    with pytest.raises(ZeroIdeal):
-        z.norm()
-    with pytest.raises(ZeroIdeal):
-        z.inverse()
+    # no fractional ideal is zero: each way of building one refuses it
+    builds = [lambda: ideal_from_elements(F5, []), lambda: F5.ideal(0), lambda: Q.ideal(0, 0),
+              lambda: F5.ideal(2) * F5.zero(), lambda: nf.FractionalIdeal(F5, 1, (0, 0, 0)),
+              lambda: nf.FractionalIdeal(Q, 3, (0,))]
+    for build in builds:
+        with pytest.raises(ZeroIdeal):
+            build()
 
 
 @pytest.mark.parametrize("field", [F5, F10, F3])
@@ -366,6 +367,10 @@ def test_is_prime_ideal_matches_the_norm_definition():
             assert is_prime_ideal(F.ideal(p)) == (fac.tag == "inert")
     for a in range(0, 400):
         for den in (1, 2, 3):
+            if a == 0:
+                with pytest.raises(ZeroIdeal):
+                    nf.FractionalIdeal(Q, den, (a,))
+                continue
             I = nf.FractionalIdeal(Q, den, (a,))
             assert is_prime_ideal(I) == is_prime_ideal_by_norm(I), I
 
