@@ -110,12 +110,12 @@ def load_config(path: str | None) -> dict:
 # Emission
 
 
-def emit_report(report, fmt: str) -> bytes:
+def emit_report(report: dict, fmt: str) -> bytes:
     """Render a report deterministically in json, csv or plot-data form."""
     if fmt == "json":
         return (canonical_json(report) + "\n").encode()
     if fmt == "csv":
-        rows = report.get("rows") if isinstance(report, dict) else None
+        rows = report.get("rows")
         if rows is None:
             raise UnsupportedFormat("csv output needs tabular rows")
         buf = io.StringIO()
@@ -126,10 +126,10 @@ def emit_report(report, fmt: str) -> bytes:
                                for h in header) + "\n")
         return buf.getvalue().encode()
     if fmt == "plot-data":
-        if isinstance(report, dict) and "samples" in report:
+        if "samples" in report:
             # raw projection: newline-delimited floats
             return ("\n".join(repr(float(x)) for x in report["samples"]) + "\n").encode()
-        rows = report.get("plot_data") if isinstance(report, dict) else None
+        rows = report.get("plot_data")
         if rows is None:
             raise UnsupportedFormat("plot-data output needs (x, empirical, target) rows")
         buf = io.StringIO()
@@ -596,15 +596,14 @@ def run_command(argv: list[str]) -> tuple[int, bytes]:
     except MemoryError as exc:
         # an input so large that its arrays or lists do not fit in memory
         return _error(EnumerationTooLarge(f"out of memory: {str(exc) or 'MemoryError'}"))
-    if isinstance(report, dict):
-        report.setdefault("meta", {})
-        report["meta"].update(
-            {
-                "version": __version__,
-                "seed": getattr(args, "seed", 0),
-                "config_hash": hashlib.sha256(canonical_json(cfg).encode()).hexdigest(),
-            }
-        )
+    report.setdefault("meta", {})
+    report["meta"].update(
+        {
+            "version": __version__,
+            "seed": getattr(args, "seed", 0),
+            "config_hash": hashlib.sha256(canonical_json(cfg).encode()).hexdigest(),
+        }
+    )
     try:
         out = emit_report(report, args.format)
     except HeckedistError as exc:

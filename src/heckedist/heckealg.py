@@ -224,9 +224,6 @@ def verify_coefficient_relation(lam_p: Union[int, Fraction], p: int, ell: int,
     lhs = chebyshev_eval(ell, lam_p) * coeff(r)
     rhs = Fraction(0)
     for s in range(ell + 1):
-        num = r * p**ell
-        den = p ** (2 * s)
-        if num % den:
-            raise InvariantViolation(f"p^(2s) = {den} does not divide r * p^ell = {num}")
-        rhs += coeff(num // den)
+        # p^ell | r, so p^(2s) | r * p^ell for every s <= ell
+        rhs += coeff(r * p**ell // p ** (2 * s))
     return lhs == rhs

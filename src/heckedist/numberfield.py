@@ -168,8 +168,6 @@ class Field:
 
     def element(self, x: Rat, y: Rat = 0) -> "FieldElement":
         x, y = Fraction(x), Fraction(y)
-        if self.degree == 1 and y:
-            raise DegreeUnsupported("Q elements have no w-coordinate")
         return FieldElement(self, (x.numerator * y.denominator, y.numerator * x.denominator),
                             x.denominator * y.denominator)
 
@@ -193,7 +191,7 @@ class Field:
         return self.omega()
 
     def unit_ideal(self) -> "FractionalIdeal":
-        return FractionalIdeal(self, 1, (1,) if self.degree == 1 else (1, 0, 1), _canonical=True)
+        return FractionalIdeal(self, 1, (1,) if self.degree == 1 else (1, 0, 1))
 
     def ideal(self, *gens) -> "FractionalIdeal":
         elems = [g if isinstance(g, FieldElement) else self.element(g) for g in gens]
@@ -246,13 +244,16 @@ def make_field(D) -> Field:
 
 class FieldElement:
     """(u + v*w)/den: integer `row` = (u, v) (v = 0 over Q) and `den` > 0 in lowest
-    terms, the row format of `FractionalIdeal`; x + y*w gives the rationals x, y."""
+    terms, the row format of `FractionalIdeal`; x + y*w gives the rationals x, y.
+    A row with v != 0 over Q raises DegreeUnsupported."""
 
     __slots__ = ("field", "row", "den")
 
     def __init__(self, field: Field, row: tuple[int, int], den: int = 1):
         if not den:
             raise ZeroDivisionError("field element with denominator 0")
+        if row[1] and field.degree == 1:
+            raise DegreeUnsupported("Q elements have no w-coordinate")
         g = math.gcd(*row, den) if den > 0 else -math.gcd(*row, den)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "row", (row[0] // g, row[1] // g))
@@ -453,17 +454,17 @@ class FractionalIdeal:
     """Nonzero fractional ideal as (integral HNF module) / (positive denominator).
 
     Degree 2 stores (a, b, c): the module Z*a + Z*(b + c*w); degree 1
-    stores (a,).  Canonical form has the denominator minimal, making
-    equality a plain tuple comparison.  A zero basis raises ZeroIdeal.
+    stores (a,).  Every construction passes through `_canonicalize`, so
+    equality is a plain tuple comparison and no built value is zero or a
+    Z-module that is not an ideal.
     """
 
     __slots__ = ("field", "den", "hnf")
 
-    def __init__(self, field: Field, den: int, hnf: tuple[int, ...], _canonical=False):
+    def __init__(self, field: Field, den: int, hnf: tuple[int, ...]):
         if den <= 0:
             raise ValueError("denominator must be positive")
-        if not _canonical:
-            den, hnf = _canonicalize(field, den, hnf)
+        den, hnf = _canonicalize(field, den, hnf)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "hnf", hnf)
@@ -558,13 +559,10 @@ class FractionalIdeal:
         if f.degree == 1:
             return FractionalIdeal(f, self.hnf[0], (self.den,))
         # M * conj(M) = N(M) * O for the integral part M, so
-        # (M/den)^-1 = den * conj(M) / (a*c)
+        # (M/den)^-1 = den * conj(M) / (a*c); conj(M) has M's content c,
+        # which is prime to den, so it is the integral part of the conjugate
         a, _, c = self.hnf
-        conj_m = FractionalIdeal(f, 1, self.hnf, _canonical=True).conjugate()
-        if conj_m.den != 1:
-            raise InvariantViolation("conjugate of an integral ideal is not integral")
-        scaled = tuple(v * self.den for v in conj_m.hnf)
-        return FractionalIdeal(f, a * c, scaled)
+        return FractionalIdeal(f, a * c, tuple(v * self.den for v in self.conjugate().hnf))
 
     def contains(self, e: FieldElement) -> bool:
         if e.field != self.field:
@@ -600,32 +598,36 @@ class FractionalIdeal:
 
 
 def _canonicalize(field: Field, den: int, hnf: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    if not any(hnf):
-        raise ZeroIdeal("the zero module is not a fractional ideal")
+    """Stored form of (Z*a + Z*(b + c*w))/den, or (Z*a)/den over Q: a, c > 0,
+    0 <= b < a and the least den.  Rank below the degree raises ZeroIdeal, and
+    a module that is no ideal, unless c | a, c | b and (a/c) | N(b/c + w)
+    (Cohen, GTM 138, 5.2), InvariantViolation; so an ideal's content is c."""
     if field.degree == 1:
         a = abs(hnf[0])
+        if not a:
+            raise ZeroIdeal("the zero module is not a fractional ideal")
         g = math.gcd(den, a)
         return den // g, (a // g,)
     a, b, c = hnf
-    content = math.gcd(a, math.gcd(b, c))
-    g = math.gcd(den, content)
-    return den // g, (a // g, b // g, c // g)
+    if not (a and c):
+        raise ZeroIdeal("a module of rank below 2 is not a fractional ideal")
+    a = abs(a)
+    if c < 0:
+        b, c = -b, -c
+    if a % c or b % c or _row_norm(field, (b // c, 1)) % (a // c):
+        raise InvariantViolation("module basis is not an ideal")
+    g = math.gcd(den, c)
+    return den // g, (a // g, b % a // g, c // g)
 
 
 def _ideal_from_rows(field: Field, den: int, rows: Iterable[tuple[int, int]]) -> FractionalIdeal:
-    """The ideal spanned over Z by the rows (u + v*w)/den; ZeroIdeal below full rank."""
+    """The ideal spanned over Z by the rows (u + v*w)/den."""
     if field.degree == 1:
         a = 0
         for u, _ in rows:
             a = math.gcd(a, u)
         return FractionalIdeal(field, den, (a,))
-    a, b, c = _hnf_rows_deg2(rows)
-    if a == 0 or c == 0:
-        raise ZeroIdeal("degenerate module is not a fractional ideal")
-    # O_F-stability forces c | a and c | b
-    if a % c or b % c:
-        raise InvariantViolation("module basis is not an ideal")
-    return FractionalIdeal(field, den, (a, b, c))
+    return FractionalIdeal(field, den, _hnf_rows_deg2(rows))
 
 
 def ideal_from_elements(field: Field, elems: Iterable[FieldElement]) -> FractionalIdeal:
@@ -670,8 +672,6 @@ class QuotientModule:
             a1, b1, c1 = abs(coords[0][0]), 0, 1
         else:
             a1, b1, c1 = _hnf_rows_deg2(coords)
-            if a1 <= 0 or c1 <= 0:
-                raise InvariantViolation("quotient is not finite")
         self.sub_hnf = (a1, b1, c1)
         self.shape = (a1, c1)
         self.index = a1 * c1
@@ -753,9 +753,9 @@ def is_prime_ideal(I: FractionalIdeal) -> bool:
     """Whether I is a nonzero integral prime ideal, read off its integer HNF.
 
     Over Q, (a,) is prime iff a is.  Over Q(sqrt(D)) the prime ideals are
-    Z*p + Z*(b + w) with p | N(b + w), of norm p at a split or ramified
-    p, and (p) = (p, 0, p) at an inert p.  No other HNF is one, ideal or
-    not.
+    Z*p + Z*(b + w), of norm p at a split or ramified p (p | N(b + w) holds
+    for every ideal HNF (a, b, 1)), and (p) = (p, 0, p) at an inert p.  No
+    other HNF is one.
     """
     if not I.is_integral():
         return False
@@ -763,7 +763,7 @@ def is_prime_ideal(I: FractionalIdeal) -> bool:
         return is_rational_prime(I.hnf[0])
     a, b, c = I.hnf
     if c == 1:
-        return is_rational_prime(a) and _row_norm(I.field, (b, 1)) % a == 0
+        return is_rational_prime(a)
     return I.hnf == (a, 0, a) and is_rational_prime(a) and _splitting_type(I.field, a) == "inert"
 
 
@@ -946,10 +946,7 @@ def _rho_walk(M: FractionalIdeal, generator: bool = False):
     field, t = M.field, M.field.omega_trace
     a, b, c = M.hnf
     A, B = a // c, b // c
-    nrm = _row_norm(field, (B, 1))
-    if nrm % A:
-        raise InvariantViolation("module basis is not an ideal")
-    return _walk_from(field, (A, 2 * B + t, nrm // A), (c, 0), 1, generator)
+    return _walk_from(field, (A, 2 * B + t, _row_norm(field, (B, 1)) // A), (c, 0), 1, generator)
 
 
 def _walk_from(field: Field, f: Form, num: tuple[int, int], den: int, generator: bool):
@@ -1170,8 +1167,7 @@ def elements_of_norm(field: Field, n: int) -> list[FieldElement]:
         for B in range(A):
             if _row_norm(field, (B, 1)) % A:
                 continue
-            p = _rho_walk(FractionalIdeal(field, 1, (c * A, c * B, c), _canonical=True),
-                          generator=True)
+            p = _rho_walk(FractionalIdeal(field, 1, (c * A, c * B, c)), generator=True)
             if p is not None:
                 rows.add(_canonical_row(field, p))
     return [FieldElement(field, p) for p in sorted(rows)]

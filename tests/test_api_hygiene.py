@@ -1,6 +1,6 @@
-"""Every parameter of a library function is read in its body, every default
-is set by some caller outside the tests, and every public name is used
-outside the tests.
+"""Every parameter of a library function is read in its body and has a
+public name, every default is set by some caller outside the tests, and
+every public name is used outside the tests.
 
 A parameter the body never reads is an option that does nothing: a caller
 can set it and see no effect.  Dunder methods keep the signatures Python
@@ -38,6 +38,19 @@ def test_every_parameter_is_read():
               for path in sorted(SRC.glob("*.py"))
               for line, func, name in _unread_parameters(ast.parse(path.read_text()))]
     assert unread == []
+
+
+def test_no_parameter_is_private():
+    # a private switch on a function, such as one that skips a constructor's
+    # checks, is a second code path that callers outside cannot see
+    private = [f"{path.name}:{node.lineno} {node.name}({p.arg})"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for p in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+               + [a for a in (node.args.vararg, node.args.kwarg) if a is not None]
+               if p.arg.startswith("_")]
+    assert private == []
 
 
 # Public names that only tests call, each kept for a reason.  Any other

@@ -18,6 +18,7 @@ from heckedist.errors import (
     EnumerationTooLarge,
     HeckedistError,
     InvalidParameter,
+    InvariantViolation,
     NotNarrowSquare,
     NotPrime,
     RamanujanViolation,
@@ -111,11 +112,16 @@ def test_coset_cap(monkeypatch):
 def test_coset_requires_prime():
     with pytest.raises(NotPrime):
         coset_reps(Q.ideal(6), 1)
-    # Z-modules of norm 5 that are not ideals: N(1 + w) = 1 and N(w) = -1 are
-    # prime to 5, and c = 5 does not divide a = 1
-    dd = descent_data(factor_rational_prime(F5, 11).primes[0], 1)
+    # Z-modules of norm 5 that are not ideals cannot be built: N(1 + w) = 1
+    # and N(w) = -1 are prime to 5, and c = 5 does not divide a = 1
     for hnf in ((5, 1, 1), (1, 0, 5), (5, 0, 1)):
-        M = nf.FractionalIdeal(F5, 1, hnf)
+        with pytest.raises(InvariantViolation):
+            nf.FractionalIdeal(F5, 1, hnf)
+    # ideals that are not prime: a product of two primes, a prime square, O
+    # and a non-integral ideal
+    P11 = factor_rational_prime(F5, 11).primes[0]
+    dd = descent_data(P11, 1)
+    for M in (F5.ideal(6), P11 * P11, F5.unit_ideal(), P11.inverse()):
         for call in (lambda: coset_reps(M, 1), lambda: narrow_square_witness(M),
                      lambda: descent_data(M, 1), lambda: nf.ideal_valuation(F5.element(10), M),
                      lambda: dataclasses.replace(dd, prime=M).verify()):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heckedist import bounds, numberfield as nf, quadforms
 from heckedist.errors import (
@@ -77,6 +77,12 @@ F5 = make_field(5)
 F10 = make_field(10)
 
 
+def _is_ideal_basis(F, a, b, c):
+    """Whether Z*a + Z*(b + c*w), a, c != 0, is an ideal: c | a, c | b and
+    (a/c) | N(b/c + w) (Cohen, GTM 138, 5.2)."""
+    return a % c == 0 and b % c == 0 and F.element(b // c, 1).norm() % (a // c) == 0
+
+
 # --- make_field -------------------------------------------------------------
 
 
@@ -105,6 +111,11 @@ def test_make_field_rejects_bad_radicands():
         make_field(-3)
     with pytest.raises(DegreeUnsupported):
         make_field("cubic")
+    # an element of Q has no w-coordinate, however it is built
+    for build in (lambda: Q.element(1, 1), lambda: nf.FieldElement(Q, (1, 1)),
+                  lambda: nf.FieldElement(Q, (0, 2), 3)):
+        with pytest.raises(DegreeUnsupported):
+            build()
 
 
 def test_fundamental_unit_minimality_all_D_up_to_100():
@@ -255,7 +266,10 @@ def test_zero_ideal_errors():
     # no fractional ideal is zero: each way of building one refuses it
     builds = [lambda: ideal_from_elements(F5, []), lambda: F5.ideal(0), lambda: Q.ideal(0, 0),
               lambda: F5.ideal(2) * F5.zero(), lambda: nf.FractionalIdeal(F5, 1, (0, 0, 0)),
-              lambda: nf.FractionalIdeal(Q, 3, (0,))]
+              lambda: nf.FractionalIdeal(Q, 3, (0,)),
+              # rank-1 modules: Z*w and Z*3 + Z*1, of norm 0
+              lambda: nf.FractionalIdeal(F5, 1, (0, 0, 1)),
+              lambda: nf.FractionalIdeal(F5, 1, (3, 1, 0))]
     for build in builds:
         with pytest.raises(ZeroIdeal):
             build()
@@ -336,20 +350,17 @@ def test_valuation_matches_ideal_products():
                 for arg in cases:
                     assert ideal_valuation(arg, P) == ideal_valuation_by_products(arg, P), \
                         (D, P, arg)
-    # Z-modules of prime norm that are not ideals are not prime, and they
-    # fail in the products too
+    # Z-modules of prime norm that are not ideals cannot be built
     for hnf in ((1, 0, 5), (5, 0, 1)):
-        P = nf.FractionalIdeal(F5, 1, hnf)
-        with pytest.raises(NotPrime):
-            ideal_valuation(F5.element(10), P)
         with pytest.raises(InvariantViolation):
-            ideal_valuation_by_products(F5.element(10), P)
+            nf.FractionalIdeal(F5, 1, hnf)
 
 
 def test_is_prime_ideal_matches_the_norm_definition():
     # every (a, b, c) with a <= 36, b < a and c | a or c <= 6, over two
     # denominators: (p) = P*conj(P) at a split p, P^2 at split and ramified p,
-    # inert (p), non-integral ideals and modules that are not ideals
+    # inert (p) and non-integral ideals; the modules that are not ideals are
+    # refused
     fields = [make_field(D) for D in (2, 3, 5, 10, 13, 21, 79)]
     for F in fields:
         for a in range(1, 37):
@@ -357,6 +368,10 @@ def test_is_prime_ideal_matches_the_norm_definition():
             for b in range(a):
                 for c in cs:
                     for den in (1, 2):
+                        if not _is_ideal_basis(F, a, b, c):
+                            with pytest.raises(InvariantViolation):
+                                nf.FractionalIdeal(F, den, (a, b, c))
+                            continue
                         I = nf.FractionalIdeal(F, den, (a, b, c))
                         assert is_prime_ideal(I) == is_prime_ideal_by_norm(I), (F, I)
     for F in fields[:3]:
@@ -874,6 +889,32 @@ def test_non_ideal_module_raises():
         _ideal_from_rows(F5, 1, [(3, 0), (0, 2)])
 
 
+_signed_coord = st.integers(-60, 60).filter(bool)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([F2, F3, F5, F10, make_field(13)]), _signed_coord, st.integers(-200, 200),
+       _signed_coord, st.integers(1, 30))
+# b past a, and negative signs: the ideal Z*5 + Z*(2 + w) of norm 5 (and
+# Z*5 + Z*(2 - w), which is no ideal)
+@example(F5, 5, 7, 1, 1)
+@example(F5, -5, 2, 1, 1)
+@example(F5, 5, -2, -1, 2)
+@example(F5, 5, 2, -1, 1)
+def test_constructor_is_the_ideal_of_its_basis_or_refuses(F, a, b, c, den):
+    # any signs and any b: (Z*a + Z*(b + c*w))/den is built as the ideal its
+    # two basis elements generate exactly when it is an ideal; otherwise it is
+    # refused
+    if _is_ideal_basis(F, a, b, c):
+        I = nf.FractionalIdeal(F, den, (a, b, c))
+        J = ideal_from_elements(F, [F.element(Fraction(a, den)), F.element(b, c) / den])
+        assert I == J and hash(I) == hash(J)
+        assert (I.den, I.hnf) == (J.den, J.hnf)
+    else:
+        with pytest.raises(InvariantViolation):
+            nf.FractionalIdeal(F, den, (a, b, c))
+
+
 # --- closed-form unit adjustment and integer associates against Fraction scans ------
 
 # N(eps0) = -1 for D = 2, 5, 13 and +1 for D = 3, 6, 7
@@ -929,15 +970,12 @@ def test_elements_of_norm_match_fraction_walk():
 
 def _integral_ideals_of_norm(F, n):
     """Every integral ideal of norm n: the HNF modules Z*a + Z*(b + c*w) with
-    a*c = n and 0 <= b < a that are ideals, i.e. c | a, c | b and
-    (a/c) | N(b/c + w) (Cohen, GTM 138, 5.2)."""
+    a*c = n and 0 <= b < a that are ideals."""
     for c in range(1, n + 1):
-        a = n // c
-        if n % c or a % c:
-            continue
-        for b in range(0, a, c):
-            if (F.element(b // c, 1).norm() % (a // c)) == 0:
-                yield nf.FractionalIdeal(F, 1, (a, b, c))
+        if n % c == 0:
+            for b in range(n // c):
+                if _is_ideal_basis(F, n // c, b, c):
+                    yield nf.FractionalIdeal(F, 1, (n // c, b, c))
 
 
 def test_generators_and_elements_of_norm_match_the_y_scan():
@@ -990,6 +1028,8 @@ cases = [
      lambda: nf.narrow_square_witness(P7)),
     # the walk hands back 9 - 2w: of norm 41, but a generator of the conjugate prime
     ("_rho_walk", lambda M, generator=False: (9, -2), lambda: nf.find_generator(P41)),
+    # a Hermite form with c = 2 not dividing a = 3 is no ideal, and the product refuses it
+    ("_hnf_rows_deg2", lambda rows: (3, 0, 2), lambda: P * P7),
 ]
 for name, fake, call in cases:
     real = getattr(nf, name)
@@ -1004,14 +1044,14 @@ for name, fake, call in cases:
 
 _BROKEN_INVARIANTS_RAISED = [
     "raised rho", "raised _sqrt_mod_prime", "raised principal_totally_positive_generator",
-    "raised principal_totally_positive_generator", "raised _rho_walk"]
+    "raised principal_totally_positive_generator", "raised _rho_walk", "raised _hnf_rows_deg2"]
 
 
 def test_broken_invariants_raise():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(_BREAK_NUMBERFIELD_INVARIANTS, {})
-    assert out.getvalue().split("\n")[:5] == _BROKEN_INVARIANTS_RAISED
+    assert out.getvalue().split("\n")[:6] == _BROKEN_INVARIANTS_RAISED
 
 
 def test_broken_invariants_raise_under_optimize():
@@ -1022,4 +1062,4 @@ def test_broken_invariants_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:5] == _BROKEN_INVARIANTS_RAISED
+    assert proc.stdout.split("\n")[:6] == _BROKEN_INVARIANTS_RAISED
