@@ -41,11 +41,13 @@ class Dataset:
     checks again.  `lams` and `weights` are float64, `labels` a unicode
     array and `casimir` an n x d float64 array of per-place Casimir values,
     or None.  The constructor copies every array it is given, so no caller
-    can write a column.  `points` rebuilds the DataPoints on demand;
-    `from_points` goes the other way.
+    can write a column.  A synthetic dataset stores only the columns it
+    drew: its labels are rebuilt on each read of `labels`, and its weights
+    are one read-only 1.0 broadcast to n.  `points` rebuilds the DataPoints
+    on demand; `from_points` goes the other way.
     """
 
-    __slots__ = ("_lams", "_weights", "labels", "casimir", "target", "meta")
+    __slots__ = ("_lams", "_weights", "_labels", "casimir", "target", "meta")
 
     def __init__(self, lams, weights, labels, target: MeasureSpec, casimir=None,
                  meta: tuple[tuple[str, object], ...] = ()):
@@ -54,12 +56,18 @@ class Dataset:
                     None if casimir is None else np.array(casimir, dtype=np.float64), meta)
 
     def _adopt(self, lams, weights, labels, target, casimir, meta):
-        """Check the columns, then keep them uncopied and read-only.
+        """Keep the columns uncopied and read-only, then check them.
 
         Only arrays that no caller holds may be passed: `__init__` passes
-        its own copies, `synthesize_dataset` the columns it has just drawn.
+        its own copies, `synthesize_dataset` the columns it has just drawn,
+        with labels None (they are derived from the row number).
         """
-        if not len(lams) == len(weights) == len(labels):
+        for col in (lams, weights, labels, casimir):
+            if col is not None:
+                col.flags.writeable = False
+        for name, value in zip(self.__slots__, (lams, weights, labels, casimir, target, meta)):
+            object.__setattr__(self, name, value)
+        if len(weights) != len(lams) or (labels is not None and len(labels) != len(lams)):
             raise InvalidParameter("lambda, weight and label columns differ in length")
         if not len(lams):
             raise EmptyDataset("dataset is empty")
@@ -71,15 +79,11 @@ class Dataset:
         if bad.any():
             i = int(np.argmax(bad))
             if bad_lam[i]:
-                raise InvalidParameter(f"lambda {lams[i]} outside [-2, 2] at {labels[i]}")
-            raise InvalidParameter(f"weight {weights[i]} negative or not finite at {labels[i]}")
+                raise InvalidParameter(f"lambda {lams[i]} outside [-2, 2] at {self.labels[i]}")
+            raise InvalidParameter(f"weight {weights[i]} negative or not finite "
+                                   f"at {self.labels[i]}")
         if np.sum(weights) <= 0.0:
             raise TotalWeightZero("dataset has zero total weight")
-        for col in (lams, weights, labels, casimir):
-            if col is not None:
-                col.flags.writeable = False
-        for name, value in zip(self.__slots__, (lams, weights, labels, casimir, target, meta)):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Dataset is immutable; cannot set {name}")
@@ -88,6 +92,14 @@ class Dataset:
         # pickle, copy and deepcopy rebuild through the constructor, which copies
         return (Dataset, (self._lams, self._weights, self.labels, self.target, self.casimir,
                           self.meta))
+
+    @property
+    def labels(self) -> np.ndarray:
+        if self._labels is not None:
+            return self._labels
+        labels = _synth_labels(len(self))  # built on each read, as `points` is
+        labels.flags.writeable = False
+        return labels
 
     @classmethod
     def from_points(cls, points, target: MeasureSpec,
@@ -178,14 +190,16 @@ def moment_test(ds: Dataset, ord: int, ell_max: int) -> list[MomentRow]:
     n = len(ds)
     denom = W - ws
     loo_denom = np.where(denom > 0, denom, np.nan)
-    loo = np.empty(n)  # the leave-one-out means of each ell, then their squared deviations
+    loo = np.empty(n)  # w * X_ell, then its leave-one-out means, then their squared deviations
     out = []
     for ell, vals in zip(range(ell_max + 1), _chebyshev(lams)):
-        S = float(np.dot(ws, vals))
+        # numpy's pairwise sum, not np.dot: BLAS splits a dot product by its
+        # thread count, so S would depend on the CPUs
+        np.multiply(ws, vals, out=loo)
+        S = float(np.sum(loo))
         M = S / W
         expected = phi_moment(ord, ell)
         if n > 1:
-            np.multiply(ws, vals, out=loo)
             np.subtract(S, loo, out=loo)
             np.divide(loo, loo_denom, out=loo)
             np.copyto(loo, M, where=~np.isfinite(loo))
@@ -242,7 +256,8 @@ def synthesize_dataset(
 
     When a spectral box is given, per-place Casimir values are drawn from
     the spectral density restricted to the box (atoms included).  Point i
-    is labelled "synth-%06d" % i, so labels past 999999 are longer.
+    is labelled "synth-%06d" % i, so labels past 999999 are longer.  Only
+    the drawn columns are stored: the labels and unit weights follow from n.
     """
     if n < 1:
         raise InvalidParameter("n must be >= 1")
@@ -251,13 +266,11 @@ def synthesize_dataset(
     casimirs = None
     if box is not None:
         rng = np.random.default_rng([seed, 0xC0FFEE])
-        cols = []
-        for pl in box.places:
+        casimirs = np.empty((n, len(box.places)))
+        for j, pl in enumerate(box.places):
             # raises ZeroMassRegion, before it draws, on a place with no mass
-            cols.append(measures.sample_spectral(MeasureSpec.plancherel(pl.xi),
-                                                 pl.low, pl.high, n, rng))
-        casimirs = np.stack(cols, axis=1)
-    labels = _synth_labels(n)
+            casimirs[:, j] = measures.sample_spectral(MeasureSpec.plancherel(pl.xi),
+                                                      pl.low, pl.high, n, rng)
     meta = (
         ("field", getattr(field, "D", None) or "rational"),
         ("prime", str(prime)),
@@ -266,7 +279,8 @@ def synthesize_dataset(
         ("n", n),
     )
     ds = Dataset.__new__(Dataset)
-    ds._adopt(lams, np.ones(n), labels, spec, casimirs, meta)  # every column is new here
+    # every column is new here; the labels and unit weights follow from n
+    ds._adopt(lams, np.broadcast_to(1.0, (n,)), None, spec, casimirs, meta)
     return ds
 
 

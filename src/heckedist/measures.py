@@ -16,17 +16,19 @@ Every mass is a float: an empty tilde interval has mass 0.0.
 
 The x-measures have exact CDFs in the angle t = arccos(-x/2), which runs
 from 0 at x = -2 to pi at x = 2; their samplers invert those CDFs by
-safeguarded Newton steps.  The continuous part of plancherel, in
-u = sqrt(lambda - 1/4), is one table of 8-point Gauss-Legendre cells and
-their running sums (`_cont_table`): its last entry is the mass, and the
-spectral sampler interpolates it.  Against the closed forms
-int_0^U 2u tanh(pi u) du = U^2 - 1/12 and int_0^U 2u coth(pi u) du =
+safeguarded Newton steps from a cubic Hermite start on a grid bracket,
+which leaves one step for nearly every draw.  The continuous part of
+plancherel, in u = sqrt(lambda - 1/4), is one table of 8-point
+Gauss-Legendre cells and their running sums (`_cont_table`): its last entry
+is the mass, and the spectral sampler interpolates it.  Against the closed
+forms int_0^U 2u tanh(pi u) du = U^2 - 1/12 and int_0^U 2u coth(pi u) du =
 U^2 + 1/6 it reads within 2.1e-15 relative for lambda from 100.25 to 1e12.
 
 Both samplers draw their random numbers in one serial call, then place the
 draws over fixed slices on one thread per CPU (`_over_slices`, which
 equidist's label fill uses too).  Each draw sees the same operations
-whatever the slice's thread, so the samples do not depend on the CPU count.
+whatever the slice's thread, and nothing here calls BLAS, whose reductions
+split by thread count, so the samples do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -409,24 +411,27 @@ def orthonormality_matrix(max_degree: int) -> np.ndarray:
 _BRACKET_CELLS = 1024
 # |F(t) - u| at which a Newton iterate counts as converged: two ulps of 1
 _NEWTON_TOL = 2.0 * np.finfo(float).eps
-# Newton steps at most.  Random u converge in 2 or 3; u next to a zero of the
-# density is a triple root of F - u, where Newton converges only linearly, and
-# took up to 44 for ord <= 5000.
+# Newton steps at most.  From the cubic start, random u converge in 1 (at
+# n = 10^5, 6 draws of phi(0) and about 290 of phi(2) take a second step);
+# u next to a zero of the density is a triple root of F - u, where Newton
+# converges only linearly, and takes up to 44 for ord <= 5000.
 _NEWTON_MAX_STEPS = 60
 
 
 # CPUs this process may run on; BLAS thread variables such as
 # OMP_NUM_THREADS do not apply to the threads started here
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# draws per slice of _over_slices.  `sample(phi(0), 10**5)` took, in ms
-# (medians of 25 to 60, 2 CPUs, Python 3.11.7, numpy 2.4.6):
+# draws per slice of _over_slices.  `sample(phi(0), 10**5)` from the cubic
+# Newton start took, in ms (medians over six processes of medians of 25,
+# 2 CPUs on a shared machine, Python 3.11.7, numpy 2.4.6):
 #   slice          2^11  2^12  2^13  2^14  2^15  one slice
-#   on 1 thread    29.2  24.8  22.6  22.2  25.9  29.4
-#   on 2 threads   33.8  22.1  16.2  14.8  18.2
+#   on 1 thread    22.9  18.8  16.2  19.3  19.7  21.8
+#   on 2 threads   26.2  18.5  14.1  14.0  16.4
 # Small slices stay in cache; too small, and the threads queue for the GIL
-# between numpy calls.  2^14 is no faster end to end, and the second
-# thread's malloc arena keeps its larger temporaries: perfbench stats-cli
-# read a peak RSS of 66.0 MiB at 2^14, 65.1 at 2^13 and 65.05 unthreaded.
+# between numpy calls.  2^14 is no faster, and the second thread's malloc
+# arena keeps its larger temporaries: with the linear start, perfbench
+# stats-cli read a peak RSS of 66.0 MiB at 2^14, 65.1 at 2^13 and 65.05
+# unthreaded.
 _SLICE = 1 << 13
 
 
@@ -482,35 +487,58 @@ def cdf(spec: MeasureSpec, x) -> Union[float, np.ndarray]:
 
 
 def _inverse_angle_cdf(spec: MeasureSpec, u: np.ndarray) -> np.ndarray:
-    """t in [0, pi] with F(t) = u: a grid bracket, then safeguarded Newton.
+    """t in [0, pi] with F(t) = u: a grid bracket, a cubic start, then
+    safeguarded Newton.
 
     The brackets are searched for in ascending u and scattered back: the
     same cells as a search in draw order, but a search over ascending keys
-    keeps to one end of the grid at a time and predicts its branches.
+    keeps to one end of the grid at a time and predicts its branches.  The
+    start is the cubic Hermite interpolant of the inverse CDF on the
+    bracket, with slopes 1/F' at the grid; its F is off by 1e-12 to 1e-10
+    for most draws, so one Newton step meets _NEWTON_TOL for nearly all.
+    Where the end slopes break the Fritsch-Carlson condition a^2 + b^2 <= 9
+    (in units of the linear slope), as at a cell ending on a zero of the
+    density, the cubic need not be monotone and could leave the bracket, so
+    the start is linear there.  The steps run on the draws still
+    unconverged, packed into short arrays.
     """
     grid = np.linspace(0.0, math.pi, _BRACKET_CELLS + 1)
     f_grid = _angle_cdf(spec, grid)
+    # the start on each cell is t0 + s (c1 + s (c2 + s c3)), s = (u - F0)/dF in [0, 1]
+    dt, df = np.diff(grid), np.diff(f_grid)
+    dens = _angle_density(spec, grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = df / dens[:-1], df / dens[1:]  # dt/ds at the cell's ends
+        cubic = a * a + b * b <= 9.0 * dt * dt
+        c1 = np.where(cubic, a, dt)
+        c2 = np.where(cubic, 3.0 * dt - 2.0 * a - b, 0.0)
+        c3 = np.where(cubic, a + b - 2.0 * dt, 0.0)
     order = np.argsort(u)
     i = np.empty(u.size, dtype=np.intp)
     i[order] = np.searchsorted(f_grid, u[order], side="right")
     i = np.clip(i - 1, 0, _BRACKET_CELLS - 1)
     lo, hi = grid[i], grid[i + 1]
-    t = lo + (u - f_grid[i]) / (f_grid[i + 1] - f_grid[i]) * (hi - lo)
-    todo = np.arange(u.size)
+    s = (u - f_grid[i]) / df[i]
+    t = lo + s * (c1[i] + s * (c2[i] + s * c3[i]))
+    # the draws still iterating: their places in t, iterates, targets and brackets
+    pos, tt, uu = np.arange(u.size), t, u
     for _ in range(_NEWTON_MAX_STEPS):
-        r = _angle_cdf(spec, t[todo]) - u[todo]
+        r = _angle_cdf(spec, tt) - uu
         active = np.abs(r) > _NEWTON_TOL
-        todo, r = todo[active], r[active]
-        if todo.size == 0:
+        done = ~active
+        if done.any():
+            t[pos[done]] = tt[done]
+            pos, tt, uu, lo, hi, r = (x[active] for x in (pos, tt, uu, lo, hi, r))
+        if pos.size == 0:
             break
-        tt = t[todo]
-        lo[todo] = np.where(r < 0, tt, lo[todo])
-        hi[todo] = np.where(r > 0, tt, hi[todo])
+        lo = np.where(r < 0, tt, lo)
+        hi = np.where(r > 0, tt, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = tt - r / _angle_density(spec, tt)
         # non-strict: a converged step may land on the bracket's edge
-        inside = (lo[todo] <= step) & (step <= hi[todo])
-        t[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+        tt = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    else:
+        t[pos] = tt
     return t
 
 

@@ -1018,7 +1018,9 @@ def sample_spectral_loop(spec, low: float, high: float, n: int, rng):
 
 def inverse_angle_cdf_draw_order(spec, u):
     """`measures._inverse_angle_cdf` as it was before its bracket search ran
-    over sorted keys: np.searchsorted takes the draws in the order drawn."""
+    over sorted keys and its Newton steps over packed arrays: np.searchsorted
+    takes the draws in the order drawn, and every step indexes the whole
+    draw array.  The cubic Hermite start is written out per draw."""
     import numpy as np
 
     from heckedist.measures import (
@@ -1033,7 +1035,15 @@ def inverse_angle_cdf_draw_order(spec, u):
     f_grid = _angle_cdf(spec, grid)
     i = np.clip(np.searchsorted(f_grid, u, side="right") - 1, 0, _BRACKET_CELLS - 1)
     lo, hi = grid[i], grid[i + 1]
-    t = lo + (u - f_grid[i]) / (f_grid[i + 1] - f_grid[i]) * (hi - lo)
+    dt, df = hi - lo, f_grid[i + 1] - f_grid[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = df / _angle_density(spec, lo)
+        b = df / _angle_density(spec, hi)
+        cubic = a * a + b * b <= 9.0 * dt * dt
+        s = (u - f_grid[i]) / df
+        linear = lo + s * dt
+        hermite = lo + s * (a + s * ((3.0 * dt - 2.0 * a - b) + s * (a + b - 2.0 * dt)))
+    t = np.where(cubic, hermite, linear)
     todo = np.arange(u.size)
     for _ in range(_NEWTON_MAX_STEPS):
         r = _angle_cdf(spec, t[todo]) - u[todo]
@@ -1145,7 +1155,7 @@ def moment_rows_per_ell(ds, ord: int, ell_max: int) -> list:
     out = []
     for ell in range(ell_max + 1):
         vals = chebyshev_eval(ell, lams)
-        S = float(np.dot(ws, vals))
+        S = float(np.sum(ws * vals))
         M = S / W
         expected = phi_moment(ord, ell)
         se = 0.0

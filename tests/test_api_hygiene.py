@@ -53,6 +53,40 @@ def test_no_parameter_is_private():
     assert private == []
 
 
+# numpy names that reach BLAS or LAPACK.  A BLAS reduction is split by the
+# library's thread count, so its float result can change with the CPUs; einsum
+# calls BLAS only when asked to optimize.
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "linalg"}
+
+
+def _blas_uses(tree: ast.Module):
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+            yield n.lineno, "@"
+        elif isinstance(n, ast.Attribute) and n.attr in BLAS_NAMES:
+            yield n.lineno, n.attr
+        elif isinstance(n, ast.alias) and n.name.rpartition(".")[2] in BLAS_NAMES:
+            yield n.lineno, n.name
+        elif isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "einsum" \
+                and any(k.arg == "optimize" for k in n.keywords):
+            yield n.lineno, "einsum(optimize=...)"
+
+
+def test_no_blas_in_the_library():
+    # so that no result depends on the CPU count
+    uses = [f"{path.name}:{line} {what}"
+            for path in sorted(SRC.glob("*.py"))
+            for line, what in _blas_uses(ast.parse(path.read_text()))]
+    assert uses == []
+
+
+def test_the_blas_check_sees_each_form():
+    code = ("import numpy.linalg\nfrom numpy import dot\na @ b\na @= b\nnp.dot(a, b)\n"
+            "a.dot(b)\nnp.matmul(a, b)\nnp.inner(a, b)\nnp.vdot(a, b)\nnp.tensordot(a, b)\n"
+            "np.linalg.norm(a)\nnp.einsum('i,i', a, b, optimize=True)\nnp.einsum('i,i', a, b)\n")
+    assert sorted(line for line, _ in _blas_uses(ast.parse(code))) == list(range(1, 13))
+
+
 # Public names that only tests call, each kept for a reason.  Any other
 # public function, class or method must be used by the library or perfbench.
 # Uses are matched by bare name, so an attribute of the same name on another

@@ -251,21 +251,22 @@ def test_numberfield_stdout_is_byte_identical(monkeypatch):
 
 
 # sha256 of the stdout of sample and test-dist commands, recorded from the
-# (lambda, label) lexsort, the string-built labels and the sampler's searches
-# in draw order; the numeric-order versions must reproduce the bytes
+# (lambda, label) lexsort, the string-built labels, the sampler's searches
+# in draw order from the cubic Hermite start, and moment sums taken by
+# numpy's pairwise sum; the numeric-order versions must reproduce the bytes
 STATS_STDOUT_SHA256 = [
     (["sample", "sato-tate", "-n", "1000", "--seed", "3"],
-     "5cf8c2f8664d516dca1bf6356ae6a1136cfcb4ae6c02ce5533396fb83c5e644e"),
+     "c0ffb262bb41c3b293c170b4bebddefa96b8d4bcd6b82c1a19dfc3ac848502d7"),
     (["--format", "plot-data", "sample", "sato-tate", "-n", "1000", "--seed", "3"],
-     "ef427b71e6daa90c85431ed3ed8c4339dd5b50e08de300819563dd709dc7497c"),
+     "590eaefa1343865f5932528fcd9bcc1cdfac6c7cfeb2c7ea8fa8009155a9b139"),
     (["test-dist", "--synthetic", "--seed", "7", "-n", "100000", "--interval", "-1,1"],
-     "15f133f952db10fd8cec69200ef67530be7030a793088a2ddc9fd4d9ef251fec"),
+     "3b4322017c7519088d96fc94fe0a28874f0bc68a73942ad0e621569478881432"),
     (["--format", "plot-data", "test-dist", "--synthetic", "--seed", "7", "-n", "5000",
       "--interval", "-1,1", "--plot"],
-     "a6bbccf1b1f5dbfd08e864f8d921bc4c57ace869bdd6b168fd6f9e9e0e10844a"),
+     "3bdf38aa3945bb826bd1899d0e2a1ce4bf89e75d5c1579e99bdc85e951f3d888"),
     (["test-dist", "--synthetic", "--ord", "2", "--seed", "11", "-n", "20000",
       "--interval", "-0.5,1.5", "--plot"],
-     "04162d1b066116d33205f37c1233ed33c3f60916b3359f1c54c8200f545c3e3a"),
+     "d52ad11e503f3d051dac752f516e37f13d9bf56585391bef1688a39b29dfc95f"),
 ]
 
 
@@ -276,6 +277,22 @@ def test_stats_stdout_is_byte_identical(monkeypatch):
         code, out = run_command(argv)
         assert code == 0, out.decode()
         assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
+def test_test_dist_stdout_does_not_depend_on_the_blas_threads(monkeypatch):
+    # OpenBLAS splits a dot product by its thread count, so moment sums taken
+    # by np.dot printed other bytes under one BLAS thread than under two
+    monkeypatch.delenv(datasource.OFFLINE_ENV_VAR, raising=False)
+    monkeypatch.delenv(datasource.CACHE_ENV_VAR, raising=False)
+    argv, digest = STATS_STDOUT_SHA256[2]
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        proc = _run_python("-m", "heckedist.cli", *argv)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == digest
 
 
 # a cutoff above bounds.SIEVE_CAP, which once ended in a MemoryError traceback

@@ -134,16 +134,21 @@ def _traced(f, *args):
     return out, kept, peak
 
 
-def test_synthetic_dataset_and_plot_rows_memory():
-    # numpy reports its buffers to tracemalloc, so these figures repeat exactly;
-    # the small calls first fill the samplers' and CDFs' caches
+def test_synthetic_dataset_and_plot_rows_memory(monkeypatch):
+    # numpy reports its buffers to tracemalloc, so these figures repeat exactly
+    # on one thread; each further sampler thread adds up to one slice's work
+    # arrays, about 0.6 MB, as its slices overlap the others'.  The small
+    # calls first fill the samplers' and CDFs' caches
+    monkeypatch.setattr(measures, "_CPUS", 1)
     F = make_field(5)
     box = SpectralBox((PlaceBox(-4.0, 6.0, "Q+", 0), PlaceBox(-0.5, 3.0, "Q+", 0)))
     plot_data(synthesize_dataset(F, "2", 1, box, 1000, 7))
-    # 11.2 MB: 8.0 MB of columns (4.8 MB of them labels) and the samplers' work
-    # arrays; 18.5 MB when the dataset copied the columns it was handed
-    ds, _, peak = _traced(synthesize_dataset, F, "2", 1, box, 100_000, 7)
-    assert peak < 12_000_000
+    # 4.41 MB: 2.4 MB of drawn columns (the lambdas and two Casimir columns),
+    # all the dataset keeps, and the samplers' work arrays; 10.5 MB when the
+    # dataset stored its labels (4.8 MB) and unit weights and stacked the
+    # Casimir columns, 18.5 MB when it copied the columns it was handed
+    ds, kept, peak = _traced(synthesize_dataset, F, "2", 1, box, 100_000, 7)
+    assert kept < 2_450_000 and peak < 4_500_000
     # 2.4 MB: the (n, 3) float64 rows; 14.3 MB as a list of float tuples
     _, kept, _ = _traced(plot_data, ds)
     assert kept <= 3_000_000
@@ -157,6 +162,24 @@ def test_report_memory():
     equidist_report(synthesize_dataset(Q, "2", 1, None, 1000, 7), (-1.0, 0.5), 1)
     _, _, peak = _traced(equidist_report, ds, (-1.0, 0.5), 1)
     assert peak < 5_400_000
+
+
+@pytest.mark.parametrize("n", [1, 1_000, 100_000])
+def test_synthetic_labels_and_weights_are_derived_on_read(n):
+    box = SpectralBox((PlaceBox(-4.0, 6.0, "Q+", 0),))
+    ds = synthesize_dataset(make_field(5), "2", 0, box, n, 3)
+    labels, weights = ds.labels, ds.weights()
+    ref = oracles.synth_labels_by_string_ops(n)
+    assert labels.dtype == ref.dtype and np.array_equal(labels, ref)
+    assert weights.dtype == np.float64 and weights.shape == (n,) and np.all(weights == 1.0)
+    for col in (labels, weights):
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = col[-1]
+    assert ds.labels is not labels  # built again on each read, never kept
+    for twin in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+        assert np.array_equal(twin.labels, ref) and np.array_equal(twin.weights(), weights)
+        assert twin.points == ds.points
 
 
 def test_synthetic_labels_past_six_digits():
